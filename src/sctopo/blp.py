@@ -392,16 +392,20 @@ def read_instance(path):
     h1 = np.full(n1, np.nan)
     h2 = np.full(n2, np.nan)
     tri = np.full((n2, 3), -1, dtype=np.int64)
+    # line tag -> (array it fills, parser of its values, values per line)
+    rows = {"h1": (h1, float, 1), "h2": (h2, float, 1), "tri": (tri, int, 3)}
     for ln in lines[idx:]:
         parts = ln.split()
-        if parts[0] == "h1":
-            h1[int(parts[1])] = float(parts[2])
-        elif parts[0] == "h2":
-            h2[int(parts[1])] = float(parts[2])
-        elif parts[0] == "tri":
-            tri[int(parts[1])] = [int(p) for p in parts[2:5]]
-        else:
+        if parts[0] not in rows:
             raise ValueError(f"unrecognized line: {ln!r}")
+        target, parse, width = rows[parts[0]]
+        if len(parts) != 2 + width:
+            raise ValueError(f"expected an index and {width} value(s): {ln!r}")
+        i = int(parts[1])
+        if not 0 <= i < len(target):
+            raise ValueError(f"index out of range: {ln!r}")
+        values = [parse(v) for v in parts[2:]]
+        target[i] = values if width > 1 else values[0]
     if np.isnan(h1).any() or np.isnan(h2).any() or (tri < 0).any():
         raise ValueError("instance file is missing entries")
     if (h1 < 0).any() or (h2 < 0).any():

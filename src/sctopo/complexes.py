@@ -1,10 +1,11 @@
 """Candidate simplicial complexes over a fixed node set.
 
 A candidate complex enumerates every possible edge and triangle on ``n0``
-nodes, in lexicographic order, together with the oriented incidence
-(boundary) matrices ``b1`` (nodes x edges) and ``b2`` (edges x triangles)
-and the unoriented ``b2_plus = |b2|``.  Binary selection vectors over the
-candidate index spaces then pick out the active structure; the routines
+nodes, in lexicographic order, and the edge indices of each triangle's
+faces.  The oriented incidence (boundary) matrices ``b1`` (nodes x edges)
+and ``b2`` (edges x triangles) and the unoriented ``b2_plus = |b2|`` are
+derived from those indices on first access.  Binary selection vectors over
+the candidate index spaces then pick out the active structure; the routines
 here build the selection-dependent Laplacians and check the face-inclusion
 property.
 
@@ -22,7 +23,8 @@ With this convention ``b1 @ b2 == 0`` holds exactly in integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -45,9 +47,23 @@ def enumerate_simplices(n0, k):
     return list(combinations(range(n0), k + 1))
 
 
+def _edge_rank(n0, i, j):
+    """Lexicographic rank of edge ``(i, j)``, ``i < j``; elementwise on arrays."""
+    # C(n0, 2) - C(n0 - i, 2) + (j - i - 1), expanded
+    return n0 * i - i * (i + 1) // 2 + (j - i - 1)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class CandidateComplex:
     """The complete candidate complex on ``n0`` nodes.
+
+    Only the index lists are stored; the dense incidence matrices are
+    derived from them the first time they are read and then kept.
 
     Attributes
     ----------
@@ -55,13 +71,6 @@ class CandidateComplex:
         Number of nodes.
     edges, triangles : tuple of tuples
         Candidate simplices in lexicographic order.
-    b1 : ndarray, shape (n0, n_edges)
-        Oriented node-to-edge incidence; column of edge ``(i, j)`` has
-        ``-1`` at row ``i`` and ``+1`` at row ``j``.
-    b2 : ndarray, shape (n_edges, n_triangles)
-        Oriented edge-to-triangle incidence with the sign convention above.
-    b2_plus : ndarray
-        Entrywise absolute value of ``b2``.
     triangle_edges : ndarray, shape (n_triangles, 3)
         Edge indices of each triangle's faces, in lexicographic face order.
         This is the sparse column-list view of ``b2`` that the solver and
@@ -71,9 +80,6 @@ class CandidateComplex:
     n0: int
     edges: tuple
     triangles: tuple
-    b1: np.ndarray
-    b2: np.ndarray
-    b2_plus: np.ndarray
     triangle_edges: np.ndarray
 
     @property
@@ -84,13 +90,31 @@ class CandidateComplex:
     def n_triangles(self):
         return len(self.triangles)
 
+    @cached_property
+    def b1(self):
+        """Oriented node-to-edge incidence; edge ``(i, j)`` is -1 at ``i``, +1 at ``j``."""
+        b1 = np.zeros((self.n0, self.n_edges), dtype=np.int64)
+        b1[np.array(self.edges).T, np.arange(self.n_edges)] = [[-1], [1]]
+        return _read_only(b1)
+
+    @cached_property
+    def b2(self):
+        """Oriented edge-to-triangle incidence with the sign convention above."""
+        b2 = np.zeros((self.n_edges, self.n_triangles), dtype=np.int64)
+        b2[self.triangle_edges, np.arange(self.n_triangles)[:, None]] = TRIANGLE_FACE_SIGNS
+        return _read_only(b2)
+
+    @cached_property
+    def b2_plus(self):
+        """Entrywise absolute value of ``b2``."""
+        return _read_only(np.abs(self.b2))
+
     def edge_id(self, i, j):
         """Index of edge ``(i, j)`` (order-insensitive) in the candidate list."""
         i, j = (i, j) if i < j else (j, i)
         if not (0 <= i < j < self.n0):
             raise ValueError(f"({i}, {j}) is not a valid edge on {self.n0} nodes")
-        # combinatorial rank of (i, j) in lexicographic pair order
-        return comb(self.n0, 2) - comb(self.n0 - i, 2) + (j - i - 1)
+        return _edge_rank(self.n0, i, j)
 
     def triangle_id(self, i, j, k):
         """Index of triangle ``{i, j, k}`` in the candidate list."""
@@ -104,39 +128,22 @@ class CandidateComplex:
 def build_candidate_complex(n0):
     """Build the full candidate complex on ``n0 >= 3`` nodes.
 
-    Incidence matrices are stored dense (desk scale); ``triangle_edges``
-    carries the per-triangle face indices used throughout.
+    Only the simplex lists and ``triangle_edges`` are computed here; the
+    dense incidence matrices are derived on first access.
     """
     if n0 < 3:
         raise ValueError(f"need n0 >= 3, got {n0}")
     edges = enumerate_simplices(n0, 1)
     triangles = enumerate_simplices(n0, 2)
-    n1, n2 = len(edges), len(triangles)
-
-    b1 = np.zeros((n0, n1), dtype=np.int64)
-    for e, (i, j) in enumerate(edges):
-        b1[i, e] = -1
-        b1[j, e] = 1
-
-    edge_ids = {pair: e for e, pair in enumerate(edges)}
-    triangle_edges = np.empty((n2, 3), dtype=np.int64)
-    b2 = np.zeros((n1, n2), dtype=np.int64)
-    for t, (i, j, k) in enumerate(triangles):
-        faces = (edge_ids[(i, j)], edge_ids[(i, k)], edge_ids[(j, k)])
-        triangle_edges[t] = faces
-        b2[faces, t] = TRIANGLE_FACE_SIGNS
-
-    b2_plus = np.abs(b2)
-    for a in (b1, b2, b2_plus, triangle_edges):
-        a.flags.writeable = False
+    i, j, k = np.fromiter(chain.from_iterable(triangles), dtype=np.int64,
+                          count=3 * len(triangles)).reshape(-1, 3).T
+    triangle_edges = np.column_stack(
+        (_edge_rank(n0, i, j), _edge_rank(n0, i, k), _edge_rank(n0, j, k)))
     return CandidateComplex(
         n0=n0,
         edges=tuple(edges),
         triangles=tuple(triangles),
-        b1=b1,
-        b2=b2,
-        b2_plus=b2_plus,
-        triangle_edges=triangle_edges,
+        triangle_edges=_read_only(triangle_edges),
     )
 
 
@@ -155,11 +162,8 @@ class Selection:
 
     @classmethod
     def from_indices(cls, n_edges, n_triangles, edge_indices=(), triangle_indices=()):
-        s1 = np.zeros(n_edges, dtype=np.int8)
-        s2 = np.zeros(n_triangles, dtype=np.int8)
-        s1[list(edge_indices)] = 1
-        s2[list(triangle_indices)] = 1
-        return cls(s1, s2)
+        return cls(_indicator(n_edges, edge_indices, "edge"),
+                   _indicator(n_triangles, triangle_indices, "triangle"))
 
     @property
     def edge_indices(self):
@@ -179,6 +183,16 @@ class Selection:
 
     def same_as(self, other):
         return np.array_equal(self.s1, other.s1) and np.array_equal(self.s2, other.s2)
+
+
+def _indicator(n, indices, name):
+    idx = np.asarray(list(indices))
+    if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu"
+                     or idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"{name} indices must be integers in [0, {n})")
+    v = np.zeros(n, dtype=np.int8)
+    v[idx.astype(np.int64)] = 1
+    return v
 
 
 def _as_binary(v, name):
@@ -205,12 +219,9 @@ def validate_inclusion(cx, sel):
             f"selection shape ({s1.shape[0]}, {s2.shape[0]}) does not match "
             f"complex ({cx.n_edges}, {cx.n_triangles})"
         )
-    violations = []
-    for t in np.flatnonzero(s2):
-        for e in cx.triangle_edges[t]:
-            if s1[e] == 0:
-                violations.append((int(t), int(e)))
-    return violations
+    faces = cx.triangle_edges
+    ts, fs = np.nonzero((s2 != 0)[:, None] & (s1[faces] == 0))
+    return [(int(t), int(faces[t, f])) for t, f in zip(ts, fs)]
 
 
 def laplacian_node(cx, s1):

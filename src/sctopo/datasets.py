@@ -5,9 +5,7 @@ A "real" dataset directory holds:
 * ``node_features.csv``: one row per node, integer node id (0..n0-1,
   ascending) followed by numeric feature columns;
 * ``topology.json``: ``{"edges": [[i, j], ...], "triangles":
-  [[i, j, k], ...]}`` with vertex lists, i < j (< k);
-* optionally ``edge_signals.csv``, one row per candidate edge in
-  lexicographic order.
+  [[i, j, k], ...]}`` with vertex lists, i < j (< k).
 
 The three failure modes are distinct exception types so callers can tell
 a broken file from a well-formed file describing an impossible complex.
@@ -41,7 +39,6 @@ class RealDataset:
     node_features: np.ndarray  # (n0, n_features)
     ground_truth_edges: list  # candidate edge indices, ascending
     ground_truth_triangles: list  # candidate triangle indices, ascending
-    edge_signals: np.ndarray | None = None  # optional, (C(n0,2), f)
 
     @property
     def n0(self):
@@ -106,20 +103,8 @@ def load_real_dataset(path):
         raise DatasetInclusionError(
             f"triangle {cx.triangles[t]} lacks edge {cx.edges[e]} "
             f"({len(missing)} violations total)")
-
-    sig_path = src / "edge_signals.csv"
-    edge_signals = None
-    if sig_path.exists():
-        try:
-            edge_signals = np.loadtxt(sig_path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DatasetFormatError(f"cannot parse {sig_path}: {exc}") from None
-        if edge_signals.shape[0] != cx.n_edges:
-            raise DatasetFormatError(
-                f"edge_signals.csv has {edge_signals.shape[0]} rows; the "
-                f"candidate edge set has {cx.n_edges}")
     return RealDataset(node_features=feats, ground_truth_edges=e_idx,
-                       ground_truth_triangles=t_idx, edge_signals=edge_signals)
+                       ground_truth_triangles=t_idx)
 
 
 def save_real_dataset(ds, path):
@@ -133,9 +118,6 @@ def save_real_dataset(ds, path):
         "triangles": [list(cx.triangles[t]) for t in ds.ground_truth_triangles],
     }
     (out / "topology.json").write_text(json.dumps(topo, indent=2) + "\n")
-    if ds.edge_signals is not None:
-        np.savetxt(out / "edge_signals.csv", ds.edge_signals, delimiter=",",
-                   fmt="%.17g")
     return out
 
 

@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key in ("n0_values", "seeds", "priors", "methods"):
             if key in raw:
+                if not isinstance(raw[key], list):
+                    raise ValueError(f"config key {key!r} must be a list")
                 raw[key] = tuple(raw[key])
         return cls(**raw)
 

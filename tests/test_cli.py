@@ -109,6 +109,17 @@ def test_eval_missing_file_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("index", [-1, 3, 1.5])
+def test_eval_rejects_bad_indices(tmp_path, capsys, index):
+    truth = tmp_path / "truth.json"
+    save_selection(Selection.from_indices(3, 1, [0], []), truth)
+    est = tmp_path / "est.json"
+    est.write_text(json.dumps({"n_edges": 3, "n_triangles": 1,
+                               "edges": [index], "triangles": []}))
+    assert main(["eval", "--estimate", str(est), "--truth", str(truth)]) == 1
+    assert "edge indices" in capsys.readouterr().err
+
+
 def _dump_instance(tmp_path, c1, c2, seed=4):
     rng = np.random.default_rng(seed)
     cx = build_candidate_complex(6)
@@ -148,6 +159,27 @@ def test_solve_exit_codes(tmp_path, capsys):
     notafile = tmp_path / "missing.txt"
     assert main(["solve", "--instance", str(notafile)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [
+    "h1 -1 5.0",  # would overwrite the last edge cost
+    "tri -1 0 1 3",
+    "h2 20 1.0",  # 20 triangles on 6 nodes: indices 0..19
+    "tri 0 1",  # too few faces
+    "h1 0 1.0 2.0",  # one value too many
+])
+def test_solve_rejects_bad_instance_lines(tmp_path, capsys, extra):
+    _, path = _dump_instance(tmp_path, 6, 3)
+    path.write_text(path.read_text() + extra + "\n")
+    assert main(["solve", "--instance", str(path)]) == 1
+    assert extra in capsys.readouterr().err
+
+
+def test_run_rejects_scalar_for_list_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n0_values": 10}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "n0_values" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs(tmp_path):

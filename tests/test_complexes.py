@@ -1,5 +1,6 @@
 """Structure tests for candidate complexes and incidence matrices."""
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -106,6 +107,17 @@ def test_validate_inclusion_reports_missing_faces():
                                          s2=np.zeros(4, np.int8)))
 
 
+def test_validate_inclusion_matches_loop_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        cx = build_candidate_complex(int(rng.integers(3, 9)))
+        s1 = rng.integers(0, 2, cx.n_edges)
+        s2 = rng.integers(0, 2, cx.n_triangles)
+        expect = [(t, int(e)) for t in range(cx.n_triangles) if s2[t]
+                  for e in cx.triangle_edges[t] if not s1[e]]
+        assert validate_inclusion(cx, Selection(s1, s2)) == expect
+
+
 def test_node_laplacian_single_edge():
     cx = build_candidate_complex(3)
     s1 = np.zeros(cx.n_edges)
@@ -166,3 +178,14 @@ def test_similarity_laplacian_single_triangle_block():
 def test_build_rejects_small_n0():
     with pytest.raises(ValueError):
         build_candidate_complex(2)
+
+
+def test_build_allocates_no_dense_incidence():
+    # the three dense matrices of a 60-node complex take about 970 MB
+    tracemalloc.start()
+    try:
+        build_candidate_complex(60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6

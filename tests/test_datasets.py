@@ -19,17 +19,13 @@ from sctopo.datasets import (
 )
 
 
-def _write_dataset(path, features, edges, triangles, edge_signals=None):
+def _write_dataset(path, features, edges, triangles):
     path.mkdir(parents=True, exist_ok=True)
     rows = [",".join([str(i)] + [repr(float(v)) for v in row])
             for i, row in enumerate(features)]
     (path / "node_features.csv").write_text("\n".join(rows) + "\n")
     (path / "topology.json").write_text(
         json.dumps({"edges": edges, "triangles": triangles}))
-    if edge_signals is not None:
-        sig = "\n".join(",".join(repr(float(v)) for v in row)
-                        for row in edge_signals)
-        (path / "edge_signals.csv").write_text(sig + "\n")
 
 
 def test_load_small_dataset(tmp_path):
@@ -45,15 +41,6 @@ def test_load_small_dataset(tmp_path):
     assert validate_inclusion(cx, truth) == []
     assert ds.ground_truth_triangles == [cx.triangle_id(0, 1, 2)]
     assert np.array_equal(ds.node_features, feats)
-    assert ds.edge_signals is None
-
-
-def test_load_reads_optional_edge_signals(tmp_path):
-    sig = np.arange(12.0).reshape(6, 2)
-    _write_dataset(tmp_path / "d", np.ones((4, 2)),
-                   edges=[[0, 1]], triangles=[], edge_signals=sig)
-    ds = load_real_dataset(tmp_path / "d")
-    assert np.array_equal(ds.edge_signals, sig)
 
 
 def test_error_classes_are_distinct(tmp_path):
@@ -94,11 +81,6 @@ def test_more_format_rejections(tmp_path):
     with pytest.raises(DatasetIndexError):
         load_real_dataset(tmp_path / "c")
 
-    _write_dataset(tmp_path / "d", np.ones((4, 2)), edges=[], triangles=[],
-                   edge_signals=np.ones((5, 2)))  # needs C(4,2)=6 rows
-    with pytest.raises(DatasetFormatError, match="candidate edge set"):
-        load_real_dataset(tmp_path / "d")
-
     (tmp_path / "e").mkdir()
     (tmp_path / "e" / "node_features.csv").write_text("0\n1\n2\n")
     with pytest.raises(DatasetFormatError, match="id plus features"):
@@ -111,14 +93,12 @@ def test_more_format_rejections(tmp_path):
 def test_save_load_round_trip(tmp_path):
     ds = make_coauthorship_fixture(n_authors=10, n_papers=12, keyword_dim=6,
                                    seed=3)
-    ds.edge_signals = np.random.default_rng(0).normal(size=(45, 3))
     save_real_dataset(ds, tmp_path / "rt")
     back = load_real_dataset(tmp_path / "rt")
     assert back.n0 == ds.n0
     assert back.ground_truth_edges == ds.ground_truth_edges
     assert back.ground_truth_triangles == ds.ground_truth_triangles
     assert np.array_equal(back.node_features, ds.node_features)
-    assert np.array_equal(back.edge_signals, ds.edge_signals)
 
 
 def test_coauthorship_fixture_shape_and_inclusion():
