@@ -22,6 +22,7 @@ test suite; it shares no code with ``solve`` beyond the instance type.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -71,6 +72,8 @@ def build_joint_instance(cx, costs, c1, c2, alpha=None):
         raise ValueError(f"alpha must lie in (0, 1/(n0-2)]; got {alpha}")
     if costs.h1.size != cx.n_edges or costs.h2.size != cx.n_triangles:
         raise ValueError("cost vectors do not match the candidate complex")
+    if not (np.isfinite(costs.h1).all() and np.isfinite(costs.h2).all()):
+        raise ValueError("cost vectors have non-finite entries")
     return BlpInstance(
         n_edges=cx.n_edges,
         n_triangles=cx.n_triangles,
@@ -91,43 +94,44 @@ class _RowPool:
         self.n1 = n1
         self.n = n1 + n2
         self.tri_edges = instance.triangle_edges
+        self.pooled = np.zeros((n2, 3), dtype=bool)  # (t, slot) rows added
         cap = 64
         self.A = np.zeros((cap, self.n))
         self.b = np.zeros(cap)
         self.m = 0
-        self.keys = set()
-        row = np.zeros(self.n)
-        row[:n1] = -1.0
-        self._append(row, -float(instance.c1))
-        row = np.zeros(self.n)
-        row[n1:] = -1.0
-        self._append(row, -float(instance.c2))
+        rows = self._append(2, [-float(instance.c1), -float(instance.c2)])
+        rows[0, :n1] = -1.0
+        rows[1, n1:] = -1.0
 
-    def _append(self, row, rhs):
-        if self.m == self.b.size:
-            self.A = np.vstack([self.A, np.zeros_like(self.A)])
-            self.b = np.concatenate([self.b, np.zeros_like(self.b)])
-        self.A[self.m] = row
-        self.b[self.m] = rhs
-        self.m += 1
+    def _append(self, k, rhs):
+        """Reserve ``k`` zero rows with right-hand side ``rhs``; return them."""
+        if self.m + k > self.b.size:
+            cap = max(2 * self.b.size, self.m + k)
+            A = np.zeros((cap, self.n))
+            A[: self.m] = self.A[: self.m]
+            b = np.zeros(cap)
+            b[: self.m] = self.b[: self.m]
+            self.A, self.b = A, b
+        self.b[self.m : self.m + k] = rhs
+        self.m += k
+        return self.A[self.m - k : self.m]
 
     def add_violated(self, x):
-        """Append inclusion rows s2[t] - s1[e] <= 0 violated at x; count added."""
+        """Append inclusion rows s2[t] - s1[e] <= 0 violated at x; count added.
+
+        Rows go in row-major ``(t, slot)`` order and each at most once.
+        """
         x1 = x[: self.n1]
         x2 = x[self.n1 :]
-        gaps = x2[:, None] - x1[self.tri_edges]
-        added = 0
-        for t, slot in np.argwhere(gaps > _ROW_TOL):
-            key = (int(t), int(slot))
-            if key in self.keys:
-                continue
-            self.keys.add(key)
-            row = np.zeros(self.n)
-            row[self.n1 + int(t)] = 1.0
-            row[int(self.tri_edges[t, slot])] = -1.0
-            self._append(row, 0.0)
-            added += 1
-        return added
+        new = (x2[:, None] - x1[self.tri_edges] > _ROW_TOL) & ~self.pooled
+        t, slot = np.nonzero(new)
+        if t.size:
+            self.pooled[t, slot] = True
+            rows = self._append(t.size, 0.0)
+            k = np.arange(t.size)
+            rows[k, self.n1 + t] = 1.0
+            rows[k, self.tri_edges[t, slot]] = -1.0
+        return int(t.size)
 
 
 def _solve_node(pool, c, lower, upper, basis, vstat):
@@ -350,6 +354,7 @@ def oracle_enumerate(cx, costs, c1, c2, budget=1_000_000):
 
 
 _MAGIC = "sctopo-blp 1"
+_SCALARS = ("n_edges", "n_triangles", "c1", "c2", "alpha")
 
 
 def write_instance(instance, path):
@@ -379,6 +384,8 @@ def read_instance(path):
     idx = 1
     while idx < len(lines) and lines[idx].split()[0] not in ("h1", "h2", "tri"):
         key, val = lines[idx].split(maxsplit=1)
+        if key not in _SCALARS or key in scalars:
+            raise ValueError(f"unknown or repeated line: {lines[idx]!r}")
         scalars[key] = val
         idx += 1
     try:
@@ -389,28 +396,38 @@ def read_instance(path):
         alpha = float(scalars["alpha"])
     except KeyError as missing:
         raise ValueError(f"instance file lacks {missing}") from None
-    h1 = np.full(n1, np.nan)
-    h2 = np.full(n2, np.nan)
-    tri = np.full((n2, 3), -1, dtype=np.int64)
-    # line tag -> (array it fills, parser of its values, values per line)
-    rows = {"h1": (h1, float, 1), "h2": (h2, float, 1), "tri": (tri, int, 3)}
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite; got {alpha}")
+    h1 = np.zeros(n1)
+    h2 = np.zeros(n2)
+    tri = np.zeros((n2, 3), dtype=np.int64)
+    # line tag -> (array it fills, parser of its values, values per line,
+    # which indices have a line already)
+    rows = {"h1": (h1, float, 1, np.zeros(n1, dtype=bool)),
+            "h2": (h2, float, 1, np.zeros(n2, dtype=bool)),
+            "tri": (tri, int, 3, np.zeros(n2, dtype=bool))}
     for ln in lines[idx:]:
         parts = ln.split()
         if parts[0] not in rows:
             raise ValueError(f"unrecognized line: {ln!r}")
-        target, parse, width = rows[parts[0]]
+        target, parse, width, seen = rows[parts[0]]
         if len(parts) != 2 + width:
             raise ValueError(f"expected an index and {width} value(s): {ln!r}")
         i = int(parts[1])
         if not 0 <= i < len(target):
             raise ValueError(f"index out of range: {ln!r}")
+        if seen[i]:
+            raise ValueError(f"index given twice: {ln!r}")
         values = [parse(v) for v in parts[2:]]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"non-finite value: {ln!r}")
+        seen[i] = True
         target[i] = values if width > 1 else values[0]
-    if np.isnan(h1).any() or np.isnan(h2).any() or (tri < 0).any():
+    if not all(seen.all() for *_, seen in rows.values()):
         raise ValueError("instance file is missing entries")
     if (h1 < 0).any() or (h2 < 0).any():
         raise ValueError("costs must be nonnegative")
-    if (tri >= n1).any():
+    if (tri < 0).any() or (tri >= n1).any():
         raise ValueError("triangle face indices out of range")
     return BlpInstance(n_edges=n1, n_triangles=n2, h1=h1, h2=h2, c1=c1, c2=c2,
                        alpha=alpha, triangle_edges=tri)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -35,6 +36,14 @@ SCORE_METRICS = ("f1_edges", "f1_triangles", "precision_edges", "recall_edges",
                  "precision_triangles", "recall_triangles", "objective")
 # rng stream tag for real-mode sub-network draws; 0..3 belong to datagen
 _STAGE_SUBNET = 4
+# JSON types each config key accepts: a list's item type, or the scalar
+# types (None admits null); float keys also take integers
+_CONFIG_LISTS = {"n0_values": int, "seeds": int, "priors": str, "methods": str}
+_CONFIG_SCALARS = {"mode": (str,), "er_p": (float,),
+                   "triangle_fraction": (float,), "f0": (int,), "f1": (int,),
+                   "noise_sigma": (float,), "gamma": (float, None),
+                   "greedy_init": (str,), "node_limit": (int,),
+                   "dataset_path": (str, None)}
 
 
 @dataclass(frozen=True)
@@ -71,16 +80,34 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path):
         raw = json.loads(Path(path).read_text())
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("n0_values", "seeds", "priors", "methods"):
-            if key in raw:
-                if not isinstance(raw[key], list):
-                    raise ValueError(f"config key {key!r} must be a list")
-                raw[key] = tuple(raw[key])
+        for key, value in raw.items():
+            if key in _CONFIG_LISTS:
+                item = _CONFIG_LISTS[key]
+                if not (isinstance(value, list)
+                        and all(_json_is(v, item) for v in value)):
+                    raise ValueError(f"config key {key!r} must be a list of "
+                                     f"{item.__name__}")
+                raw[key] = tuple(value)
+            elif not any(_json_is(value, kind) for kind in _CONFIG_SCALARS[key]):
+                raise ValueError(f"config key {key!r} has the wrong type: "
+                                 f"{value!r}")
         return cls(**raw)
+
+
+def _json_is(value, kind):
+    """Whether a parsed JSON value has the type ``kind`` (None for null)."""
+    if kind is None:
+        return value is None
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 @dataclass
@@ -144,7 +171,7 @@ def run_experiment(config):
                         "c1": int(c1),
                         "c2": int(c2),
                         "objective": out.objective,
-                        "wall_time": out.diagnostics.get("wall_time", 0.0),
+                        "wall_time": out.diagnostics["wall_time"],
                         "inclusion_violations": len(violations),
                         "selection": {
                             "edges": [int(e) for e in out.selection.edge_indices],

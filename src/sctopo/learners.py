@@ -14,6 +14,7 @@ cross-learner agreement exactly testable.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,7 @@ def learn_hierarchical(cx, costs, c1, c2):
     triangle floor is relaxed and every feasible triangle is taken, with
     the relaxed-cardinality flag raised in the diagnostics.
     """
+    t0 = time.perf_counter()
     c1, c2 = int(c1), int(c2)
     if not 0 <= c1 <= cx.n_edges or not 0 <= c2 <= cx.n_triangles:
         raise ValueError("cardinality floors outside the candidate ranges")
@@ -80,6 +82,7 @@ def learn_hierarchical(cx, costs, c1, c2):
         diagnostics={
             "feasible_triangles": int(feas.size),
             "relaxed_cardinality": bool(relaxed),
+            "wall_time": time.perf_counter() - t0,
         },
     )
 
@@ -129,6 +132,7 @@ def learn_greedy(cx, costs, c1, c2, gamma=None, max_iter=20, init="ones"):
     cost ``1 + h1[e]`` and fills up to c1 by smallest
     ``1 + h1[e] - gamma * cov``.  Stops when the selection pair repeats.
     """
+    t0 = time.perf_counter()
     c1, c2 = int(c1), int(c2)
     if not 0 <= c1 <= cx.n_edges or not 0 <= c2 <= cx.n_triangles:
         raise ValueError("cardinality floors outside the candidate ranges")
@@ -197,5 +201,6 @@ def learn_greedy(cx, costs, c1, c2, gamma=None, max_iter=20, init="ones"):
             "converged": converged,
             "objective_trace": trace,
             "inclusion_violations": len(validate_inclusion(cx, sel)),
+            "wall_time": time.perf_counter() - t0,
         },
     )

@@ -14,6 +14,13 @@ for the branch-and-bound use case:
 * every iterate of the dual simplex is a valid lower bound on the LP
   optimum, so the solve can stop early and still return a usable bound.
 
+State carried across pivots: the basis inverse (a rank-one update in
+place), the basic values ``xB`` (moved along the entering column) and the
+reduced costs ``d`` (moved along the pivot row).  All three are recomputed
+from the basis at the start and every ``refresh_every`` pivots, which
+bounds their drift; ``xB`` is also recomputed, and the bounds tested again,
+before a solve reports ``"optimal"``.
+
 Determinism: entering ties are broken by lowest column index; after a long
 degenerate stall the leaving choice switches to Bland's smallest-index
 rule, which also guarantees termination.
@@ -46,14 +53,12 @@ class LpResult:
 
 def build_basis_matrix(A, basis):
     """Dense basis matrix from structural columns of ``A`` and slack units."""
-    m = A.shape[0]
-    n = A.shape[1]
+    m, n = A.shape
     B = np.zeros((m, m))
-    for p, j in enumerate(basis):
-        if j < n:
-            B[:, p] = A[:, j]
-        else:
-            B[j - n, p] = 1.0
+    struct = basis < n
+    B[:, struct] = A[:, basis[struct]]
+    slack = np.flatnonzero(~struct)
+    B[basis[slack] - n, slack] = 1.0
     return B
 
 
@@ -129,22 +134,31 @@ def solve_lp(
     if np.isinf(upper_e[(vstat == NB_UPPER)]).any():
         raise ValueError("variable at an infinite upper bound")
 
+    # direction a nonbasic variable moves off its bound: +1 up from its
+    # lower bound, -1 down from its upper bound, 0 when basic or fixed
+    toward = np.zeros(nm)
+    toward[vstat == NB_LOWER] = 1.0
+    toward[vstat == NB_UPPER] = -1.0
+
+    xB = _basic_values(binv, A, b, _nonbasic_values(vstat, basis, lower_e, upper_e))
+    d = _reduced_costs(binv, A, c_e, basis)
+    fresh = True  # xB computed from binv rather than carried across pivots
     degen_run = 0
     it = 0
     while it < max_iter:
-        if it and it % refresh_every == 0:
-            binv = np.linalg.inv(build_basis_matrix(A, basis))
-
-        x_nb = np.where(vstat == NB_UPPER, upper_e, lower_e)
-        x_nb[basis] = 0.0
-        xB = binv @ (b - A @ x_nb[:n])
-
-        below = lower_e[basis] - xB
-        above = xB - upper_e[basis]
+        lower_b = lower_e[basis]
+        upper_b = upper_e[basis]
+        below = lower_b - xB
+        above = xB - upper_b
         viol = np.maximum(below, above)
         r = int(np.argmax(viol))
         if viol[r] <= feas_tol:
-            x = x_nb
+            if not fresh:
+                # carried values drift; certify optimality on recomputed ones
+                xB = _basic_values(binv, A, b, _nonbasic_values(vstat, basis, lower_e, upper_e))
+                fresh = True
+                continue
+            x = _nonbasic_values(vstat, basis, lower_e, upper_e)
             x[basis] = xB
             obj = float(c @ x[:n])
             return LpResult("optimal", x[:n], obj, obj, it, basis, vstat, binv)
@@ -156,51 +170,74 @@ def solve_lp(
         rho = s * binv[r]
         alpha = np.concatenate([rho @ A, rho])
 
-        y = c_e[basis] @ binv
-        d = np.concatenate([c - y @ A, -y])
-
-        cand = ((vstat == NB_LOWER) & (alpha > _PIV_TOL)) | (
-            (vstat == NB_UPPER) & (alpha < -_PIV_TOL)
-        )
-        if not cand.any():
+        cand = np.flatnonzero(toward * alpha > _PIV_TOL)
+        if cand.size == 0:
             # dual ray: the primal subproblem has no feasible point
+            x_nb = _nonbasic_values(vstat, basis, lower_e, upper_e)
             return LpResult("infeasible", x_nb[:n], np.inf, np.inf, it, basis, vstat, binv)
 
-        ratios = np.full(nm, np.inf)
-        ratios[cand] = np.maximum(d[cand] / alpha[cand], 0.0)
-        theta = ratios[cand].min()
-        entering = int(np.flatnonzero(cand & (ratios <= theta + _RATIO_TIE * (1.0 + theta)))[0])
+        ratios = np.maximum(d[cand] / alpha[cand], 0.0)
+        theta = ratios.min()
+        entering = int(cand[np.argmax(ratios <= theta + _RATIO_TIE * (1.0 + theta))])
 
-        col = A[:, entering] if entering < n else _unit(m, entering - n)
-        col = binv @ col
+        col = binv @ A[:, entering] if entering < n else binv[:, entering - n].copy()
         piv = col[r]
+
+        # dual step along the pivot row; the entering reduced cost becomes 0
+        d -= (d[entering] / alpha[entering]) * alpha
+        d[entering] = 0.0
+        # primal step: the leaving variable lands on the bound it violated
+        step = (xB[r] - (upper_b[r] if s > 0 else lower_b[r])) / piv
+        x_entering = upper_e[entering] if toward[entering] < 0 else lower_e[entering]
+        xB -= step * col
+        xB[r] = x_entering + step
+
         binv_r = binv[r] / piv
-        binv = binv - np.outer(col, binv_r)
+        binv -= np.outer(col, binv_r)
         binv[r] = binv_r
 
         leaving = basis[r]
         if lower_e[leaving] == upper_e[leaving]:
             vstat[leaving] = NB_FIXED
+            toward[leaving] = 0.0
         else:
             vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
+            toward[leaving] = -s
         vstat[entering] = BASIC
+        toward[entering] = 0.0
         basis[r] = entering
 
         degen_run = degen_run + 1 if theta <= _RATIO_TIE else 0
         it += 1
+        if it % refresh_every == 0:
+            binv = np.linalg.inv(build_basis_matrix(A, basis))
+            xB = _basic_values(binv, A, b, _nonbasic_values(vstat, basis, lower_e, upper_e))
+            d = _reduced_costs(binv, A, c_e, basis)
+            fresh = True
+        else:
+            fresh = False
 
     # out of iterations: the basis is still dual feasible, so its objective
     # (weak duality) is a valid lower bound even though x may violate bounds
-    x_nb = np.where(vstat == NB_UPPER, upper_e, lower_e)
-    x_nb[basis] = 0.0
-    xB = binv @ (b - A @ x_nb[:n])
-    x = x_nb
-    x[basis] = xB
+    x = _nonbasic_values(vstat, basis, lower_e, upper_e)
+    x[basis] = _basic_values(binv, A, b, x)
     obj = float(c @ x[:n])
     return LpResult("iteration_limit", x[:n], obj, obj, it, basis, vstat, binv)
 
 
-def _unit(m, i):
-    e = np.zeros(m)
-    e[i] = 1.0
-    return e
+def _nonbasic_values(vstat, basis, lower_e, upper_e):
+    """Every variable at its nonbasic bound, with the basic ones zeroed."""
+    x = np.where(vstat == NB_UPPER, upper_e, lower_e)
+    x[basis] = 0.0
+    return x
+
+
+def _basic_values(binv, A, b, x_nb):
+    """``xB = B^-1 (b - A x_N)`` for nonbasic values ``x_nb`` (basic zeroed)."""
+    return binv @ (b - A @ x_nb[: A.shape[1]])
+
+
+def _reduced_costs(binv, A, c_e, basis):
+    """``d = c - (c_B B^-1) [A I]`` over structural and slack columns."""
+    y = c_e[basis] @ binv
+    return np.concatenate([c_e[: A.shape[1]] - y @ A, -y])

@@ -111,6 +111,8 @@ def _check_rows(X, n, name):
         X = X[:, None]
     if X.shape[0] != n:
         raise ValueError(f"{name} must have {n} rows, got {X.shape[0]}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} has non-finite entries")
     return X
 
 

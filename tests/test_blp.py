@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sctopo.blp import (
+    _RowPool,
     build_joint_instance,
     lp_bound,
     oracle_enumerate,
@@ -298,3 +299,64 @@ def test_read_instance_rejects_malformed_files(tmp_path):
         bad.write_text(mangled)
         with pytest.raises(ValueError):
             read_instance(bad)
+
+
+def _inclusion_rows(pool):
+    """(t, e) of each generated row s2[t] - s1[e] <= 0, in pool order."""
+    rows = pool.A[2:pool.m]
+    assert np.all((rows != 0).sum(axis=1) == 2)
+    assert np.all(pool.b[2:pool.m] == 0.0)
+    t = np.argmax(rows[:, pool.n1:] == 1.0, axis=1)
+    e = np.argmax(rows[:, :pool.n1] == -1.0, axis=1)
+    return list(zip(t.tolist(), e.tolist()))
+
+
+def test_row_pool_adds_each_violated_row_once_in_row_major_order():
+    cx = build_candidate_complex(5)
+    tri = cx.triangle_edges
+    assert not set(tri[1]) & set(tri[4])
+    inst = build_joint_instance(cx, _random_costs(np.random.default_rng(2), cx),
+                                3, 2)
+    pool = _RowPool(inst)
+    n1 = cx.n_edges
+    np.testing.assert_array_equal(pool.A[:2], [
+        np.r_[-np.ones(n1), np.zeros(cx.n_triangles)],
+        np.r_[np.zeros(n1), -np.ones(cx.n_triangles)]])
+    assert list(pool.b[:2]) == [-3.0, -2.0]
+
+    x = np.zeros(pool.n)
+    x[n1 + 4] = x[n1 + 1] = 1.0
+    x[tri[4, 1]] = 1.0  # this face of triangle 4 is covered
+    assert pool.add_violated(x) == 5
+    assert pool.add_violated(x) == 0  # same point: every row is pooled
+    first = [(1, tri[1, 0]), (1, tri[1, 1]), (1, tri[1, 2]),
+             (4, tri[4, 0]), (4, tri[4, 2])]
+    assert _inclusion_rows(pool) == first
+
+    x[tri[4, 1]] = 0.0  # now uncovered: only that row is new
+    x[n1 + 0] = 0.5
+    assert pool.add_violated(x) == 4
+    assert _inclusion_rows(pool) == first + [
+        (0, tri[0, 0]), (0, tri[0, 1]), (0, tri[0, 2]), (4, tri[4, 1])]
+
+
+def test_row_pool_grows_past_its_initial_capacity():
+    cx = build_candidate_complex(8)  # 56 triangles, 168 inclusion rows
+    inst = build_joint_instance(cx, _random_costs(np.random.default_rng(3), cx),
+                                0, 0)
+    pool = _RowPool(inst)
+    x = np.r_[np.zeros(cx.n_edges), np.ones(cx.n_triangles)]
+    assert pool.add_violated(x) == 3 * cx.n_triangles
+    want = [(t, e) for t in range(cx.n_triangles) for e in cx.triangle_edges[t]]
+    assert _inclusion_rows(pool) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_instance_rejects_non_finite_costs(bad):
+    cx = build_candidate_complex(5)
+    for level in ("h1", "h2"):
+        vals = {"h1": np.ones(cx.n_edges), "h2": np.ones(cx.n_triangles)}
+        vals[level][0] = bad
+        costs = CostVectors(h1=vals["h1"], h2=vals["h2"], h2_kind="curl")
+        with pytest.raises(ValueError, match="non-finite"):
+            build_joint_instance(cx, costs, 1, 1)

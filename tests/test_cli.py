@@ -167,12 +167,56 @@ def test_solve_exit_codes(tmp_path, capsys):
     "h2 20 1.0",  # 20 triangles on 6 nodes: indices 0..19
     "tri 0 1",  # too few faces
     "h1 0 1.0 2.0",  # one value too many
+    "h1 0 9.0",  # a second line for an index would override the first
+    "tri 0 0 1 3",
 ])
 def test_solve_rejects_bad_instance_lines(tmp_path, capsys, extra):
     _, path = _dump_instance(tmp_path, 6, 3)
     path.write_text(path.read_text() + extra + "\n")
     assert main(["solve", "--instance", str(path)]) == 1
     assert extra in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["c1 0", "n_edges 2", "c3 1"])
+def test_solve_rejects_repeated_or_unknown_scalar_lines(tmp_path, capsys, line):
+    _, path = _dump_instance(tmp_path, 6, 3)
+    magic, rest = path.read_text().split("\n", 1)
+    path.write_text(f"{magic}\n{line}\n{rest}")
+    assert main(["solve", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown or repeated line" in err and line.split()[0] in err
+
+
+@pytest.mark.parametrize("line", ["h1 0 nan", "h2 3 inf", "h1 1 -inf",
+                                  "alpha nan"])
+def test_solve_rejects_non_finite_instance_values(tmp_path, capsys, line):
+    _, path = _dump_instance(tmp_path, 6, 3)
+    tag = " ".join(line.split()[:-1]) + " "
+    text = "".join(line + "\n" if ln.startswith(tag) else ln
+                   for ln in path.read_text().splitlines(keepends=True))
+    assert line in text
+    path.write_text(text)
+    assert main(["solve", "--instance", str(path)]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    [], None, 3,
+    {"n0_values": [8], "er_p": "high"},
+    {"n0_values": [8], "f0": 1.5},
+    {"n0_values": [8], "mode": 3},
+    {"n0_values": [8], "gamma": True},
+    {"n0_values": [8], "noise_sigma": float("nan")},
+    {"n0_values": ["8"]},
+    {"n0_values": [8], "priors": [["low_curl"]]},
+    {"n0_values": [8], "dataset_path": 1},
+], ids=json.dumps)
+def test_run_rejects_wrongly_typed_config(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_scalar_for_list_key(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Experiment harness: shapes, determinism, persisted-selection invariants."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -77,6 +78,10 @@ def test_report_json_holds_config_and_records(tmp_path):
     assert payload["config"]["mode"] == "synthetic"
     assert len(payload["records"]) == len(rep.records)
     assert {a["metric"] for a in payload["aggregates"]} == set(SCORE_METRICS)
+    # every method measures its own time; 0.0 would read as "instant"
+    for rec in payload["records"]:
+        assert rec["wall_time"] > 0.0, rec["method"]
+        assert rec["wall_time"] == rec["diagnostics"]["wall_time"]
 
 
 def test_real_mode_runs_on_fixture(tmp_path):
@@ -137,6 +142,16 @@ def test_config_validation_and_json_loading(tmp_path):
     path.write_text(json.dumps({"n0_values": [8], "frobnicate": 1}))
     with pytest.raises(ValueError, match="frobnicate"):
         ExperimentConfig.from_json(path)
+
+
+def test_config_json_round_trips_every_field(tmp_path):
+    path = tmp_path / "cfg.json"
+    for cfg in (ExperimentConfig(),
+                ExperimentConfig(mode="real", dataset_path="data", gamma=2.5,
+                                 er_p=1, noise_sigma=0.25, f0=7,
+                                 greedy_init="ones", node_limit=3)):
+        path.write_text(json.dumps(asdict(cfg)))
+        assert ExperimentConfig.from_json(path) == cfg
 
 
 def test_methods_subset_runs_alone():

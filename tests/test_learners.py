@@ -211,3 +211,13 @@ def test_greedy_rejects_bad_arguments():
         learn_greedy(cx, costs, 2, 1, max_iter=0)
     with pytest.raises(ValueError):
         learn_greedy(cx, costs, 2, 1, init="random")
+
+
+def test_hierarchical_and_greedy_report_wall_time():
+    rng = np.random.default_rng(6)
+    cx = build_candidate_complex(7)
+    costs = _random_costs(rng, cx)
+    for out in (learn_hierarchical(cx, costs, 8, 2),
+                learn_greedy(cx, costs, 8, 2),
+                learn_greedy(cx, costs, 8, 2, init="hierarchical")):
+        assert 0.0 < out.diagnostics["wall_time"] < 60.0, out.method

@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 from sctopo.simplex_lp import (
     BASIC,
     NB_FIXED,
+    build_basis_matrix,
     extend_binv_for_new_rows,
     solve_lp,
 )
@@ -173,3 +174,92 @@ def test_fixed_marker_set_on_equal_bounds():
     assert res.status == "optimal"
     assert res.vstat[1] in (NB_FIXED, BASIC)
     assert res.x[1] == pytest.approx(1.0)
+
+
+def _assert_basic_values_from_basis(res, A, b):
+    # an "optimal" x holds the basic values recomputed from the final basis
+    # inverse, not the ones carried (and rounded) across pivots
+    n = A.shape[1]
+    x_nb = np.concatenate([res.x, np.zeros(A.shape[0])])
+    x_nb[res.basis] = 0.0
+    xB = res.binv @ (b - A @ x_nb[:n])
+    struct = res.basis < n
+    np.testing.assert_array_equal(res.x[res.basis[struct]], xB[struct])
+
+
+@pytest.mark.parametrize("refresh_every", [1, 7])
+def test_carried_values_match_scipy_at_any_refresh_interval(refresh_every):
+    # refresh_every=1 recomputes x_B and the reduced costs after every
+    # pivot; 7 carries them across several pivots between reinversions
+    rng = np.random.default_rng(17)
+    n_checked = 0
+    for trial in range(60):
+        n = int(rng.integers(3, 14))
+        m = int(rng.integers(2, 16))
+        c, A, b, lower, upper = _random_lp(rng, n, m, nonneg_costs=bool(trial % 2))
+        cold = solve_lp(c, A, b, lower, upper, refresh_every=refresh_every)
+        ref = _scipy_solve(c, A, b, lower, upper)
+        assert cold.status == ("infeasible" if ref.status == 2 else "optimal"), trial
+        if cold.status != "optimal":
+            continue
+        n_checked += 1
+        assert cold.objective == pytest.approx(ref.fun, abs=1e-7)
+        _assert_basic_values_from_basis(cold, A, b)
+
+        # warm: tighten one bound and restart from the optimal basis
+        j = int(rng.integers(n))
+        lower2, upper2 = lower.copy(), upper.copy()
+        upper2[j] = lower2[j] = float(cold.x[j] < 0.5)
+        warm = solve_lp(c, A, b, lower2, upper2, basis=cold.basis,
+                        vstat=cold.vstat, binv=cold.binv,
+                        refresh_every=refresh_every)
+        ref = _scipy_solve(c, A, b, lower2, upper2)
+        assert warm.status == ("infeasible" if ref.status == 2 else "optimal")
+        if warm.status == "optimal":
+            assert warm.objective == pytest.approx(ref.fun, abs=1e-7)
+            _assert_basic_values_from_basis(warm, A, b)
+
+        # row extension: cut off the cold optimum, slacks enter basic
+        extra = rng.normal(size=(2, n))
+        A2 = np.vstack([A, extra])
+        b2 = np.concatenate([b, extra @ cold.x - rng.random(2)])
+        ext = solve_lp(c, A2, b2, lower, upper,
+                       basis=np.concatenate([cold.basis, [n + m, n + m + 1]]),
+                       vstat=np.concatenate([cold.vstat, [BASIC, BASIC]]),
+                       binv=extend_binv_for_new_rows(cold.binv, extra,
+                                                     cold.basis, n),
+                       refresh_every=refresh_every)
+        ref = _scipy_solve(c, A2, b2, lower, upper)
+        assert ext.status == ("infeasible" if ref.status == 2 else "optimal")
+        if ext.status == "optimal":
+            assert ext.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert np.all(A2 @ ext.x <= b2 + 1e-7)
+            _assert_basic_values_from_basis(ext, A2, b2)
+    assert n_checked >= 20
+
+
+def _basis_matrix_loop(A, basis):
+    m, n = A.shape
+    B = np.zeros((m, m))
+    for p, j in enumerate(basis):
+        if j < n:
+            B[:, p] = A[:, j]
+        else:
+            B[j - n, p] = 1.0
+    return B
+
+
+def test_build_basis_matrix_matches_loop_reference():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(1, 12))
+        A = rng.normal(size=(m, n))
+        basis = rng.choice(n + m, size=m, replace=False)
+        np.testing.assert_array_equal(build_basis_matrix(A, basis),
+                                      _basis_matrix_loop(A, basis))
+    # all-slack and all-structural extremes
+    A = rng.normal(size=(3, 5))
+    for basis in (np.array([7, 5, 6]), np.array([4, 0, 2])):
+        np.testing.assert_array_equal(build_basis_matrix(A, basis),
+                                      _basis_matrix_loop(A, basis))

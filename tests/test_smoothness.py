@@ -130,6 +130,19 @@ def test_compute_costs_validates_shapes_and_kind():
         CostVectors(h1=np.zeros(6), h2=np.zeros(4), h2_kind="nope")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compute_costs_rejects_non_finite_signals(bad):
+    cx = build_candidate_complex(5)
+    rng = np.random.default_rng(0)
+    for which in ("x0", "x1bar"):
+        signals = {"x0": rng.normal(size=(cx.n0, 3)),
+                   "x1bar": rng.normal(size=(cx.n_edges, 3))}
+        signals[which][2, 1] = bad
+        for kind in ("curl", "similarity"):
+            with pytest.raises(ValueError, match=f"{which} has non-finite"):
+                compute_costs(cx, signals["x0"], signals["x1bar"], kind)
+
+
 def test_quadratic_form_validates():
     with pytest.raises(ValueError):
         quadratic_form(np.zeros((3, 2)), np.zeros((3, 1)))
