@@ -62,14 +62,20 @@ class BlpSolution:
     wall_time: float
 
 
+def _check_floors_and_alpha(n0, c1, c2, alpha):
+    if c1 < 0 or c2 < 0:
+        raise ValueError(f"cardinality floors must be nonnegative; "
+                         f"got c1 {c1}, c2 {c2}")
+    if not 0.0 < alpha <= 1.0 / (n0 - 2):
+        raise ValueError(f"alpha must lie in (0, 1/(n0-2)] with n0 {n0}; "
+                         f"got {alpha}")
+
+
 def build_joint_instance(cx, costs, c1, c2, alpha=None):
     c1, c2 = int(c1), int(c2)
-    if c1 < 0 or c2 < 0:
-        raise ValueError("cardinality floors must be nonnegative")
     if alpha is None:
         alpha = 1.0 / (cx.n0 - 2)
-    if not 0.0 < alpha <= 1.0 / (cx.n0 - 2):
-        raise ValueError(f"alpha must lie in (0, 1/(n0-2)]; got {alpha}")
+    _check_floors_and_alpha(cx.n0, c1, c2, alpha)
     if costs.h1.size != cx.n_edges or costs.h2.size != cx.n_triangles:
         raise ValueError("cost vectors do not match the candidate complex")
     if not (np.isfinite(costs.h1).all() and np.isfinite(costs.h2).all()):
@@ -134,9 +140,12 @@ class _RowPool:
         return int(t.size)
 
 
-def _solve_node(pool, c, lower, upper, basis, vstat):
-    """LP over the pool, regenerating violated inclusion rows until clean."""
-    binv = None  # rebuilt from the basis on the first call
+def _solve_node(pool, c, lower, upper, basis, vstat, binv):
+    """LP over the pool, regenerating violated inclusion rows until clean.
+
+    ``basis``/``vstat``/``binv`` warm-start the first LP, or are all None
+    for a cold start.
+    """
     warm = basis is not None
     while True:
         res = solve_lp(c, pool.A[: pool.m], pool.b[: pool.m], lower, upper,
@@ -200,16 +209,19 @@ def solve(instance, node_limit=10_000_000, gap_tol=1e-6, warm_start=None):
             return inf
         return inc_obj - min(_PRUNE_REL, gap_tol) * max(1.0, abs(inc_obj))
 
-    # heap of (bound, seq, lower, upper, basis, vstat); bounds stored as int8
+    # heap of (bound, seq, lower, upper, basis, vstat, binv); bounds stored
+    # as int8.  The two children of a node share its final basis, statuses
+    # and basis inverse (solve_lp copies them on entry), so each branched
+    # node with an open child holds O(m^2) floats for its inverse.
     seq = 0
     heap = [(0.0, seq, np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8),
-             None, None)]
+             None, None, None)]
     explored = 0
     lb_cap = inf  # min bound over pruned subtrees
     status = "optimal"
 
     while heap:
-        bound, _, lo8, up8, basis, vstat = heapq.heappop(heap)
+        bound, _, lo8, up8, basis, vstat, binv = heapq.heappop(heap)
         if bound >= prune_at():
             # best-first order: every open node is at least this bad
             lb_cap = min(lb_cap, bound)
@@ -224,10 +236,13 @@ def solve(instance, node_limit=10_000_000, gap_tol=1e-6, warm_start=None):
         upper = up8.astype(float)
         if basis is not None and basis.size < pool.m:
             # rows generated since this snapshot was taken: slacks enter basic
-            extra = np.arange(n + basis.size, n + pool.m)
+            m_snap = basis.size
+            binv = extend_binv_for_new_rows(binv, pool.A[m_snap : pool.m, :n],
+                                            basis, n)
+            extra = np.arange(n + m_snap, n + pool.m)
             basis = np.concatenate([basis, extra])
             vstat = np.concatenate([vstat, np.full(extra.size, BASIC, np.int8)])
-        res = _solve_node(pool, c, lower, upper, basis, vstat)
+        res = _solve_node(pool, c, lower, upper, basis, vstat, binv)
         if res.status == "infeasible":
             continue
         if res.bound >= prune_at():
@@ -264,7 +279,7 @@ def solve(instance, node_limit=10_000_000, gap_tol=1e-6, warm_start=None):
                 lo_c[j] = 1
             seq += 1
             heapq.heappush(heap, (res.bound, seq, lo_c, up_c,
-                                  res.basis.copy(), res.vstat.copy()))
+                                  res.basis, res.vstat, res.binv))
 
     wall = time.perf_counter() - t0
     if inc_sel is None:
@@ -296,7 +311,7 @@ def lp_bound(instance, fixed_edges=None, fixed_triangles=None):
         return inf
     c = np.concatenate([instance.h1, instance.h2])
     pool = _RowPool(instance)
-    res = _solve_node(pool, c, lower, upper, None, None)
+    res = _solve_node(pool, c, lower, upper, None, None, None)
     return inf if res.status == "infeasible" else float(res.bound)
 
 
@@ -398,6 +413,12 @@ def read_instance(path):
         raise ValueError(f"instance file lacks {missing}") from None
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite; got {alpha}")
+    # the candidate complex on n0 nodes has n0 (n0 - 1) / 2 edges
+    n0 = (1 + math.isqrt(1 + 8 * n1)) // 2 if n1 >= 0 else 0
+    if n0 < 3 or n0 * (n0 - 1) // 2 != n1:
+        raise ValueError(f"n_edges must be n0 (n0 - 1) / 2 for some n0 >= 3; "
+                         f"got {n1}")
+    _check_floors_and_alpha(n0, c1, c2, alpha)
     h1 = np.zeros(n1)
     h2 = np.zeros(n2)
     tri = np.zeros((n2, 3), dtype=np.int64)

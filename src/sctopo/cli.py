@@ -8,6 +8,7 @@ the candidate counts), since that is a property of the input file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -76,7 +77,9 @@ def _cmd_solve(args):
     return 0 if sol.status == "optimal" else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="sctopo",
         description="Joint edge/triangle topology learning from signals")

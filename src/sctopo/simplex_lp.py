@@ -8,7 +8,9 @@ for the branch-and-bound use case:
   can sit at a bound with the right reduced-cost sign (always true here,
   where costs are nonnegative and variables live in ``[0, 1]``);
 * changing variable bounds never destroys dual feasibility of a basis, so
-  a parent node's final basis warm-starts every child;
+  a parent node's final basis and its inverse warm-start both children
+  (the branch and bound in :mod:`sctopo.blp` holds one O(m^2) inverse per
+  branched node that still has an open child);
 * appending rows with their slacks basic is also dual feasible, which is
   what lazy constraint generation needs;
 * every iterate of the dual simplex is a valid lower bound on the LP
@@ -16,10 +18,13 @@ for the branch-and-bound use case:
 
 State carried across pivots: the basis inverse (a rank-one update in
 place), the basic values ``xB`` (moved along the entering column) and the
-reduced costs ``d`` (moved along the pivot row).  All three are recomputed
-from the basis at the start and every ``refresh_every`` pivots, which
-bounds their drift; ``xB`` is also recomputed, and the bounds tested again,
-before a solve reports ``"optimal"``.
+reduced costs ``d`` (moved along the pivot row).  ``xB`` and ``d`` are
+computed from the inverse at the start; all three are recomputed from the
+basis every ``refresh_every`` pivots of a call, which bounds their drift,
+and ``xB`` once more, with the bounds tested again, before a solve reports
+``"optimal"``.  An inverse passed in is used as given, so an inverse
+carried from call to call is refreshed only by a call that runs
+``refresh_every`` pivots.
 
 Determinism: entering ties are broken by lowest column index; after a long
 degenerate stall the leaving choice switches to Bland's smallest-index
@@ -37,6 +42,9 @@ NB_LOWER, NB_UPPER, BASIC, NB_FIXED = 0, 1, 2, 3
 
 _PIV_TOL = 1e-9
 _RATIO_TIE = 1e-12
+# direction a nonbasic variable moves off its bound, by status: +1 up from
+# its lower bound, -1 down from its upper bound, 0 when basic or fixed
+_TOWARD = np.array([1.0, -1.0, 0.0, 0.0])
 
 
 @dataclass
@@ -98,8 +106,9 @@ def solve_lp(
     """Dual simplex on ``min c@x, A x <= b, lower <= x <= upper``.
 
     ``basis``/``vstat``/``binv`` restore a previous (dual-feasible) state;
-    pass ``binv=None`` to have the inverse rebuilt from the basis.  Fixed
-    variables (``lower == upper``) never enter the basis.
+    pass ``binv=None`` to have the inverse rebuilt from the basis.  The
+    arrays passed in are copied, never modified.  Fixed variables
+    (``lower == upper``) never enter the basis.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -126,19 +135,24 @@ def solve_lp(
             binv = np.linalg.inv(build_basis_matrix(A, basis))
         else:
             binv = np.array(binv, dtype=float)
-    # normalize fixed markers to the current bounds
-    fixed = (lower_e == upper_e) & (vstat != BASIC)
-    vstat[fixed] = NB_FIXED
-    unfixed = (lower_e != upper_e) & (vstat == NB_FIXED)
-    vstat[unfixed] = np.where(c_e[unfixed] >= 0.0, NB_LOWER, NB_UPPER)
-    if np.isinf(upper_e[(vstat == NB_UPPER)]).any():
+    # normalize fixed markers to the current bounds: a nonbasic variable
+    # with equal bounds is fixed, and a fixed marker whose bounds have
+    # separated goes back to the bound its cost sign favours (slacks are
+    # never fixed, their upper bound being infinite)
+    stat = vstat[:n]
+    is_fixed = lower_e[:n] == upper_e[:n]
+    moved = (stat == NB_FIXED) != (is_fixed & (stat != BASIC))
+    if moved.any():
+        j = moved.nonzero()[0]
+        stat[j] = np.where(is_fixed[j], NB_FIXED,
+                           np.where(c[j] >= 0.0, NB_LOWER, NB_UPPER))
+    if np.isinf(upper_e[vstat == NB_UPPER]).any():
         raise ValueError("variable at an infinite upper bound")
 
-    # direction a nonbasic variable moves off its bound: +1 up from its
-    # lower bound, -1 down from its upper bound, 0 when basic or fixed
-    toward = np.zeros(nm)
-    toward[vstat == NB_LOWER] = 1.0
-    toward[vstat == NB_UPPER] = -1.0
+    toward = _TOWARD[vstat]
+    lower_b = lower_e[basis]
+    upper_b = upper_e[basis]
+    alpha = np.empty(nm)  # pivot row over structural and slack columns
 
     xB = _basic_values(binv, A, b, _nonbasic_values(vstat, basis, lower_e, upper_e))
     d = _reduced_costs(binv, A, c_e, basis)
@@ -146,12 +160,10 @@ def solve_lp(
     degen_run = 0
     it = 0
     while it < max_iter:
-        lower_b = lower_e[basis]
-        upper_b = upper_e[basis]
         below = lower_b - xB
         above = xB - upper_b
         viol = np.maximum(below, above)
-        r = int(np.argmax(viol))
+        r = int(viol.argmax())
         if viol[r] <= feas_tol:
             if not fresh:
                 # carried values drift; certify optimality on recomputed ones
@@ -163,14 +175,15 @@ def solve_lp(
             obj = float(c @ x[:n])
             return LpResult("optimal", x[:n], obj, obj, it, basis, vstat, binv)
         if degen_run > bland_after:
-            rows = np.flatnonzero(viol > feas_tol)
-            r = int(rows[np.argmin(basis[rows])])
+            rows = (viol > feas_tol).nonzero()[0]
+            r = int(rows[basis[rows].argmin()])
 
         s = 1.0 if above[r] > below[r] else -1.0
-        rho = s * binv[r]
-        alpha = np.concatenate([rho @ A, rho])
+        rho = binv[r] if s > 0 else -binv[r]
+        np.dot(rho, A, out=alpha[:n])
+        alpha[n:] = rho
 
-        cand = np.flatnonzero(toward * alpha > _PIV_TOL)
+        cand = (toward * alpha > _PIV_TOL).nonzero()[0]
         if cand.size == 0:
             # dual ray: the primal subproblem has no feasible point
             x_nb = _nonbasic_values(vstat, basis, lower_e, upper_e)
@@ -178,7 +191,7 @@ def solve_lp(
 
         ratios = np.maximum(d[cand] / alpha[cand], 0.0)
         theta = ratios.min()
-        entering = int(cand[np.argmax(ratios <= theta + _RATIO_TIE * (1.0 + theta))])
+        entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
 
         col = binv @ A[:, entering] if entering < n else binv[:, entering - n].copy()
         piv = col[r]
@@ -193,7 +206,7 @@ def solve_lp(
         xB[r] = x_entering + step
 
         binv_r = binv[r] / piv
-        binv -= np.outer(col, binv_r)
+        binv -= col[:, None] * binv_r
         binv[r] = binv_r
 
         leaving = basis[r]
@@ -206,6 +219,8 @@ def solve_lp(
         vstat[entering] = BASIC
         toward[entering] = 0.0
         basis[r] = entering
+        lower_b[r] = lower_e[entering]
+        upper_b[r] = upper_e[entering]
 
         degen_run = degen_run + 1 if theta <= _RATIO_TIE else 0
         it += 1

@@ -1,10 +1,13 @@
 """Branch-and-bound solver vs. the enumeration oracle, plus instance I/O."""
 
+import heapq
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sctopo import blp, simplex_lp
 from sctopo.blp import (
     _RowPool,
     build_joint_instance,
@@ -58,6 +61,63 @@ def test_solve_matches_oracle_on_branching_instances():
     assert got.nodes_explored > 5  # the point of this instance
     assert got.objective == pytest.approx(want.objective, rel=1e-9)
     assert got.selection.same_as(want.selection)
+
+
+@pytest.mark.parametrize("refresh_every", [7, 200])  # 200: solve_lp's default
+def test_children_start_from_the_parents_basis_inverse(monkeypatch,
+                                                       refresh_every):
+    rng = np.random.default_rng(4)
+    cx = build_candidate_complex(6)
+    inst = build_joint_instance(cx, _near_uniform_costs(rng, cx), 6, 3)
+    want = solve(inst)
+
+    build_basis = simplex_lp.build_basis_matrix
+    built = []
+    pivots = []
+    pushed = []
+
+    def counting_build(A, basis):
+        built.append(basis.size)
+        return build_basis(A, basis)
+
+    def checked_solve_lp(c, A, b, lower, upper, basis=None, vstat=None,
+                         binv=None):
+        if basis is not None:
+            # a warm LP gets the inverse of its basis, carried rather than
+            # rebuilt, whether at a child's first LP or after new rows
+            assert binv is not None
+            np.testing.assert_allclose(binv @ build_basis(A, basis),
+                                       np.eye(A.shape[0]), atol=1e-8)
+        res = simplex_lp.solve_lp(c, A, b, lower, upper, basis=basis,
+                                  vstat=vstat, binv=binv,
+                                  refresh_every=refresh_every)
+        pivots.append(res.iterations)
+        return res
+
+    def recording_push(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(simplex_lp, "build_basis_matrix", counting_build)
+    monkeypatch.setattr(blp, "solve_lp", checked_solve_lp)
+    monkeypatch.setattr(blp, "heapq", SimpleNamespace(
+        heappush=recording_push, heappop=heapq.heappop))
+    got = solve(inst)
+
+    assert got.objective == pytest.approx(want.objective, rel=1e-12)
+    assert got.selection.same_as(want.selection)
+    # the basis is rebuilt only at the periodic reinversions inside an LP
+    assert len(built) == sum(it // refresh_every for it in pivots)
+    if refresh_every == 200:
+        assert got.nodes_explored == want.nodes_explored
+        assert built == []
+    else:
+        assert built  # the reinversion path ran
+    # siblings are pushed in pairs and share one snapshot of each array
+    assert pushed and len(pushed) % 2 == 0
+    for down, up in zip(pushed[::2], pushed[1::2]):
+        assert down[6] is not None
+        assert all(down[k] is up[k] for k in (4, 5, 6))
 
 
 def test_solution_satisfies_floors_and_inclusion():

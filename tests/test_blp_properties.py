@@ -1,0 +1,95 @@
+"""Property tests of the branch-and-bound solver against the oracle.
+
+Instances are drawn over ``n0`` 4-7, cost scales 1e-6 to 1e6, and cost
+vectors that are distinct, partly zero, or tied on a few levels.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sctopo.blp import build_joint_instance, lp_bound, oracle_enumerate, solve
+from sctopo.complexes import build_candidate_complex
+from sctopo.smoothness import CostVectors
+
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+_COST_KINDS = ("distinct", "zero", "tied")
+
+
+def _costs(rng, size, kind, scale):
+    if kind == "distinct":
+        vals = rng.random(size)
+    elif kind == "zero":
+        vals = rng.random(size) * (rng.random(size) < 0.5)
+    else:
+        vals = rng.integers(0, 3, size).astype(float)
+    return vals * scale
+
+
+@st.composite
+def instances(draw):
+    n0 = draw(st.integers(4, 7))
+    cx = build_candidate_complex(n0)
+    kind = draw(st.sampled_from(_COST_KINDS))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = CostVectors(h1=_costs(rng, cx.n_edges, kind, scale),
+                        h2=_costs(rng, cx.n_triangles, kind, scale),
+                        h2_kind="curl")
+    c1 = draw(st.integers(0, cx.n_edges))
+    c2 = draw(st.integers(0, min(3, cx.n_triangles)))
+    return cx, costs, c1, c2, kind
+
+
+def _tol(objective):
+    # the solver prunes within 1e-9 of max(1, |incumbent|)
+    return 2e-9 * max(1.0, abs(objective))
+
+
+@_SETTINGS
+@given(instances())
+def test_solve_matches_oracle(case):
+    cx, costs, c1, c2, kind = case
+    got = solve(build_joint_instance(cx, costs, c1, c2))
+    want = oracle_enumerate(cx, costs, c1, c2)
+    assert got.status == "optimal"
+    assert got.objective == pytest.approx(want.objective, rel=1e-9,
+                                          abs=_tol(want.objective))
+    assert got.lower_bound <= got.objective
+    if kind == "distinct":
+        assert got.selection.same_as(want.selection)
+
+
+@_SETTINGS
+@given(instances(), st.data())
+def test_lp_bound_is_below_the_optimum_and_grows_with_fixings(case, data):
+    cx, costs, c1, c2, _ = case
+    inst = build_joint_instance(cx, costs, c1, c2)
+    opt = solve(inst)
+    n1, n2 = cx.n_edges, cx.n_triangles
+    best = np.concatenate([opt.selection.s1, opt.selection.s2])
+
+    order = data.draw(st.permutations(range(n1 + n2)))
+    k = data.draw(st.integers(1, 6))
+    # fixings that keep the optimum feasible, or arbitrary ones
+    agree = data.draw(st.booleans())
+    flips = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    fixed = ({}, {})
+    bound = lp_bound(inst)
+    assert bound <= opt.objective + _tol(opt.objective)
+    for j, flip in zip(order[:k], flips):
+        value = int(best[j]) ^ (flip and not agree)
+        if j < n1:
+            fixed[0][j] = value
+        else:
+            fixed[1][j - n1] = value
+        tighter = lp_bound(inst, fixed_edges=fixed[0], fixed_triangles=fixed[1])
+        if bound == np.inf:
+            assert tighter == np.inf  # infeasible stays infeasible
+        else:
+            assert tighter >= bound - _tol(bound)
+        if agree:
+            assert tighter <= opt.objective + _tol(opt.objective)
+        bound = tighter

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sctopo.blp import build_joint_instance, solve, write_instance
-from sctopo.cli import main
+from sctopo.cli import build_parser, main
 from sctopo.complexes import Selection, build_candidate_complex
 from sctopo.datagen import load_bundle
 from sctopo.datasets import save_selection
@@ -198,6 +198,47 @@ def test_solve_rejects_non_finite_instance_values(tmp_path, capsys, line):
     path.write_text(text)
     assert main(["solve", "--instance", str(path)]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["c1 -2", "c2 -1", "alpha 5.0", "alpha 0.0",
+                                  "alpha -0.25", "alpha 0.2500001",
+                                  "n_edges 14", "n_edges 16"])
+def test_solve_rejects_out_of_range_scalars(tmp_path, capsys, line):
+    # n0 = 6: 15 edges, and alpha must lie in (0, 1/4]
+    _, path = _dump_instance(tmp_path, 6, 3)
+    key = line.split()[0]
+    text = "".join(line + "\n" if ln.split()[0] == key else ln
+                   for ln in path.read_text().splitlines(keepends=True))
+    assert line in text
+    path.write_text(text)
+    assert main(["solve", "--instance", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert key in err
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()  # built once per process
+    _, path = _dump_instance(tmp_path, 6, 3)
+    assert main(["solve", "--instance", str(path), "--node-limit", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "node_limit"
+    assert main(["synth", "--n0", "5", "--seed", "7", "--prior", "similarity",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    assert main(["solve", "--node-limit", "0"]) == 1  # lacks --instance
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+
+    # options given to earlier calls do not become the new defaults
+    assert main(["solve", "--instance", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "optimal"
+    assert main(["synth", "--n0", "5", "--out", str(tmp_path / "b")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["seed"], out["prior"]) == (0, "low_curl")
+    assert main(["eval", "--estimate", str(tmp_path / "missing.json"),
+                 "--truth", str(tmp_path / "missing.json")]) == 1
+    assert main(["solve", "--instance", str(path), "--node-limit", "0"]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("config", [

@@ -11,6 +11,8 @@ from scipy.optimize import linprog
 from sctopo.simplex_lp import (
     BASIC,
     NB_FIXED,
+    NB_LOWER,
+    NB_UPPER,
     build_basis_matrix,
     extend_binv_for_new_rows,
     solve_lp,
@@ -174,6 +176,21 @@ def test_fixed_marker_set_on_equal_bounds():
     assert res.status == "optimal"
     assert res.vstat[1] in (NB_FIXED, BASIC)
     assert res.x[1] == pytest.approx(1.0)
+
+
+def test_fixed_markers_follow_the_current_bounds():
+    # columns: two fixed markers whose bounds separated (costs of either
+    # sign), a basic variable with equal bounds, a nonbasic one with equal
+    # bounds, then the slack of the single row
+    c = np.array([1.0, -1.0, 2.0, 3.0])
+    A = np.ones((1, 4))
+    res = solve_lp(c, A, np.array([10.0]), np.array([0.0, 0.0, 0.0, 1.0]),
+                   np.array([1.0, 1.0, 0.0, 1.0]), basis=np.array([2]),
+                   vstat=np.array([NB_FIXED, NB_FIXED, BASIC, NB_LOWER,
+                                   NB_LOWER]), max_iter=0)
+    assert res.status == "iteration_limit"
+    assert res.vstat.tolist() == [NB_LOWER, NB_UPPER, BASIC, NB_FIXED,
+                                  NB_LOWER]
 
 
 def _assert_basic_values_from_basis(res, A, b):
