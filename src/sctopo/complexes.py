@@ -53,6 +53,42 @@ def _edge_rank(n0, i, j):
     return n0 * i - i * (i + 1) // 2 + (j - i - 1)
 
 
+def _triangle_rank(n0, i, j, k):
+    """Lexicographic rank of triangle ``(i, j, k)``, ``i < j < k``; elementwise."""
+    def c2(x):
+        return x * (x - 1) // 2
+
+    def c3(x):
+        return x * (x - 1) * (x - 2) // 6
+
+    return c3(n0) - c3(n0 - i) + c2(n0 - i - 1) - c2(n0 - j) + (k - j - 1)
+
+
+def _check_ranks(ranks, size, name):
+    r = np.asarray(ranks, dtype=np.int64)
+    if r.size and (r.min() < 0 or r.max() >= size):
+        raise ValueError(f"{name} indices must lie in [0, {size})")
+    return r
+
+
+def _edge_vertices(n0, ranks):
+    """Inverse of ``_edge_rank``: the vertex arrays ``(i, j)`` of edge ranks."""
+    e = _check_ranks(ranks, n0 * (n0 - 1) // 2, "edge")
+    first = np.arange(n0 - 1)
+    starts = _edge_rank(n0, first, first + 1)  # rank of each (i, i + 1)
+    i = starts.searchsorted(e, side="right") - 1
+    return i, e - starts[i] + i + 1
+
+
+def _triangle_vertices(n0, ranks):
+    """Inverse of ``_triangle_rank``: the vertex arrays ``(i, j, k)``."""
+    t = _check_ranks(ranks, comb(n0, 3), "triangle")
+    pi, pj = np.triu_indices(n0 - 1, 1)  # prefixes (i, j), lexicographic
+    starts = _triangle_rank(n0, pi, pj, pj + 1)  # rank of each (i, j, j + 1)
+    p = starts.searchsorted(t, side="right") - 1
+    return pi[p], pj[p], t - starts[p] + pj[p] + 1
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a
@@ -121,8 +157,7 @@ class CandidateComplex:
         i, j, k = sorted((i, j, k))
         if not (0 <= i < j < k < self.n0):
             raise ValueError(f"({i}, {j}, {k}) is not a valid triangle on {self.n0} nodes")
-        n = self.n0
-        return comb(n, 3) - comb(n - i, 3) + comb(n - i - 1, 2) - comb(n - j, 2) + (k - j - 1)
+        return _triangle_rank(self.n0, i, j, k)
 
 
 def build_candidate_complex(n0):
@@ -199,7 +234,7 @@ def _as_binary(v, name):
     a = np.asarray(v)
     if a.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if a.size and not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
     a = a.astype(np.int8)
     a.flags.writeable = False
@@ -227,13 +262,25 @@ def validate_inclusion(cx, sel):
 def laplacian_node(cx, s1):
     """Graph Laplacian of the selected edge set: ``b1 @ diag(s1) @ b1.T``."""
     s1 = _check_len(s1, cx.n_edges, "s1")
-    return (cx.b1 * s1) @ cx.b1.T.astype(float)
+    e = np.flatnonzero(s1)
+    w = s1[e].astype(float)
+    i, j = _edge_vertices(cx.n0, e)
+    L = np.zeros((cx.n0, cx.n0))
+    L[i, j] = L[j, i] = -w
+    L[np.diag_indices(cx.n0)] = np.bincount(i, w, cx.n0) + np.bincount(j, w, cx.n0)
+    return L
 
 
 def laplacian_upper_edge(cx, s2):
     """Upper edge Laplacian of the selected triangles: ``b2 @ diag(s2) @ b2.T``."""
     s2 = _check_len(s2, cx.n_triangles, "s2")
-    return (cx.b2 * s2) @ cx.b2.T.astype(float)
+    t = np.flatnonzero(s2)
+    faces = cx.triangle_edges[t]
+    signs = np.outer(TRIANGLE_FACE_SIGNS, TRIANGLE_FACE_SIGNS)
+    L = np.zeros((cx.n_edges, cx.n_edges))
+    np.add.at(L, (faces[:, :, None], faces[:, None, :]),
+              s2[t].astype(float)[:, None, None] * signs)
+    return L
 
 
 def hodge_laplacian_edge(cx, s1, s2):

@@ -19,7 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import Selection, build_candidate_complex, validate_inclusion
+from .complexes import (
+    Selection,
+    _edge_rank,
+    _edge_vertices,
+    _triangle_rank,
+    _triangle_vertices,
+    build_candidate_complex,
+    validate_inclusion,
+)
 
 
 class DatasetFormatError(ValueError):
@@ -168,28 +176,25 @@ def subsample_dataset(ds, n_sub, rng):
     """Induced sub-network on a uniform subset of ``n_sub`` nodes.
 
     Kept nodes are relabeled 0..n_sub-1 in ascending original order;
-    ground truth restricts to simplices entirely inside the subset.
+    ground truth restricts to simplices entirely inside the subset.  The
+    truth indices are mapped through the closed-form lexicographic ranks,
+    without building either candidate complex; an index outside the
+    candidate range raises ``ValueError``.
     """
     if not 3 <= n_sub <= ds.n0:
         raise ValueError("subset size must lie in [3, n0]")
     keep = np.sort(rng.choice(ds.n0, size=n_sub, replace=False))
-    relabel = {int(v): r for r, v in enumerate(keep)}
-    cx_full = build_candidate_complex(ds.n0)
-    cx_sub = build_candidate_complex(n_sub)
-    kept = set(relabel)
-    e_idx = []
-    for e in ds.ground_truth_edges:
-        i, j = cx_full.edges[e]
-        if i in kept and j in kept:
-            e_idx.append(cx_sub.edge_id(relabel[i], relabel[j]))
-    t_idx = []
-    for t in ds.ground_truth_triangles:
-        i, j, k = cx_full.triangles[t]
-        if i in kept and j in kept and k in kept:
-            t_idx.append(cx_sub.triangle_id(relabel[i], relabel[j], relabel[k]))
-    return RealDataset(node_features=ds.node_features[keep],
-                       ground_truth_edges=sorted(e_idx),
-                       ground_truth_triangles=sorted(t_idx))
+    relabel = np.full(ds.n0, -1)
+    relabel[keep] = np.arange(n_sub)
+    # truth simplices as relabeled vertex arrays; -1 marks a dropped vertex
+    edges = relabel[np.stack(_edge_vertices(ds.n0, ds.ground_truth_edges))]
+    edges = edges[:, (edges >= 0).all(axis=0)]
+    tris = relabel[np.stack(_triangle_vertices(ds.n0, ds.ground_truth_triangles))]
+    tris = tris[:, (tris >= 0).all(axis=0)]
+    return RealDataset(
+        node_features=ds.node_features[keep],
+        ground_truth_edges=sorted(_edge_rank(n_sub, *edges).tolist()),
+        ground_truth_triangles=sorted(_triangle_rank(n_sub, *tris).tolist()))
 
 
 def save_selection(sel, path):

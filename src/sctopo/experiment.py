@@ -155,6 +155,9 @@ def run_experiment(config):
                 costs = compute_costs(cx, x0, x1bar, kind)
                 c1 = truth.n_selected_edges
                 c2 = truth.n_selected_triangles
+                # one object shared by the records of every method
+                truth_lists = {"edges": truth.edge_indices.tolist(),
+                               "triangles": truth.triangle_indices.tolist()}
                 for method in config.methods:
                     out = _run_one(method, cx, costs, c1, c2, config)
                     violations = validate_inclusion(cx, out.selection)
@@ -178,11 +181,7 @@ def run_experiment(config):
                             "triangles": [int(t) for t in
                                           out.selection.triangle_indices],
                         },
-                        "truth": {
-                            "edges": [int(e) for e in truth.edge_indices],
-                            "triangles": [int(t) for t in
-                                          truth.triangle_indices],
-                        },
+                        "truth": truth_lists,
                         "diagnostics": {k: v for k, v in
                                         out.diagnostics.items()
                                         if k != "objective_trace"},

@@ -26,9 +26,23 @@ and ``xB`` once more, with the bounds tested again, before a solve reports
 carried from call to call is refreshed only by a call that runs
 ``refresh_every`` pivots.
 
+Ratio test: the textbook dual ratio test picks the entering variable first.
+When that variable has a finite box and moving it across the whole box
+would still leave the leaving row infeasible, the bound-flipping (long-step)
+test takes over: breakpoints are passed in (ratio, index) order, each
+passed variable flips to its other bound (moving ``xB`` along its column),
+and the first one whose flip would make the row feasible enters (Fourer,
+*Notes on the dual simplex method*, 1994; Koberstein, 2005, ch. 3).  With
+the binary boxes of :mod:`sctopo.blp`, a cardinality row short by ``k``
+items takes one pivot and ``k - 1`` flips instead of ``k`` pivots.  The
+plain test runs first, so a pivot that cannot flip pays two scalar reads
+and no sort.  Every iterate stays dual feasible, so early stops still give
+valid bounds.
+
 Determinism: entering ties are broken by lowest column index; after a long
 degenerate stall the leaving choice switches to Bland's smallest-index
-rule, which also guarantees termination.
+rule, which also guarantees termination, and the ratio test to the plain
+one.
 """
 
 from __future__ import annotations
@@ -118,6 +132,7 @@ def solve_lp(
 
     lower_e = np.concatenate([lower, np.zeros(m)])
     upper_e = np.concatenate([upper, np.full(m, np.inf)])
+    range_e = upper_e - lower_e
     if (lower_e > upper_e + feas_tol).any():
         return LpResult("infeasible", np.zeros(n), np.inf, np.inf, 0, None, None, None)
     c_e = np.concatenate([c, np.zeros(m)])
@@ -192,6 +207,26 @@ def solve_lp(
         ratios = np.maximum(d[cand] / alpha[cand], 0.0)
         theta = ratios.min()
         entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
+        if (degen_run <= bland_after
+                and viol[r] - abs(alpha[entering]) * range_e[entering] > feas_tol):
+            # long step: the entering variable would cross its whole box and
+            # still leave row r infeasible.  Pass the breakpoints in (ratio,
+            # index) order, flipping each variable to its other bound while
+            # the row stays infeasible; the first that would fix it enters.
+            # The dual step to its ratio turns the reduced costs of the
+            # flipped variables to the sign their new bound needs.
+            order = ratios.argsort(kind="stable")
+            srt = cand[order]
+            left = viol[r] - np.cumsum(np.abs(alpha[srt]) * range_e[srt])
+            stop = (left <= feas_tol).nonzero()[0]
+            k = int(stop[0]) if stop.size else srt.size - 1
+            entering = int(srt[k])
+            theta = ratios[order[k]]
+            if k:
+                flips = srt[:k]  # structural: a slack's range is infinite
+                xB -= binv @ (A[:, flips] @ (toward[flips] * range_e[flips]))
+                vstat[flips] ^= 1  # NB_LOWER <-> NB_UPPER
+                toward[flips] = -toward[flips]
 
         col = binv @ A[:, entering] if entering < n else binv[:, entering - n].copy()
         piv = col[r]

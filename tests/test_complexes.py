@@ -10,6 +10,8 @@ import pytest
 from sctopo.complexes import (
     Selection,
     TRIANGLE_FACE_SIGNS,
+    _edge_vertices,
+    _triangle_vertices,
     build_candidate_complex,
     enumerate_simplices,
     hodge_laplacian_edge,
@@ -94,6 +96,25 @@ def test_selection_validation_and_indices():
         Selection(s1=np.array([0.5]), s2=np.array([1]))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, float, bool])
+def test_selection_checks_entries_for_every_dtype(dtype):
+    ok = np.array([0, 1, 1, 0]).astype(dtype)
+    sel = Selection(s1=ok, s2=ok[:2])
+    assert sel.s1.dtype == np.int8 and sel.s1.tolist() == [0, 1, 1, 0]
+    assert Selection(s1=ok[:0], s2=ok).s1.size == 0
+    if dtype is bool:
+        # a bool array holds only 0 and 1; bad values reach the check in
+        # lists that mix bools with other numbers
+        bads = [[True, False, 0.5], [True, 2], [False, -1]]
+    else:
+        bads = [[0, 1, v] for v in (0.5, 2, -1) if dtype(v) == v]
+    for bad in bads:
+        v = np.array(bad, dtype=None if dtype is bool else dtype)
+        for s1, s2 in ((v, ok), (ok, v)):
+            with pytest.raises(ValueError, match="entries must be 0 or 1"):
+                Selection(s1=s1, s2=s2)
+
+
 def test_validate_inclusion_reports_missing_faces():
     cx = build_candidate_complex(4)
     # triangle (0,1,2) has faces (0,1)=0, (0,2)=1, (1,2)=3
@@ -164,6 +185,47 @@ def test_laplacians_match_loop_reference():
         B1s = cx.b1 * s1
         hodge = (B1s.T @ B1s).astype(float) + Lup
         assert np.allclose(hodge_laplacian_edge(cx, s1, s2), hodge)
+
+
+def test_laplacians_equal_dense_incidence_formulas():
+    # the scatter-add builds are exact on small integer weights, so they
+    # must equal the dense products bit for bit
+    rng = np.random.default_rng(3)
+    for n0 in (3, 4, 7, 12, 20):
+        cx = build_candidate_complex(n0)
+        for s1, s2 in (
+            (rng.integers(0, 2, cx.n_edges).astype(np.int8),
+             rng.integers(0, 2, cx.n_triangles).astype(np.int8)),
+            (rng.random(cx.n_edges) < 0.5, rng.random(cx.n_triangles) < 0.5),
+            (np.zeros(cx.n_edges), np.zeros(cx.n_triangles)),
+            (np.ones(cx.n_edges, np.int64), np.ones(cx.n_triangles, np.int64)),
+            (rng.integers(-3, 4, cx.n_edges).astype(float),
+             rng.integers(-3, 4, cx.n_triangles).astype(float)),
+        ):
+            dense_node = (cx.b1 * s1) @ cx.b1.T.astype(float)
+            dense_up = (cx.b2 * s2) @ cx.b2.T.astype(float)
+            L0, Lup = laplacian_node(cx, s1), laplacian_upper_edge(cx, s2)
+            assert L0.dtype == Lup.dtype == np.float64
+            assert np.array_equal(L0, dense_node)
+            assert np.array_equal(Lup, dense_up)
+
+
+def test_rank_inverses_round_trip():
+    for n0 in range(3, 13):
+        cx = build_candidate_complex(n0)
+        i, j = _edge_vertices(n0, np.arange(cx.n_edges))
+        assert list(zip(i.tolist(), j.tolist())) == list(cx.edges)
+        i, j, k = _triangle_vertices(n0, np.arange(cx.n_triangles))
+        assert list(zip(i.tolist(), j.tolist(), k.tolist())) == list(cx.triangles)
+        assert [cx.triangle_id(*t) for t in cx.triangles] == list(range(cx.n_triangles))
+        assert _edge_vertices(n0, [])[0].size == 0
+        assert _triangle_vertices(n0, [])[0].size == 0
+        for bad in (-1, cx.n_edges):
+            with pytest.raises(ValueError):
+                _edge_vertices(n0, [0, bad])
+        for bad in (-1, cx.n_triangles):
+            with pytest.raises(ValueError):
+                _triangle_vertices(n0, [bad])
 
 
 def test_similarity_laplacian_single_triangle_block():

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from sctopo.complexes import Selection, build_candidate_complex, validate_inclusion
+from sctopo.datagen import stage_rng
 from sctopo.datasets import (
     DatasetFormatError,
     DatasetInclusionError,
     DatasetIndexError,
+    RealDataset,
     load_real_dataset,
     load_selection,
     make_coauthorship_fixture,
@@ -153,6 +155,46 @@ def test_subsample_relabels_and_restricts():
         subsample_dataset(ds, 2, rng)
     with pytest.raises(ValueError):
         subsample_dataset(ds, ds.n0 + 1, rng)
+
+
+def _subsample_truth_by_builders(ds, n_sub, rng):
+    """The builder-based index mapping that subsample_dataset replaced."""
+    keep = np.sort(rng.choice(ds.n0, size=n_sub, replace=False))
+    relabel = {int(v): r for r, v in enumerate(keep)}
+    cx_full = build_candidate_complex(ds.n0)
+    cx_sub = build_candidate_complex(n_sub)
+    e_idx = [cx_sub.edge_id(relabel[i], relabel[j])
+             for i, j in (cx_full.edges[e] for e in ds.ground_truth_edges)
+             if i in relabel and j in relabel]
+    t_idx = [cx_sub.triangle_id(relabel[i], relabel[j], relabel[k])
+             for i, j, k in (cx_full.triangles[t]
+                             for t in ds.ground_truth_triangles)
+             if i in relabel and j in relabel and k in relabel]
+    return sorted(e_idx), sorted(t_idx)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_subsample_matches_builder_mapping(seed):
+    ds = make_coauthorship_fixture(60, 90, 40, seed=0)
+    for n_sub in (3, 20, 60):
+        sub = subsample_dataset(ds, n_sub, stage_rng(seed, 4))
+        edges, triangles = _subsample_truth_by_builders(
+            ds, n_sub, stage_rng(seed, 4))
+        assert sub.ground_truth_edges == edges
+        assert sub.ground_truth_triangles == triangles
+        assert all(type(v) is int for v in edges + triangles)
+
+
+def test_subsample_rejects_out_of_range_truth():
+    ds = make_coauthorship_fixture(n_authors=8, n_papers=10, seed=1)
+    for bad in ({"ground_truth_edges": [-1]}, {"ground_truth_edges": [28]},
+                {"ground_truth_triangles": [56]}):
+        broken = RealDataset(**{"node_features": ds.node_features,
+                                "ground_truth_edges": ds.ground_truth_edges,
+                                "ground_truth_triangles":
+                                    ds.ground_truth_triangles, **bad})
+        with pytest.raises(ValueError):
+            subsample_dataset(broken, 5, np.random.default_rng(0))
 
 
 def test_selection_json_round_trip(tmp_path):

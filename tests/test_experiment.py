@@ -32,6 +32,13 @@ def test_synthetic_run_shape_contract():
         assert rec["c1"] == len(rec["truth"]["edges"])
         assert rec["c2"] == len(rec["truth"]["triangles"])
         assert "objective_trace" not in rec["diagnostics"]
+    # the methods of one realization share one truth object, holding
+    # plain ints (so report.json writes it once per record, unchanged)
+    for seed in _SMALL["seeds"]:
+        truths = [r["truth"] for r in rep.records if r["seed"] == seed]
+        assert all(t is truths[0] for t in truths)
+        assert all(type(v) is int
+                   for v in truths[0]["edges"] + truths[0]["triangles"])
 
     # aggregates really are the mean/std over the per-seed records
     for agg in rep.aggregates:

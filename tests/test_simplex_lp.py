@@ -280,3 +280,138 @@ def test_build_basis_matrix_matches_loop_reference():
     for basis in (np.array([7, 5, 6]), np.array([4, 0, 2])):
         np.testing.assert_array_equal(build_basis_matrix(A, basis),
                                       _basis_matrix_loop(A, basis))
+
+
+# --- bound-flipping (long-step) ratio test -------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_cardinality_row_takes_one_pivot_with_flips(n):
+    # -sum(x) <= -k from the all-lower start: the cheapest k - 1 variables
+    # flip to 1 and the k-th cheapest enters, so one pivot solves it
+    rng = np.random.default_rng(n)
+    c = rng.permutation(n) + 1.0
+    cheapest = np.argsort(c)
+    for k in range(1, n + 1):
+        res = solve_lp(c, -np.ones((1, n)), np.array([-float(k)]),
+                       np.zeros(n), np.ones(n))
+        assert res.status == "optimal"
+        assert res.iterations == 1
+        want = np.zeros(n)
+        want[cheapest[:k]] = 1.0
+        np.testing.assert_array_equal(res.x, want)
+        assert res.objective == float(c[cheapest[:k]].sum())
+        assert res.basis.tolist() == [int(cheapest[k - 1])]
+        assert sorted(np.flatnonzero(res.vstat == NB_UPPER)) == sorted(cheapest[:k - 1])
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_capacity_row_flips_down_in_one_pivot(n):
+    # negative costs start every variable at 1; sum(x) <= n - k then drops
+    # the k variables that gain least: k - 1 flip down and one enters
+    rng = np.random.default_rng(100 + n)
+    c = -(rng.permutation(n) + 1.0)
+    dearest = np.argsort(-c)  # least negative first
+    for k in range(1, n + 1):
+        res = solve_lp(c, np.ones((1, n)), np.array([float(n - k)]),
+                       np.zeros(n), np.ones(n))
+        assert res.status == "optimal"
+        assert res.iterations == 1
+        want = np.ones(n)
+        want[dearest[:k]] = 0.0
+        np.testing.assert_array_equal(res.x, want)
+        assert sorted(np.flatnonzero(res.vstat[:n] == NB_LOWER)) == sorted(dearest[:k - 1])
+
+
+def _cardinality_lp(rng, n1, n2):
+    """Joint-style LP: two cardinality floors plus random x2[t] <= x1[e] rows."""
+    n = n1 + n2
+    k = int(rng.integers(1, 2 * n2 + 1))
+    A = np.zeros((2 + k, n))
+    A[0, :n1] = A[1, n1:] = -1.0
+    rows = np.arange(2, 2 + k)
+    A[rows, n1 + rng.integers(n2, size=k)] = 1.0
+    A[rows, rng.integers(n1, size=k)] = -1.0
+    b = np.zeros(2 + k)
+    b[:2] = -rng.integers(1, [n1 + 1, n2 + 1])
+    c = rng.random(n) if rng.random() < 0.7 else rng.normal(size=n)
+    return c, A, b, np.zeros(n), np.ones(n)
+
+
+def _assert_matches_scipy(res, c, A, b, lower, upper):
+    ref = _scipy_solve(c, A, b, lower, upper)
+    if ref.status == 2:
+        assert res.status == "infeasible"
+        return False
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+    assert np.all(A @ res.x <= b + 1e-7)
+    assert np.all((res.x >= lower - 1e-9) & (res.x <= upper + 1e-9))
+    return True
+
+
+@pytest.mark.parametrize("bland_after", [0, 1000])
+def test_long_step_matches_scipy_cold_and_warm(bland_after):
+    # bland_after=0 hands every pivot after a degenerate one to the plain
+    # ratio test, so long and plain steps mix within one solve
+    rng = np.random.default_rng(41)
+    n_optimal = n_warm = 0
+    for trial in range(80):
+        if trial % 2:
+            c, A, b, lower, upper = _cardinality_lp(
+                rng, int(rng.integers(2, 12)), int(rng.integers(1, 10)))
+        else:
+            c, A, b, lower, upper = _random_lp(
+                rng, int(rng.integers(2, 14)), int(rng.integers(1, 12)),
+                nonneg_costs=bool(trial % 4))
+        cold = solve_lp(c, A, b, lower, upper, bland_after=bland_after)
+        if not _assert_matches_scipy(cold, c, A, b, lower, upper):
+            continue
+        n_optimal += 1
+        # warm: fix a variable at 1 to 0 and tighten the rows, so the
+        # restart must move variables down from their upper bounds
+        at_one = np.flatnonzero(cold.x > 0.5)
+        lower2, upper2 = lower.copy(), upper.copy()
+        if at_one.size:
+            upper2[rng.choice(at_one)] = 0.0
+        b2 = b - rng.random(b.size) * (rng.random(b.size) < 0.5)
+        warm = solve_lp(c, A, b2, lower2, upper2, basis=cold.basis,
+                        vstat=cold.vstat, binv=cold.binv,
+                        bland_after=bland_after)
+        n_warm += _assert_matches_scipy(warm, c, A, b2, lower2, upper2)
+    assert n_optimal >= 40 and n_warm >= 20
+
+
+def test_warm_start_from_upper_bounds_flips_down():
+    # all costs negative: the all-slack basis puts every variable at 1;
+    # tightening a capacity row afterwards must move several back down
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n, m = int(rng.integers(3, 12)), int(rng.integers(1, 5))
+        c = -rng.random(n)
+        A = rng.random((m, n))
+        b = A.sum(axis=1) * rng.uniform(0.5, 1.2, size=m)
+        lower, upper = np.zeros(n), np.ones(n)
+        first = solve_lp(c, A, b, lower, upper)
+        assert _assert_matches_scipy(first, c, A, b, lower, upper)
+        b2 = b * rng.uniform(0.3, 0.9, size=m)
+        warm = solve_lp(c, A, b2, lower, upper, basis=first.basis,
+                        vstat=first.vstat, binv=first.binv)
+        assert _assert_matches_scipy(warm, c, A, b2, lower, upper)
+
+
+def test_iteration_limit_after_a_long_step_is_a_valid_bound():
+    rng = np.random.default_rng(47)
+    n_stopped = 0
+    for _ in range(60):
+        c, A, b, lower, upper = _cardinality_lp(rng, int(rng.integers(4, 12)),
+                                                int(rng.integers(3, 10)))
+        ref = _scipy_solve(c, A, b, lower, upper)
+        if ref.status != 0:
+            continue
+        short = solve_lp(c, A, b, lower, upper, max_iter=1)
+        if short.status == "iteration_limit":
+            n_stopped += 1
+            assert short.iterations == 1
+            assert short.bound <= ref.fun + 1e-9
+    assert n_stopped >= 10
