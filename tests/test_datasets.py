@@ -1,6 +1,7 @@
 """Dataset directory formats, the co-authorship fixture, subsampling."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from sctopo.datasets import (
     DatasetFormatError,
     DatasetInclusionError,
     DatasetIndexError,
-    RealDataset,
     load_real_dataset,
     load_selection,
     make_coauthorship_fixture,
@@ -182,19 +182,16 @@ def test_subsample_matches_builder_mapping(seed):
             ds, n_sub, stage_rng(seed, 4))
         assert sub.ground_truth_edges == edges
         assert sub.ground_truth_triangles == triangles
-        assert all(type(v) is int for v in edges + triangles)
+        assert all(type(v) is int for v in
+                   sub.ground_truth_edges + sub.ground_truth_triangles)
 
 
 def test_subsample_rejects_out_of_range_truth():
     ds = make_coauthorship_fixture(n_authors=8, n_papers=10, seed=1)
     for bad in ({"ground_truth_edges": [-1]}, {"ground_truth_edges": [28]},
                 {"ground_truth_triangles": [56]}):
-        broken = RealDataset(**{"node_features": ds.node_features,
-                                "ground_truth_edges": ds.ground_truth_edges,
-                                "ground_truth_triangles":
-                                    ds.ground_truth_triangles, **bad})
         with pytest.raises(ValueError):
-            subsample_dataset(broken, 5, np.random.default_rng(0))
+            subsample_dataset(replace(ds, **bad), 5, np.random.default_rng(0))
 
 
 def test_selection_json_round_trip(tmp_path):
