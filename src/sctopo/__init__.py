@@ -20,7 +20,6 @@ from .complexes import (
     CandidateComplex,
     Selection,
     build_candidate_complex,
-    enumerate_simplices,
     hodge_laplacian_edge,
     laplacian_node,
     laplacian_upper_edge,

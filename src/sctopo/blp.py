@@ -30,10 +30,10 @@ from math import comb, inf
 
 import numpy as np
 
-from .complexes import Selection
+from .complexes import Selection, candidate_n0
 from .simplex_lp import BASIC, extend_binv_for_new_rows, solve_lp
 
-_PRUNE_REL = 1e-9  # pruning slack, relative; far tighter than the gap certificate
+_PRUNE_REL = 1e-9  # pruning slack, relative to the incumbent objective
 _INT_TOL = 1e-6
 _ROW_TOL = 1e-9
 
@@ -176,7 +176,7 @@ def _feasible_exact(instance, s1, s2):
     return bool(np.all(s1[instance.triangle_edges[sel_t]] == 1))
 
 
-def solve(instance, node_limit=10_000_000, gap_tol=1e-6, warm_start=None):
+def solve(instance, node_limit=10_000_000, warm_start=None):
     """Best-first branch and bound; exact up to the stated tolerances.
 
     ``warm_start`` seeds the incumbent with a known feasible selection
@@ -207,7 +207,7 @@ def solve(instance, node_limit=10_000_000, gap_tol=1e-6, warm_start=None):
         # nodes with bound at or above this cannot improve the incumbent
         if inc_sel is None:
             return inf
-        return inc_obj - min(_PRUNE_REL, gap_tol) * max(1.0, abs(inc_obj))
+        return inc_obj - _PRUNE_REL * max(1.0, abs(inc_obj))
 
     # heap of (bound, seq, lower, upper, basis, vstat, binv); bounds stored
     # as int8.  The two children of a node share its final basis, statuses
@@ -413,11 +413,7 @@ def read_instance(path):
         raise ValueError(f"instance file lacks {missing}") from None
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite; got {alpha}")
-    # the candidate complex on n0 nodes has n0 (n0 - 1) / 2 edges
-    n0 = (1 + math.isqrt(1 + 8 * n1)) // 2 if n1 >= 0 else 0
-    if n0 < 3 or n0 * (n0 - 1) // 2 != n1:
-        raise ValueError(f"n_edges must be n0 (n0 - 1) / 2 for some n0 >= 3; "
-                         f"got {n1}")
+    n0 = candidate_n0(n1, n2)
     _check_floors_and_alpha(n0, c1, c2, alpha)
     h1 = np.zeros(n1)
     h2 = np.zeros(n2)

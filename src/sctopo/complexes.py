@@ -1,13 +1,13 @@
 """Candidate simplicial complexes over a fixed node set.
 
-A candidate complex enumerates every possible edge and triangle on ``n0``
-nodes, in lexicographic order, and the edge indices of each triangle's
-faces.  The oriented incidence (boundary) matrices ``b1`` (nodes x edges)
-and ``b2`` (edges x triangles) and the unoriented ``b2_plus = |b2|`` are
-derived from those indices on first access.  Binary selection vectors over
-the candidate index spaces then pick out the active structure; the routines
-here build the selection-dependent Laplacians and check the face-inclusion
-property.
+The candidate complex on ``n0`` nodes holds every possible edge and
+triangle in lexicographic order.  The closed-form ranks below and their
+inverses are the one map between vertices and indices.  A complex stores
+only the edge indices of each triangle's faces; the vertex tuples, the
+oriented incidence matrices ``b1`` (nodes x edges) and ``b2`` (edges x
+triangles) and ``b2_plus = |b2|`` are derived on first access.  Binary
+selection vectors pick out the active structure; the routines here build
+the selection-dependent Laplacians and check the face-inclusion property.
 
 Index conventions (used by every module in this package):
 
@@ -24,27 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
 # Boundary signs of a triangle on its faces (i,j), (i,k), (j,k).
 TRIANGLE_FACE_SIGNS = np.array([1, -1, 1], dtype=np.int64)
-
-
-def enumerate_simplices(n0, k):
-    """Enumerate all candidate k-simplices over ``n0`` nodes.
-
-    Returns the sorted (k+1)-subsets of ``{0..n0-1}`` as a list of tuples in
-    lexicographic order.  Only ``k=1`` (edges) and ``k=2`` (triangles) are
-    supported.
-    """
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k}")
-    if n0 < k + 1:
-        raise ValueError(f"need at least {k + 1} nodes for {k}-simplices, got n0={n0}")
-    return list(combinations(range(n0), k + 1))
 
 
 def _edge_rank(n0, i, j):
@@ -94,19 +79,31 @@ def _read_only(a):
     return a
 
 
+def candidate_n0(n_edges, n_triangles):
+    """The ``n0 >= 3`` of ``C(n0, 2)`` edges and ``C(n0, 3)`` triangles, else ``ValueError``."""
+    n0 = 0
+    if type(n_edges) is int and n_edges >= 0:
+        n0 = (1 + isqrt(1 + 8 * n_edges)) // 2
+    if n0 < 3 or comb(n0, 2) != n_edges:
+        raise ValueError(f"n_edges must be n0 (n0 - 1) / 2 for some n0 >= 3; "
+                         f"got {n_edges!r}")
+    if type(n_triangles) is not int or n_triangles != comb(n0, 3):
+        raise ValueError(f"n_triangles must be C(n0, 3) = {comb(n0, 3)} for "
+                         f"n0 = {n0}; got {n_triangles!r}")
+    return n0
+
+
 @dataclass(frozen=True, eq=False)
 class CandidateComplex:
     """The complete candidate complex on ``n0`` nodes.
 
-    Only the index lists are stored; the dense incidence matrices are
-    derived from them the first time they are read and then kept.
+    Only ``triangle_edges`` is stored; the vertex tuples and the dense
+    incidence matrices are derived from the ranks when first read.
 
     Attributes
     ----------
     n0 : int
         Number of nodes.
-    edges, triangles : tuple of tuples
-        Candidate simplices in lexicographic order.
     triangle_edges : ndarray, shape (n_triangles, 3)
         Edge indices of each triangle's faces, in lexicographic face order.
         This is the sparse column-list view of ``b2`` that the solver and
@@ -114,23 +111,34 @@ class CandidateComplex:
     """
 
     n0: int
-    edges: tuple
-    triangles: tuple
     triangle_edges: np.ndarray
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return self.n0 * (self.n0 - 1) // 2
 
     @property
     def n_triangles(self):
-        return len(self.triangles)
+        return len(self.triangle_edges)
+
+    @cached_property
+    def edges(self):
+        """Candidate edges ``(i, j)`` in lexicographic order, as int tuples."""
+        i, j = _edge_vertices(self.n0, np.arange(self.n_edges))
+        return tuple(zip(i.tolist(), j.tolist()))
+
+    @cached_property
+    def triangles(self):
+        """Candidate triangles ``(i, j, k)`` in lexicographic order."""
+        i, j, k = _triangle_vertices(self.n0, np.arange(self.n_triangles))
+        return tuple(zip(i.tolist(), j.tolist(), k.tolist()))
 
     @cached_property
     def b1(self):
         """Oriented node-to-edge incidence; edge ``(i, j)`` is -1 at ``i``, +1 at ``j``."""
         b1 = np.zeros((self.n0, self.n_edges), dtype=np.int64)
-        b1[np.array(self.edges).T, np.arange(self.n_edges)] = [[-1], [1]]
+        ends = np.stack(_edge_vertices(self.n0, np.arange(self.n_edges)))
+        b1[ends, np.arange(self.n_edges)] = [[-1], [1]]
         return _read_only(b1)
 
     @cached_property
@@ -163,23 +171,15 @@ class CandidateComplex:
 def build_candidate_complex(n0):
     """Build the full candidate complex on ``n0 >= 3`` nodes.
 
-    Only the simplex lists and ``triangle_edges`` are computed here; the
-    dense incidence matrices are derived on first access.
+    Only ``triangle_edges`` is computed here, from the closed-form ranks;
+    everything else is derived on first access.
     """
     if n0 < 3:
         raise ValueError(f"need n0 >= 3, got {n0}")
-    edges = enumerate_simplices(n0, 1)
-    triangles = enumerate_simplices(n0, 2)
-    i, j, k = np.fromiter(chain.from_iterable(triangles), dtype=np.int64,
-                          count=3 * len(triangles)).reshape(-1, 3).T
+    i, j, k = _triangle_vertices(n0, np.arange(comb(n0, 3)))
     triangle_edges = np.column_stack(
         (_edge_rank(n0, i, j), _edge_rank(n0, i, k), _edge_rank(n0, j, k)))
-    return CandidateComplex(
-        n0=n0,
-        edges=tuple(edges),
-        triangles=tuple(triangles),
-        triangle_edges=_read_only(triangle_edges),
-    )
+    return CandidateComplex(n0=n0, triangle_edges=_read_only(triangle_edges))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,13 +273,17 @@ def laplacian_node(cx, s1):
 
 def laplacian_upper_edge(cx, s2):
     """Upper edge Laplacian of the selected triangles: ``b2 @ diag(s2) @ b2.T``."""
+    return _face_block_sum(cx, s2, np.outer(TRIANGLE_FACE_SIGNS, TRIANGLE_FACE_SIGNS))
+
+
+def _face_block_sum(cx, s2, block):
+    """Sum of ``s2[t] * block`` on each triangle's faces (lexicographic order)."""
     s2 = _check_len(s2, cx.n_triangles, "s2")
     t = np.flatnonzero(s2)
     faces = cx.triangle_edges[t]
-    signs = np.outer(TRIANGLE_FACE_SIGNS, TRIANGLE_FACE_SIGNS)
     L = np.zeros((cx.n_edges, cx.n_edges))
     np.add.at(L, (faces[:, :, None], faces[:, None, :]),
-              s2[t].astype(float)[:, None, None] * signs)
+              s2[t].astype(float)[:, None, None] * block)
     return L
 
 
@@ -299,21 +303,11 @@ def hodge_laplacian_edge(cx, s1, s2):
 def similarity_laplacian(cx, s2):
     """Similarity Laplacian over candidate edges.
 
-    Sum over selected triangles of the complete-graph Laplacian on the
-    triangle's three face edges (diagonal 2, off-diagonal -1), embedded in
-    the full candidate edge space.
+    Sum over triangles, weighted by ``s2`` as in :func:`laplacian_upper_edge`,
+    of the complete-graph Laplacian on the triangle's three face edges
+    (diagonal 2, off-diagonal -1), embedded in the full candidate edge space.
     """
-    s2 = _check_len(s2, cx.n_triangles, "s2")
-    n1 = cx.n_edges
-    L = np.zeros((n1, n1))
-    for t in np.flatnonzero(s2):
-        a, b, c = cx.triangle_edges[t]
-        for e in (a, b, c):
-            L[e, e] += 2.0
-        for e, f in ((a, b), (a, c), (b, c)):
-            L[e, f] -= 1.0
-            L[f, e] -= 1.0
-    return L
+    return _face_block_sum(cx, s2, 3.0 * np.eye(3) - 1.0)
 
 
 def _check_len(v, n, name):

@@ -26,6 +26,7 @@ from .complexes import (
     _triangle_rank,
     _triangle_vertices,
     build_candidate_complex,
+    candidate_n0,
     validate_inclusion,
 )
 
@@ -79,6 +80,22 @@ def _read_features(path):
     return raw[:, 1:]
 
 
+def _vertex_array(items, what, width, n0):
+    """One ``topology.json`` simplex list as a ``(count, width)`` array.
+
+    Vertices must be JSON integers ``0 <= v0 < v1 (< v2) < n0``; floats,
+    strings and booleans are a format error, never cast.
+    """
+    if not isinstance(items, list):
+        raise DatasetFormatError(f"{what}s in topology.json must be a list")
+    for s in items:
+        if not (isinstance(s, list) and all(type(v) is int for v in s)):
+            raise DatasetFormatError(f"{what} {s!r} is not a list of integers")
+        if len(s) != width or not all(0 <= a < b < n0 for a, b in zip(s, s[1:])):
+            raise DatasetIndexError(f"{what} {s} outside the candidate range")
+    return np.array(items, dtype=np.int64).reshape(-1, width)
+
+
 def load_real_dataset(path):
     src = Path(path)
     feats = _read_features(src / "node_features.csv")
@@ -87,44 +104,37 @@ def load_real_dataset(path):
         raise DatasetFormatError("need at least 3 nodes")
     try:
         topo = json.loads((src / "topology.json").read_text())
-        edges = [tuple(int(v) for v in e) for e in topo["edges"]]
-        triangles = [tuple(int(v) for v in t) for t in topo["triangles"]]
+        edges, triangles = topo["edges"], topo["triangles"]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad topology.json: {exc}") from None
+    edges = _vertex_array(edges, "edge", 2, n0)
+    triangles = _vertex_array(triangles, "triangle", 3, n0)
 
-    cx = build_candidate_complex(n0)
-    for e in edges:
-        if len(e) != 2 or not (0 <= e[0] < e[1] < n0):
-            raise DatasetIndexError(f"edge {e} outside the candidate range")
-    for t in triangles:
-        if len(t) != 3 or not (0 <= t[0] < t[1] < t[2] < n0):
-            raise DatasetIndexError(f"triangle {t} outside the candidate range")
-    if len(set(edges)) != len(edges) or len(set(triangles)) != len(triangles):
+    e_idx = np.sort(_edge_rank(n0, *edges.T))
+    t_idx = np.sort(_triangle_rank(n0, *triangles.T))
+    if (np.diff(e_idx) == 0).any() or (np.diff(t_idx) == 0).any():
         raise DatasetFormatError("duplicate simplices in topology.json")
-
-    e_idx = sorted(cx.edge_id(i, j) for i, j in edges)
-    t_idx = sorted(cx.triangle_id(i, j, k) for i, j, k in triangles)
-    truth = Selection.from_indices(cx.n_edges, cx.n_triangles, e_idx, t_idx)
-    missing = validate_inclusion(cx, truth)
+    cx = build_candidate_complex(n0)
+    missing = validate_inclusion(
+        cx, Selection.from_indices(cx.n_edges, cx.n_triangles, e_idx, t_idx))
     if missing:
         t, e = missing[0]
+        tri = [int(v[0]) for v in _triangle_vertices(n0, [t])]
+        edge = [int(v[0]) for v in _edge_vertices(n0, [e])]
         raise DatasetInclusionError(
-            f"triangle {cx.triangles[t]} lacks edge {cx.edges[e]} "
-            f"({len(missing)} violations total)")
-    return RealDataset(node_features=feats, ground_truth_edges=e_idx,
-                       ground_truth_triangles=t_idx)
+            f"triangle {tri} lacks edge {edge} ({len(missing)} violations total)")
+    return RealDataset(node_features=feats, ground_truth_edges=e_idx.tolist(),
+                       ground_truth_triangles=t_idx.tolist())
 
 
 def save_real_dataset(ds, path):
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    cx = build_candidate_complex(ds.n0)
     with_ids = np.column_stack([np.arange(ds.n0), ds.node_features])
     np.savetxt(out / "node_features.csv", with_ids, delimiter=",", fmt="%.17g")
-    topo = {
-        "edges": [list(cx.edges[e]) for e in ds.ground_truth_edges],
-        "triangles": [list(cx.triangles[t]) for t in ds.ground_truth_triangles],
-    }
+    edges = np.column_stack(_edge_vertices(ds.n0, ds.ground_truth_edges))
+    tris = np.column_stack(_triangle_vertices(ds.n0, ds.ground_truth_triangles))
+    topo = {"edges": edges.tolist(), "triangles": tris.tolist()}
     (out / "topology.json").write_text(json.dumps(topo, indent=2) + "\n")
     return out
 
@@ -144,8 +154,7 @@ def make_coauthorship_fixture(n_authors=20, n_papers=30, keyword_dim=40,
     if n_authors < 3:
         raise ValueError("need at least 3 authors")
     rng = np.random.default_rng(seed)
-    cx = build_candidate_complex(n_authors)
-    edges = set()
+    edges = set()  # candidate ranks on n_authors nodes
     triangles = set()
     features = np.zeros((n_authors, keyword_dim))
     papers_by = np.zeros(n_authors)
@@ -158,18 +167,17 @@ def make_coauthorship_fixture(n_authors=20, n_papers=30, keyword_dim=40,
         for a in authors:
             features[a] += rng.poisson(topic)
             papers_by[a] += 1
+        ids = authors.tolist()
         for i in range(size):
             for j in range(i + 1, size):
-                edges.add((int(authors[i]), int(authors[j])))
+                edges.add(_edge_rank(n_authors, ids[i], ids[j]))
         if size == 3:
-            triangles.add(tuple(int(a) for a in authors))
+            triangles.add(_triangle_rank(n_authors, *ids))
     # background keyword noise so isolated authors are not all-zero rows
     features += rng.poisson(0.5, size=features.shape)
     features /= np.maximum(papers_by, 1.0)[:, None]
-    e_idx = sorted(cx.edge_id(i, j) for i, j in edges)
-    t_idx = sorted(cx.triangle_id(i, j, k) for i, j, k in triangles)
-    return RealDataset(node_features=features, ground_truth_edges=e_idx,
-                       ground_truth_triangles=t_idx)
+    return RealDataset(node_features=features, ground_truth_edges=sorted(edges),
+                       ground_truth_triangles=sorted(triangles))
 
 
 def subsample_dataset(ds, n_sub, rng):
@@ -211,6 +219,7 @@ def save_selection(sel, path):
 def load_selection(path):
     try:
         payload = json.loads(Path(path).read_text())
+        candidate_n0(payload["n_edges"], payload["n_triangles"])
         return Selection.from_indices(payload["n_edges"],
                                       payload["n_triangles"],
                                       payload["edges"], payload["triangles"])

@@ -87,8 +87,7 @@ def learn_hierarchical(cx, costs, c1, c2):
     )
 
 
-def learn_joint(cx, costs, c1, c2, alpha=None, node_limit=10_000_000,
-                gap_tol=1e-6):
+def learn_joint(cx, costs, c1, c2, alpha=None, node_limit=10_000_000):
     """Exact joint optimum via branch and bound.
 
     The hierarchical solution primes the incumbent when it happens to be
@@ -99,8 +98,7 @@ def learn_joint(cx, costs, c1, c2, alpha=None, node_limit=10_000_000,
     instance = blp.build_joint_instance(cx, costs, c1, c2, alpha=alpha)
     warm = learn_hierarchical(cx, costs, min(c1, cx.n_edges),
                               min(c2, cx.n_triangles)).selection
-    sol = blp.solve(instance, node_limit=node_limit, gap_tol=gap_tol,
-                    warm_start=warm)
+    sol = blp.solve(instance, node_limit=node_limit, warm_start=warm)
     if sol.selection is None:
         raise ValueError(f"no selection satisfies the floors (status {sol.status})")
     return LearnerOutput(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import TRIANGLE_FACE_SIGNS
+from .complexes import TRIANGLE_FACE_SIGNS, _edge_vertices
 
 # Rounding residue below this magnitude is clamped to zero so that cost
 # vectors stay nonnegative for the solver and the enumeration oracle.
@@ -56,7 +56,8 @@ def h1_node_smoothness(cx, x0):
     ``h1[e] = sum_f (x0[j, f] - x0[i, f])**2`` for edge ``e = (i, j)``.
     """
     x0 = _check_rows(x0, cx.n0, "x0")
-    diff = x0[[j for _, j in cx.edges]] - x0[[i for i, _ in cx.edges]]
+    i, j = _edge_vertices(cx.n0, np.arange(cx.n_edges))
+    diff = x0[j] - x0[i]
     return _clamped(np.einsum("ef,ef->e", diff, diff))
 
 

@@ -120,6 +120,31 @@ def test_eval_rejects_bad_indices(tmp_path, capsys, index):
     assert "edge indices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_edges, n_triangles, key", [
+    (7, 35, "n_edges"),  # not n0 (n0 - 1) / 2 for any n0
+    (10**13, 1, "n_edges"),  # must be rejected before a 10 TB allocation
+    (1, 0, "n_edges"),  # n0 = 2 has no triangles
+    (-3, 1, "n_edges"),
+    (True, 1, "n_edges"),
+    (3.0, 1, "n_edges"),
+    ("3", 1, "n_edges"),
+    (3, 2, "n_triangles"),  # n0 = 3 has one triangle
+    (15, 19, "n_triangles"),
+    (3, True, "n_triangles"),
+    (3, None, "n_triangles"),
+], ids=str)
+def test_eval_rejects_sizes_of_no_candidate_complex(tmp_path, capsys, n_edges,
+                                                    n_triangles, key):
+    truth = tmp_path / "truth.json"
+    save_selection(Selection.from_indices(3, 1, [0], []), truth)
+    est = tmp_path / "est.json"
+    est.write_text(json.dumps({"n_edges": n_edges, "n_triangles": n_triangles,
+                               "edges": [], "triangles": []}))
+    for a, b in ((est, truth), (truth, est)):
+        assert main(["eval", "--estimate", str(a), "--truth", str(b)]) == 1
+        assert key in capsys.readouterr().err
+
+
 def _dump_instance(tmp_path, c1, c2, seed=4):
     rng = np.random.default_rng(seed)
     cx = build_candidate_complex(6)
@@ -202,9 +227,10 @@ def test_solve_rejects_non_finite_instance_values(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("line", ["c1 -2", "c2 -1", "alpha 5.0", "alpha 0.0",
                                   "alpha -0.25", "alpha 0.2500001",
-                                  "n_edges 14", "n_edges 16"])
+                                  "n_edges 14", "n_edges 16",
+                                  "n_triangles 19", "n_triangles 21"])
 def test_solve_rejects_out_of_range_scalars(tmp_path, capsys, line):
-    # n0 = 6: 15 edges, and alpha must lie in (0, 1/4]
+    # n0 = 6: 15 edges, 20 triangles, and alpha must lie in (0, 1/4]
     _, path = _dump_instance(tmp_path, 6, 3)
     key = line.split()[0]
     text = "".join(line + "\n" if ln.split()[0] == key else ln

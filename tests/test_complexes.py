@@ -13,7 +13,6 @@ from sctopo.complexes import (
     _edge_vertices,
     _triangle_vertices,
     build_candidate_complex,
-    enumerate_simplices,
     hodge_laplacian_edge,
     laplacian_node,
     laplacian_upper_edge,
@@ -22,19 +21,32 @@ from sctopo.complexes import (
 )
 
 
-def test_enumeration_is_lexicographic():
-    assert enumerate_simplices(4, 1) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert enumerate_simplices(4, 2) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    for n0 in range(3, 9):
-        for k in (1, 2):
-            assert enumerate_simplices(n0, k) == list(combinations(range(n0), k + 1))
+def _reference_complex(n0):
+    """Edges, triangles, faces and dense incidence built from combinations."""
+    edges = list(combinations(range(n0), 2))
+    triangles = list(combinations(range(n0), 3))
+    pos = {e: r for r, e in enumerate(edges)}
+    faces = [[pos[(i, j)], pos[(i, k)], pos[(j, k)]] for i, j, k in triangles]
+    b1 = np.zeros((n0, len(edges)), dtype=np.int64)
+    for r, (i, j) in enumerate(edges):
+        b1[i, r], b1[j, r] = -1, 1
+    b2 = np.zeros((len(edges), len(triangles)), dtype=np.int64)
+    for t, f in enumerate(faces):
+        b2[f, t] = (1, -1, 1)
+    return edges, triangles, np.array(faces, dtype=np.int64), b1, b2
 
 
-def test_enumeration_rejects_bad_input():
-    with pytest.raises(ValueError):
-        enumerate_simplices(5, 3)
-    with pytest.raises(ValueError):
-        enumerate_simplices(2, 2)
+def test_build_matches_combinations_reference():
+    for n0 in range(3, 26):
+        cx = build_candidate_complex(n0)
+        edges, triangles, faces, b1, b2 = _reference_complex(n0)
+        assert cx.edges == tuple(edges)
+        assert cx.triangles == tuple(triangles)
+        assert all(type(v) is int for v in cx.edges[-1] + cx.triangles[-1])
+        assert cx.triangle_edges.dtype == np.int64
+        assert np.array_equal(cx.triangle_edges, faces)
+        assert np.array_equal(cx.b1, b1) and cx.b1.dtype == np.int64
+        assert np.array_equal(cx.b2, b2) and cx.b2.dtype == np.int64
 
 
 def test_index_formulas_match_list_position():
@@ -204,10 +216,13 @@ def test_laplacians_equal_dense_incidence_formulas():
         ):
             dense_node = (cx.b1 * s1) @ cx.b1.T.astype(float)
             dense_up = (cx.b2 * s2) @ cx.b2.T.astype(float)
+            dense_sim = (3 * np.diag(cx.b2_plus @ s2)
+                         - (cx.b2_plus * s2) @ cx.b2_plus.T.astype(float))
             L0, Lup = laplacian_node(cx, s1), laplacian_upper_edge(cx, s2)
             assert L0.dtype == Lup.dtype == np.float64
             assert np.array_equal(L0, dense_node)
             assert np.array_equal(Lup, dense_up)
+            assert np.array_equal(similarity_laplacian(cx, s2), dense_sim)
 
 
 def test_rank_inverses_round_trip():
@@ -243,11 +258,13 @@ def test_build_rejects_small_n0():
 
 
 def test_build_allocates_no_dense_incidence():
-    # the three dense matrices of a 60-node complex take about 970 MB
-    tracemalloc.start()
-    try:
-        build_candidate_complex(60)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 50e6
+    # the three dense matrices of a 60-node complex take about 970 MB, and
+    # the vertex tuples of a 120-node one about 20 MB
+    for n0, limit in ((60, 50e6), (120, 30e6)):
+        tracemalloc.start()
+        try:
+            build_candidate_complex(n0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, n0

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sctopo.cli import main
 from sctopo.complexes import Selection, build_candidate_complex, validate_inclusion
 from sctopo.datagen import stage_rng
 from sctopo.datasets import (
@@ -90,6 +91,25 @@ def test_more_format_rejections(tmp_path):
 
     with pytest.raises(DatasetFormatError):
         load_real_dataset(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize("key, simplex", [
+    ("edges", [0, 3.5]), ("edges", [0, "3"]), ("edges", [True, 3]),
+    ("edges", [0.0, 3]), ("triangles", [0, 1, 2.0]), ("triangles", "012"),
+], ids=json.dumps)
+def test_run_rejects_non_integer_vertices(tmp_path, capsys, key, simplex):
+    # none may be cast: int() would read [0, 3.5] as the edge (0, 3)
+    topo = {"edges": [[0, 1], [0, 2], [1, 2]], "triangles": [[0, 1, 2]]}
+    topo[key] = topo[key] + [simplex]
+    _write_dataset(tmp_path / "d", np.ones((4, 2)), **topo)
+    with pytest.raises(DatasetFormatError, match="not a list of integers"):
+        load_real_dataset(tmp_path / "d")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "real", "dataset_path": str(tmp_path / "d"),
+                               "n0_values": [4], "seeds": [0]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "not a list of integers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_save_load_round_trip(tmp_path):
