@@ -21,6 +21,7 @@ test suite; it shares no code with ``solve`` beyond the instance type.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
@@ -30,7 +31,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .complexes import Selection, candidate_n0
+from .complexes import Selection, build_candidate_complex, candidate_n0
 from .simplex_lp import BASIC, extend_binv_for_new_rows, solve_lp
 
 _PRUNE_REL = 1e-9  # pruning slack, relative to the incumbent objective
@@ -140,33 +141,34 @@ class _RowPool:
         return int(t.size)
 
 
-def _solve_node(pool, c, lower, upper, basis, vstat, binv):
+def _solve_node(pool, c, lower, upper, warm):
     """LP over the pool, regenerating violated inclusion rows until clean.
 
-    ``basis``/``vstat``/``binv`` warm-start the first LP, or are all None
-    for a cold start.
+    ``warm`` is an earlier :class:`LpResult` whose final basis starts the
+    first LP, or None for a cold start.  Rows the pool gained after ``warm``
+    was solved enter with their slacks basic.
     """
-    warm = basis is not None
+    n = pool.n
     while True:
+        basis = vstat = binv = None
+        if warm is not None:
+            basis, vstat, binv = warm.basis, warm.vstat, warm.binv
+            m_old = basis.size
+            if m_old < pool.m:
+                binv = extend_binv_for_new_rows(binv, pool.A[m_old : pool.m, :n],
+                                                basis, n)
+                basis = np.concatenate([basis, np.arange(n + m_old, n + pool.m)])
+                vstat = np.concatenate(
+                    [vstat, np.full(pool.m - m_old, BASIC, dtype=np.int8)])
         res = solve_lp(c, pool.A[: pool.m], pool.b[: pool.m], lower, upper,
                        basis=basis, vstat=vstat, binv=binv)
-        if res.status == "infeasible" and warm:
+        if res.status == "infeasible" and warm is not None:
             # a numerically drifted warm basis could misreport; certify cold
-            warm = False
-            basis = vstat = binv = None
+            warm = None
             continue
-        if res.status != "optimal":
+        if res.status != "optimal" or pool.add_violated(res.x) == 0:
             return res
-        m_old = pool.m
-        if pool.add_violated(res.x) == 0:
-            return res
-        k = pool.m - m_old
-        n = pool.n
-        basis = np.concatenate([res.basis, np.arange(n + m_old, n + pool.m)])
-        vstat = np.concatenate([res.vstat, np.full(k, BASIC, dtype=np.int8)])
-        binv = extend_binv_for_new_rows(res.binv, pool.A[m_old : pool.m, :n],
-                                        res.basis, n)
-        warm = True
+        warm = res
 
 
 def _feasible_exact(instance, s1, s2):
@@ -209,19 +211,19 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
             return inf
         return inc_obj - _PRUNE_REL * max(1.0, abs(inc_obj))
 
-    # heap of (bound, seq, lower, upper, basis, vstat, binv); bounds stored
-    # as int8.  The two children of a node share its final basis, statuses
-    # and basis inverse (solve_lp copies them on entry), so each branched
-    # node with an open child holds O(m^2) floats for its inverse.
+    # heap of (bound, seq, lower, upper, parent LP result); bounds stored as
+    # int8.  The two children of a node share its LpResult (solve_lp copies
+    # the arrays on entry), so each branched node with an open child holds
+    # O(m^2) floats for its basis inverse.
     seq = 0
     heap = [(0.0, seq, np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8),
-             None, None, None)]
+             None)]
     explored = 0
     lb_cap = inf  # min bound over pruned subtrees
     status = "optimal"
 
     while heap:
-        bound, _, lo8, up8, basis, vstat, binv = heapq.heappop(heap)
+        bound, _, lo8, up8, warm = heapq.heappop(heap)
         if bound >= prune_at():
             # best-first order: every open node is at least this bad
             lb_cap = min(lb_cap, bound)
@@ -232,17 +234,7 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
             break
         explored += 1
 
-        lower = lo8.astype(float)
-        upper = up8.astype(float)
-        if basis is not None and basis.size < pool.m:
-            # rows generated since this snapshot was taken: slacks enter basic
-            m_snap = basis.size
-            binv = extend_binv_for_new_rows(binv, pool.A[m_snap : pool.m, :n],
-                                            basis, n)
-            extra = np.arange(n + m_snap, n + pool.m)
-            basis = np.concatenate([basis, extra])
-            vstat = np.concatenate([vstat, np.full(extra.size, BASIC, np.int8)])
-        res = _solve_node(pool, c, lower, upper, basis, vstat, binv)
+        res = _solve_node(pool, c, lo8.astype(float), up8.astype(float), warm)
         if res.status == "infeasible":
             continue
         if res.bound >= prune_at():
@@ -278,8 +270,7 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
             else:
                 lo_c[j] = 1
             seq += 1
-            heapq.heappush(heap, (res.bound, seq, lo_c, up_c,
-                                  res.basis, res.vstat, res.binv))
+            heapq.heappush(heap, (res.bound, seq, lo_c, up_c, res))
 
     wall = time.perf_counter() - t0
     if inc_sel is None:
@@ -311,7 +302,7 @@ def lp_bound(instance, fixed_edges=None, fixed_triangles=None):
         return inf
     c = np.concatenate([instance.h1, instance.h2])
     pool = _RowPool(instance)
-    res = _solve_node(pool, c, lower, upper, None, None, None)
+    res = _solve_node(pool, c, lower, upper, None)
     return inf if res.status == "infeasible" else float(res.bound)
 
 
@@ -390,6 +381,12 @@ def write_instance(instance, path):
         fh.write("\n".join(lines) + "\n")
 
 
+@functools.lru_cache(maxsize=1)
+def _candidate_faces(n0):
+    # files of one size are usually read in a row; the array is read-only
+    return build_candidate_complex(n0).triangle_edges
+
+
 def read_instance(path):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -444,7 +441,8 @@ def read_instance(path):
         raise ValueError("instance file is missing entries")
     if (h1 < 0).any() or (h2 < 0).any():
         raise ValueError("costs must be nonnegative")
-    if (tri < 0).any() or (tri >= n1).any():
-        raise ValueError("triangle face indices out of range")
+    if not np.array_equal(tri, _candidate_faces(n0)):
+        raise ValueError(f"tri rows differ from the candidate complex on "
+                         f"{n0} nodes")
     return BlpInstance(n_edges=n1, n_triangles=n2, h1=h1, h2=h2, c1=c1, c2=c2,
                        alpha=alpha, triangle_edges=tri)

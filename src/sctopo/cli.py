@@ -8,6 +8,7 @@ the candidate counts), since that is a property of the input file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -44,15 +45,7 @@ def _cmd_run(args):
 def _cmd_eval(args):
     estimate = load_selection(args.estimate)
     truth = load_selection(args.truth)
-    score = f1_scores(estimate, truth)
-    print(json.dumps({
-        "f1_edges": score.f1_edges,
-        "f1_triangles": score.f1_triangles,
-        "precision_edges": score.precision_edges,
-        "recall_edges": score.recall_edges,
-        "precision_triangles": score.precision_triangles,
-        "recall_triangles": score.recall_triangles,
-    }, indent=2))
+    print(json.dumps(dataclasses.asdict(f1_scores(estimate, truth)), indent=2))
     return 0
 
 

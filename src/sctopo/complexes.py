@@ -225,6 +225,8 @@ def _indicator(n, indices, name):
     if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu"
                      or idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"{name} indices must be integers in [0, {n})")
+    if np.unique(idx).size != idx.size:
+        raise ValueError(f"{name} indices must not repeat")
     v = np.zeros(n, dtype=np.int8)
     v[idx.astype(np.int64)] = 1
     return v

@@ -9,8 +9,8 @@ for the branch-and-bound use case:
   where costs are nonnegative and variables live in ``[0, 1]``);
 * changing variable bounds never destroys dual feasibility of a basis, so
   a parent node's final basis and its inverse warm-start both children
-  (the branch and bound in :mod:`sctopo.blp` holds one O(m^2) inverse per
-  branched node that still has an open child);
+  (the heap of :mod:`sctopo.blp` holds the parent's :class:`LpResult`,
+  one O(m^2) inverse per branched node that still has an open child);
 * appending rows with their slacks basic is also dual feasible, which is
   what lazy constraint generation needs;
 * every iterate of the dual simplex is a valid lower bound on the LP
@@ -20,11 +20,14 @@ State carried across pivots: the basis inverse (a rank-one update in
 place), the basic values ``xB`` (moved along the entering column) and the
 reduced costs ``d`` (moved along the pivot row).  ``xB`` and ``d`` are
 computed from the inverse at the start; all three are recomputed from the
-basis every ``refresh_every`` pivots of a call, which bounds their drift,
+basis every ``_REFRESH_EVERY`` pivots of a call, which bounds their drift,
 and ``xB`` once more, with the bounds tested again, before a solve reports
 ``"optimal"``.  An inverse passed in is used as given, so an inverse
 carried from call to call is refreshed only by a call that runs
-``refresh_every`` pivots.
+``_REFRESH_EVERY`` pivots.
+
+The tolerances and limits are module constants (``_FEAS_TOL``,
+``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``), read at each call.
 
 Ratio test: the textbook dual ratio test picks the entering variable first.
 When that variable has a finite box and moving it across the whole box
@@ -56,6 +59,10 @@ NB_LOWER, NB_UPPER, BASIC, NB_FIXED = 0, 1, 2, 3
 
 _PIV_TOL = 1e-9
 _RATIO_TIE = 1e-12
+_FEAS_TOL = 1e-9  # largest bound violation a basic value may show at optimum
+_MAX_ITER = 100_000  # pivots per call before "iteration_limit"
+_BLAND_AFTER = 1000  # degenerate pivots in a row before Bland's rule
+_REFRESH_EVERY = 200  # pivots between reinversions of the basis
 # direction a nonbasic variable moves off its bound, by status: +1 up from
 # its lower bound, -1 down from its upper bound, 0 when basic or fixed
 _TOWARD = np.array([1.0, -1.0, 0.0, 0.0])
@@ -65,8 +72,7 @@ _TOWARD = np.array([1.0, -1.0, 0.0, 0.0])
 class LpResult:
     status: str  # "optimal" | "infeasible" | "iteration_limit"
     x: np.ndarray
-    objective: float
-    bound: float  # valid lower bound on the LP optimum (inf when infeasible)
+    bound: float  # c @ x, a lower bound on the LP optimum; inf when infeasible
     iterations: int
     basis: np.ndarray
     vstat: np.ndarray
@@ -103,20 +109,7 @@ def extend_binv_for_new_rows(binv, A_new_rows, basis, n):
     return out
 
 
-def solve_lp(
-    c,
-    A,
-    b,
-    lower,
-    upper,
-    basis=None,
-    vstat=None,
-    binv=None,
-    max_iter=100_000,
-    feas_tol=1e-9,
-    bland_after=1000,
-    refresh_every=200,
-):
+def solve_lp(c, A, b, lower, upper, basis=None, vstat=None, binv=None):
     """Dual simplex on ``min c@x, A x <= b, lower <= x <= upper``.
 
     ``basis``/``vstat``/``binv`` restore a previous (dual-feasible) state;
@@ -133,8 +126,8 @@ def solve_lp(
     lower_e = np.concatenate([lower, np.zeros(m)])
     upper_e = np.concatenate([upper, np.full(m, np.inf)])
     range_e = upper_e - lower_e
-    if (lower_e > upper_e + feas_tol).any():
-        return LpResult("infeasible", np.zeros(n), np.inf, np.inf, 0, None, None, None)
+    if (lower_e > upper_e + _FEAS_TOL).any():
+        return LpResult("infeasible", np.zeros(n), np.inf, 0, None, None, None)
     c_e = np.concatenate([c, np.zeros(m)])
 
     if basis is None:
@@ -174,12 +167,12 @@ def solve_lp(
     fresh = True  # xB computed from binv rather than carried across pivots
     degen_run = 0
     it = 0
-    while it < max_iter:
+    while it < _MAX_ITER:
         below = lower_b - xB
         above = xB - upper_b
         viol = np.maximum(below, above)
         r = int(viol.argmax())
-        if viol[r] <= feas_tol:
+        if viol[r] <= _FEAS_TOL:
             if not fresh:
                 # carried values drift; certify optimality on recomputed ones
                 xB = _basic_values(binv, A, b, _nonbasic_values(vstat, basis, lower_e, upper_e))
@@ -188,9 +181,9 @@ def solve_lp(
             x = _nonbasic_values(vstat, basis, lower_e, upper_e)
             x[basis] = xB
             obj = float(c @ x[:n])
-            return LpResult("optimal", x[:n], obj, obj, it, basis, vstat, binv)
-        if degen_run > bland_after:
-            rows = (viol > feas_tol).nonzero()[0]
+            return LpResult("optimal", x[:n], obj, it, basis, vstat, binv)
+        if degen_run > _BLAND_AFTER:
+            rows = (viol > _FEAS_TOL).nonzero()[0]
             r = int(rows[basis[rows].argmin()])
 
         s = 1.0 if above[r] > below[r] else -1.0
@@ -202,13 +195,13 @@ def solve_lp(
         if cand.size == 0:
             # dual ray: the primal subproblem has no feasible point
             x_nb = _nonbasic_values(vstat, basis, lower_e, upper_e)
-            return LpResult("infeasible", x_nb[:n], np.inf, np.inf, it, basis, vstat, binv)
+            return LpResult("infeasible", x_nb[:n], np.inf, it, basis, vstat, binv)
 
         ratios = np.maximum(d[cand] / alpha[cand], 0.0)
         theta = ratios.min()
         entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
-        if (degen_run <= bland_after
-                and viol[r] - abs(alpha[entering]) * range_e[entering] > feas_tol):
+        if (degen_run <= _BLAND_AFTER
+                and viol[r] - abs(alpha[entering]) * range_e[entering] > _FEAS_TOL):
             # long step: the entering variable would cross its whole box and
             # still leave row r infeasible.  Pass the breakpoints in (ratio,
             # index) order, flipping each variable to its other bound while
@@ -218,7 +211,7 @@ def solve_lp(
             order = ratios.argsort(kind="stable")
             srt = cand[order]
             left = viol[r] - np.cumsum(np.abs(alpha[srt]) * range_e[srt])
-            stop = (left <= feas_tol).nonzero()[0]
+            stop = (left <= _FEAS_TOL).nonzero()[0]
             k = int(stop[0]) if stop.size else srt.size - 1
             entering = int(srt[k])
             theta = ratios[order[k]]
@@ -259,7 +252,7 @@ def solve_lp(
 
         degen_run = degen_run + 1 if theta <= _RATIO_TIE else 0
         it += 1
-        if it % refresh_every == 0:
+        if it % _REFRESH_EVERY == 0:
             binv = np.linalg.inv(build_basis_matrix(A, basis))
             xB = _basic_values(binv, A, b, _nonbasic_values(vstat, basis, lower_e, upper_e))
             d = _reduced_costs(binv, A, c_e, basis)
@@ -272,7 +265,7 @@ def solve_lp(
     x = _nonbasic_values(vstat, basis, lower_e, upper_e)
     x[basis] = _basic_values(binv, A, b, x)
     obj = float(c @ x[:n])
-    return LpResult("iteration_limit", x[:n], obj, obj, it, basis, vstat, binv)
+    return LpResult("iteration_limit", x[:n], obj, it, basis, vstat, binv)
 
 
 def _nonbasic_values(vstat, basis, lower_e, upper_e):

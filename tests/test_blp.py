@@ -63,13 +63,14 @@ def test_solve_matches_oracle_on_branching_instances():
     assert got.selection.same_as(want.selection)
 
 
-@pytest.mark.parametrize("refresh_every", [7, 200])  # 200: solve_lp's default
+@pytest.mark.parametrize("refresh_every", [7, 200])  # 200: the default
 def test_children_start_from_the_parents_basis_inverse(monkeypatch,
                                                        refresh_every):
     rng = np.random.default_rng(4)
     cx = build_candidate_complex(6)
     inst = build_joint_instance(cx, _near_uniform_costs(rng, cx), 6, 3)
     want = solve(inst)
+    monkeypatch.setattr(simplex_lp, "_REFRESH_EVERY", refresh_every)
 
     build_basis = simplex_lp.build_basis_matrix
     built = []
@@ -89,8 +90,7 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
             np.testing.assert_allclose(binv @ build_basis(A, basis),
                                        np.eye(A.shape[0]), atol=1e-8)
         res = simplex_lp.solve_lp(c, A, b, lower, upper, basis=basis,
-                                  vstat=vstat, binv=binv,
-                                  refresh_every=refresh_every)
+                                  vstat=vstat, binv=binv)
         pivots.append(res.iterations)
         return res
 
@@ -113,11 +113,11 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
         assert built == []
     else:
         assert built  # the reinversion path ran
-    # siblings are pushed in pairs and share one snapshot of each array
+    # siblings are pushed in pairs and share their parent's one LP result
     assert pushed and len(pushed) % 2 == 0
     for down, up in zip(pushed[::2], pushed[1::2]):
-        assert down[6] is not None
-        assert all(down[k] is up[k] for k in (4, 5, 6))
+        assert down[4] is up[4]
+        assert down[4].binv is not None
 
 
 def test_solution_satisfies_floors_and_inclusion():
@@ -334,6 +334,9 @@ def test_instance_io_round_trip(tmp_path):
     a, b = solve(inst), solve(back)
     assert a.objective == b.objective
     assert a.selection.same_as(b.selection)
+    again = tmp_path / "again.txt"
+    write_instance(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_read_instance_rejects_malformed_files(tmp_path):
@@ -345,13 +348,19 @@ def test_read_instance_rejects_malformed_files(tmp_path):
     write_instance(inst, good)
     text = good.read_text()
 
+    def with_tri0(row):
+        return "\n".join(row if ln.startswith("tri 0") else ln
+                         for ln in text.splitlines())
+
+    tri0 = inst.triangle_edges[0]
     cases = {
         "magic": text.replace("sctopo-blp 1", "sctopo-blp 9", 1),
         "scalar": text.replace("c2 1\n", ""),
         "entry": text.replace("h1 3 ", "h1 0 ", 1),  # leaves h1[3] unset
         "negative": text.replace("h2 0 ", "h2 0 -", 1),
-        "face": "\n".join("tri 0 0 1 99" if ln.startswith("tri 0") else ln
-                          for ln in text.splitlines()),
+        "face": with_tri0("tri 0 0 1 99"),
+        "repeated face": with_tri0("tri 0 0 0 0"),
+        "swapped faces": with_tri0(f"tri 0 {tri0[1]} {tri0[0]} {tri0[2]}"),
         "junk": text + "wat 0 0\n",
     }
     for name, mangled in cases.items():

@@ -120,6 +120,19 @@ def test_eval_rejects_bad_indices(tmp_path, capsys, index):
     assert "edge indices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["edges", "triangles"])
+def test_eval_rejects_repeated_indices(tmp_path, capsys, key):
+    truth = tmp_path / "truth.json"
+    save_selection(Selection.from_indices(3, 1, [0], []), truth)
+    est = tmp_path / "est.json"
+    payload = {"n_edges": 3, "n_triangles": 1, "edges": [], "triangles": []}
+    payload[key] = [0, 0]
+    est.write_text(json.dumps(payload))
+    for a, b in ((est, truth), (truth, est)):
+        assert main(["eval", "--estimate", str(a), "--truth", str(b)]) == 1
+        assert "must not repeat" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n_edges, n_triangles, key", [
     (7, 35, "n_edges"),  # not n0 (n0 - 1) / 2 for any n0
     (10**13, 1, "n_edges"),  # must be rejected before a 10 TB allocation

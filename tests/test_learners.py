@@ -5,6 +5,8 @@ import pytest
 
 from sctopo.blp import oracle_enumerate
 from sctopo.complexes import Selection, build_candidate_complex, validate_inclusion
+from sctopo.datagen import SynthConfig, make_bundle
+from sctopo.experiment import PRIOR_TO_KIND
 from sctopo.learners import (
     default_gamma,
     feasible_triangles,
@@ -12,7 +14,7 @@ from sctopo.learners import (
     learn_hierarchical,
     learn_joint,
 )
-from sctopo.smoothness import CostVectors
+from sctopo.smoothness import CostVectors, compute_costs
 
 
 def _random_costs(rng, cx, scale=3.0):
@@ -221,3 +223,22 @@ def test_hierarchical_and_greedy_report_wall_time():
                 learn_greedy(cx, costs, 8, 2),
                 learn_greedy(cx, costs, 8, 2, init="hierarchical")):
         assert 0.0 < out.diagnostics["wall_time"] < 60.0, out.method
+
+
+@pytest.mark.parametrize("prior", ["low_curl", "similarity"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_joint_selection_does_not_depend_on_cost_scale(seed, prior):
+    # TREND-sized instances: the pivot tolerances are absolute, so costs
+    # scaled far below and far above 1 must still give the same optimum
+    bundle = make_bundle(SynthConfig(n0=20, seed=seed, edge_prior=prior))
+    cx = build_candidate_complex(20)
+    costs = compute_costs(cx, bundle.x0, bundle.x1bar, PRIOR_TO_KIND[prior])
+    c1, c2 = bundle.truth.n_selected_edges, bundle.truth.n_selected_triangles
+    want = learn_joint(cx, costs, c1, c2)
+    assert want.diagnostics["status"] == "optimal"
+    for scale in (1e-6, 1e6):
+        scaled = CostVectors(h1=costs.h1 * scale, h2=costs.h2 * scale,
+                             h2_kind=costs.h2_kind)
+        got = learn_joint(cx, scaled, c1, c2)
+        assert got.diagnostics["status"] == "optimal"
+        assert got.selection.same_as(want.selection), scale

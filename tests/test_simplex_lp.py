@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from sctopo import simplex_lp
 from sctopo.simplex_lp import (
     BASIC,
     NB_FIXED,
@@ -49,7 +50,7 @@ def test_matches_scipy_on_random_boxes():
             assert ref.status == 0
             assert res.status == "optimal", trial
             n_feasible += 1
-            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert res.bound == pytest.approx(ref.fun, abs=1e-7)
             assert np.all(A @ res.x <= b + 1e-7)
             assert np.all(res.x >= lower - 1e-9)
             assert np.all(res.x <= upper + 1e-9)
@@ -71,7 +72,7 @@ def test_negative_costs_start_at_upper():
             assert res.status == "infeasible"
         else:
             assert res.status == "optimal"
-            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert res.bound == pytest.approx(ref.fun, abs=1e-7)
 
 
 def test_fixed_variables_respected():
@@ -89,7 +90,7 @@ def test_fixed_variables_respected():
         else:
             assert res.status == "optimal"
             assert res.x[j] == pytest.approx(v, abs=1e-9)
-            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert res.bound == pytest.approx(ref.fun, abs=1e-7)
 
 
 def test_warm_start_after_bound_change_matches_cold():
@@ -112,7 +113,7 @@ def test_warm_start_after_bound_change_matches_cold():
         cold = solve_lp(c, A, b, lower2, upper2)
         assert warm.status == cold.status
         if warm.status == "optimal":
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+            assert warm.bound == pytest.approx(cold.bound, abs=1e-7)
             # warm starts should not be slower than a cold start by much;
             # typically they take far fewer pivots
             assert warm.iterations <= cold.iterations + m
@@ -139,10 +140,11 @@ def test_row_extension_keeps_solving():
             assert warm.status == "infeasible"
         else:
             assert warm.status == "optimal"
-            assert warm.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert warm.bound == pytest.approx(ref.fun, abs=1e-7)
 
 
-def test_iteration_limit_bound_is_valid():
+def test_iteration_limit_bound_is_valid(monkeypatch):
+    monkeypatch.setattr(simplex_lp, "_MAX_ITER", 2)
     rng = np.random.default_rng(13)
     for _ in range(20):
         n, m = 12, 10
@@ -150,7 +152,7 @@ def test_iteration_limit_bound_is_valid():
         ref = _scipy_solve(c, A, b, lower, upper)
         if ref.status != 0:
             continue
-        short = solve_lp(c, A, b, lower, upper, max_iter=2)
+        short = solve_lp(c, A, b, lower, upper)
         if short.status == "iteration_limit":
             assert short.bound <= ref.fun + 1e-7
 
@@ -178,16 +180,17 @@ def test_fixed_marker_set_on_equal_bounds():
     assert res.x[1] == pytest.approx(1.0)
 
 
-def test_fixed_markers_follow_the_current_bounds():
+def test_fixed_markers_follow_the_current_bounds(monkeypatch):
     # columns: two fixed markers whose bounds separated (costs of either
     # sign), a basic variable with equal bounds, a nonbasic one with equal
     # bounds, then the slack of the single row
     c = np.array([1.0, -1.0, 2.0, 3.0])
     A = np.ones((1, 4))
+    monkeypatch.setattr(simplex_lp, "_MAX_ITER", 0)
     res = solve_lp(c, A, np.array([10.0]), np.array([0.0, 0.0, 0.0, 1.0]),
                    np.array([1.0, 1.0, 0.0, 1.0]), basis=np.array([2]),
                    vstat=np.array([NB_FIXED, NB_FIXED, BASIC, NB_LOWER,
-                                   NB_LOWER]), max_iter=0)
+                                   NB_LOWER]))
     assert res.status == "iteration_limit"
     assert res.vstat.tolist() == [NB_LOWER, NB_UPPER, BASIC, NB_FIXED,
                                   NB_LOWER]
@@ -205,22 +208,24 @@ def _assert_basic_values_from_basis(res, A, b):
 
 
 @pytest.mark.parametrize("refresh_every", [1, 7])
-def test_carried_values_match_scipy_at_any_refresh_interval(refresh_every):
+def test_carried_values_match_scipy_at_any_refresh_interval(monkeypatch,
+                                                            refresh_every):
     # refresh_every=1 recomputes x_B and the reduced costs after every
     # pivot; 7 carries them across several pivots between reinversions
+    monkeypatch.setattr(simplex_lp, "_REFRESH_EVERY", refresh_every)
     rng = np.random.default_rng(17)
     n_checked = 0
     for trial in range(60):
         n = int(rng.integers(3, 14))
         m = int(rng.integers(2, 16))
         c, A, b, lower, upper = _random_lp(rng, n, m, nonneg_costs=bool(trial % 2))
-        cold = solve_lp(c, A, b, lower, upper, refresh_every=refresh_every)
+        cold = solve_lp(c, A, b, lower, upper)
         ref = _scipy_solve(c, A, b, lower, upper)
         assert cold.status == ("infeasible" if ref.status == 2 else "optimal"), trial
         if cold.status != "optimal":
             continue
         n_checked += 1
-        assert cold.objective == pytest.approx(ref.fun, abs=1e-7)
+        assert cold.bound == pytest.approx(ref.fun, abs=1e-7)
         _assert_basic_values_from_basis(cold, A, b)
 
         # warm: tighten one bound and restart from the optimal basis
@@ -228,12 +233,11 @@ def test_carried_values_match_scipy_at_any_refresh_interval(refresh_every):
         lower2, upper2 = lower.copy(), upper.copy()
         upper2[j] = lower2[j] = float(cold.x[j] < 0.5)
         warm = solve_lp(c, A, b, lower2, upper2, basis=cold.basis,
-                        vstat=cold.vstat, binv=cold.binv,
-                        refresh_every=refresh_every)
+                        vstat=cold.vstat, binv=cold.binv)
         ref = _scipy_solve(c, A, b, lower2, upper2)
         assert warm.status == ("infeasible" if ref.status == 2 else "optimal")
         if warm.status == "optimal":
-            assert warm.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert warm.bound == pytest.approx(ref.fun, abs=1e-7)
             _assert_basic_values_from_basis(warm, A, b)
 
         # row extension: cut off the cold optimum, slacks enter basic
@@ -244,12 +248,11 @@ def test_carried_values_match_scipy_at_any_refresh_interval(refresh_every):
                        basis=np.concatenate([cold.basis, [n + m, n + m + 1]]),
                        vstat=np.concatenate([cold.vstat, [BASIC, BASIC]]),
                        binv=extend_binv_for_new_rows(cold.binv, extra,
-                                                     cold.basis, n),
-                       refresh_every=refresh_every)
+                                                     cold.basis, n))
         ref = _scipy_solve(c, A2, b2, lower, upper)
         assert ext.status == ("infeasible" if ref.status == 2 else "optimal")
         if ext.status == "optimal":
-            assert ext.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert ext.bound == pytest.approx(ref.fun, abs=1e-7)
             assert np.all(A2 @ ext.x <= b2 + 1e-7)
             _assert_basic_values_from_basis(ext, A2, b2)
     assert n_checked >= 20
@@ -300,7 +303,7 @@ def test_cardinality_row_takes_one_pivot_with_flips(n):
         want = np.zeros(n)
         want[cheapest[:k]] = 1.0
         np.testing.assert_array_equal(res.x, want)
-        assert res.objective == float(c[cheapest[:k]].sum())
+        assert res.bound == float(c[cheapest[:k]].sum())
         assert res.basis.tolist() == [int(cheapest[k - 1])]
         assert sorted(np.flatnonzero(res.vstat == NB_UPPER)) == sorted(cheapest[:k - 1])
 
@@ -344,16 +347,17 @@ def _assert_matches_scipy(res, c, A, b, lower, upper):
         assert res.status == "infeasible"
         return False
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+    assert res.bound == pytest.approx(ref.fun, abs=1e-7)
     assert np.all(A @ res.x <= b + 1e-7)
     assert np.all((res.x >= lower - 1e-9) & (res.x <= upper + 1e-9))
     return True
 
 
 @pytest.mark.parametrize("bland_after", [0, 1000])
-def test_long_step_matches_scipy_cold_and_warm(bland_after):
+def test_long_step_matches_scipy_cold_and_warm(monkeypatch, bland_after):
     # bland_after=0 hands every pivot after a degenerate one to the plain
     # ratio test, so long and plain steps mix within one solve
+    monkeypatch.setattr(simplex_lp, "_BLAND_AFTER", bland_after)
     rng = np.random.default_rng(41)
     n_optimal = n_warm = 0
     for trial in range(80):
@@ -364,7 +368,7 @@ def test_long_step_matches_scipy_cold_and_warm(bland_after):
             c, A, b, lower, upper = _random_lp(
                 rng, int(rng.integers(2, 14)), int(rng.integers(1, 12)),
                 nonneg_costs=bool(trial % 4))
-        cold = solve_lp(c, A, b, lower, upper, bland_after=bland_after)
+        cold = solve_lp(c, A, b, lower, upper)
         if not _assert_matches_scipy(cold, c, A, b, lower, upper):
             continue
         n_optimal += 1
@@ -376,8 +380,7 @@ def test_long_step_matches_scipy_cold_and_warm(bland_after):
             upper2[rng.choice(at_one)] = 0.0
         b2 = b - rng.random(b.size) * (rng.random(b.size) < 0.5)
         warm = solve_lp(c, A, b2, lower2, upper2, basis=cold.basis,
-                        vstat=cold.vstat, binv=cold.binv,
-                        bland_after=bland_after)
+                        vstat=cold.vstat, binv=cold.binv)
         n_warm += _assert_matches_scipy(warm, c, A, b2, lower2, upper2)
     assert n_optimal >= 40 and n_warm >= 20
 
@@ -400,7 +403,8 @@ def test_warm_start_from_upper_bounds_flips_down():
         assert _assert_matches_scipy(warm, c, A, b2, lower, upper)
 
 
-def test_iteration_limit_after_a_long_step_is_a_valid_bound():
+def test_iteration_limit_after_a_long_step_is_a_valid_bound(monkeypatch):
+    monkeypatch.setattr(simplex_lp, "_MAX_ITER", 1)
     rng = np.random.default_rng(47)
     n_stopped = 0
     for _ in range(60):
@@ -409,7 +413,7 @@ def test_iteration_limit_after_a_long_step_is_a_valid_bound():
         ref = _scipy_solve(c, A, b, lower, upper)
         if ref.status != 0:
             continue
-        short = solve_lp(c, A, b, lower, upper, max_iter=1)
+        short = solve_lp(c, A, b, lower, upper)
         if short.status == "iteration_limit":
             n_stopped += 1
             assert short.iterations == 1
