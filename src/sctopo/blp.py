@@ -21,11 +21,10 @@ test suite; it shares no code with ``solve`` beyond the instance type.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, inf
 
@@ -212,9 +211,9 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
         return inc_obj - _PRUNE_REL * max(1.0, abs(inc_obj))
 
     # heap of (bound, seq, lower, upper, parent LP result); bounds stored as
-    # int8.  The two children of a node share its LpResult (solve_lp copies
-    # the arrays on entry), so each branched node with an open child holds
-    # O(m^2) floats for its basis inverse.
+    # int8.  The two children of a node share its LpResult without x
+    # (solve_lp copies the arrays on entry), so each branched node with an
+    # open child holds O(m^2) floats for its basis inverse.
     seq = 0
     heap = [(0.0, seq, np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8),
              None)]
@@ -263,6 +262,7 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
         tri_ties = ties[ties >= n1]
         j = int(tri_ties[0]) if tri_ties.size else int(ties[0])
 
+        res = replace(res, x=None)  # x is not read after branching
         for fix_to in (0, 1):
             lo_c, up_c = lo8.copy(), up8.copy()
             if fix_to == 0:
@@ -381,12 +381,6 @@ def write_instance(instance, path):
         fh.write("\n".join(lines) + "\n")
 
 
-@functools.lru_cache(maxsize=1)
-def _candidate_faces(n0):
-    # files of one size are usually read in a row; the array is read-only
-    return build_candidate_complex(n0).triangle_edges
-
-
 def read_instance(path):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -441,7 +435,7 @@ def read_instance(path):
         raise ValueError("instance file is missing entries")
     if (h1 < 0).any() or (h2 < 0).any():
         raise ValueError("costs must be nonnegative")
-    if not np.array_equal(tri, _candidate_faces(n0)):
+    if not np.array_equal(tri, build_candidate_complex(n0).triangle_edges):
         raise ValueError(f"tri rows differ from the candidate complex on "
                          f"{n0} nodes")
     return BlpInstance(n_edges=n1, n_triangles=n2, h1=h1, h2=h2, c1=c1, c2=c2,
