@@ -5,12 +5,13 @@ minimize ``h1 @ s1 + h2 @ s2`` subject to cardinality floors
 ``sum(s1) >= c1``, ``sum(s2) >= c2`` and the requirement that a selected
 triangle brings all three of its boundary edges with it.
 
-The inclusion requirement is stored per face, ``s2[t] <= s1[e]``, which
-has the same binary feasible set as the aggregated form
-``s1 >= alpha * B2plus @ s2`` for any ``0 < alpha <= 1/(n0 - 2)`` but is a
-tighter relaxation, so the LP bounds used for branch and bound are
-stronger.  ``alpha`` is kept on the instance as metadata so the
-aggregated form can still be checked verbatim.
+The paper writes inclusion as one aggregated constraint,
+``s1 >= alpha * B2plus @ s2`` with ``0 < alpha <= 1/(n0 - 2)``.  Here it
+is stored per face, ``s2[t] <= s1[e]``, which has the same binary
+feasible set for every such ``alpha`` but is a tighter relaxation, so the
+LP bounds used for branch and bound are stronger.  No ``alpha`` is
+therefore stored: an instance is its costs, its floors and the faces of
+its candidate complex, and those faces follow from ``n0``.
 
 ``solve`` runs best-first branch and bound on LP relaxations produced by
 :mod:`sctopo.simplex_lp`, generating violated inclusion rows lazily (the
@@ -48,7 +49,6 @@ class BlpInstance:
     h2: np.ndarray
     c1: int
     c2: int
-    alpha: float
     triangle_edges: np.ndarray  # (n_triangles, 3) edge ids of each face
 
 
@@ -62,20 +62,15 @@ class BlpSolution:
     wall_time: float
 
 
-def _check_floors_and_alpha(n0, c1, c2, alpha):
+def _check_floors(c1, c2):
     if c1 < 0 or c2 < 0:
         raise ValueError(f"cardinality floors must be nonnegative; "
                          f"got c1 {c1}, c2 {c2}")
-    if not 0.0 < alpha <= 1.0 / (n0 - 2):
-        raise ValueError(f"alpha must lie in (0, 1/(n0-2)] with n0 {n0}; "
-                         f"got {alpha}")
 
 
-def build_joint_instance(cx, costs, c1, c2, alpha=None):
+def build_joint_instance(cx, costs, c1, c2):
     c1, c2 = int(c1), int(c2)
-    if alpha is None:
-        alpha = 1.0 / (cx.n0 - 2)
-    _check_floors_and_alpha(cx.n0, c1, c2, alpha)
+    _check_floors(c1, c2)
     if costs.h1.size != cx.n_edges or costs.h2.size != cx.n_triangles:
         raise ValueError("cost vectors do not match the candidate complex")
     if not (np.isfinite(costs.h1).all() and np.isfinite(costs.h2).all()):
@@ -87,7 +82,6 @@ def build_joint_instance(cx, costs, c1, c2, alpha=None):
         h2=np.asarray(costs.h2, dtype=float),
         c1=c1,
         c2=c2,
-        alpha=float(alpha),
         triangle_edges=cx.triangle_edges,
     )
 
@@ -183,8 +177,11 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
     ``warm_start`` seeds the incumbent with a known feasible selection
     (it is ignored if infeasible).  Returns status ``"node_limit"`` with
     the incumbent and a still-valid lower bound when the node budget runs
-    out, so the result is usable as an anytime answer.
+    out, so the result is usable as an anytime answer.  A negative
+    ``node_limit`` raises ``ValueError``.
     """
+    if node_limit < 0:
+        raise ValueError(f"node_limit must be nonnegative; got {node_limit}")
     t0 = time.perf_counter()
     n1, n2 = instance.n_edges, instance.n_triangles
     n = n1 + n2
@@ -359,24 +356,19 @@ def oracle_enumerate(cx, costs, c1, c2, budget=1_000_000):
     return BlpSolution(sel, best_obj, best_obj, "optimal", count, wall)
 
 
-_MAGIC = "sctopo-blp 1"
-_SCALARS = ("n_edges", "n_triangles", "c1", "c2", "alpha")
+_MAGIC = "sctopo-blp 2"
+_SCALARS = ("n_edges", "n_triangles", "c1", "c2")
 
 
 def write_instance(instance, path):
-    """Plain-text dump: one line per scalar, cost entry and triangle row."""
-    lines = [_MAGIC,
-             f"n_edges {instance.n_edges}",
-             f"n_triangles {instance.n_triangles}",
-             f"c1 {instance.c1}",
-             f"c2 {instance.c2}",
-             f"alpha {instance.alpha!r}"]
-    for e, v in enumerate(instance.h1):
-        lines.append(f"h1 {e} {float(v)!r}")
-    for t, v in enumerate(instance.h2):
-        lines.append(f"h2 {t} {float(v)!r}")
-    for t, row in enumerate(instance.triangle_edges):
-        lines.append(f"tri {t} {row[0]} {row[1]} {row[2]}")
+    """Plain-text dump: one line per integer scalar, then per cost entry.
+
+    The triangle faces are not written: ``read_instance`` rebuilds them
+    from the candidate complex that ``n_edges`` determines.
+    """
+    lines = [_MAGIC] + [f"{key} {getattr(instance, key)}" for key in _SCALARS]
+    lines += [f"h1 {e} {float(v)!r}" for e, v in enumerate(instance.h1)]
+    lines += [f"h2 {t} {float(v)!r}" for t, v in enumerate(instance.h2)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -385,58 +377,47 @@ def read_instance(path):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != _MAGIC:
-        raise ValueError("not a recognized instance file")
+        raise ValueError(f"not a recognized instance file: the first line "
+                         f"must be {_MAGIC!r}")
     scalars = {}
     idx = 1
-    while idx < len(lines) and lines[idx].split()[0] not in ("h1", "h2", "tri"):
+    while idx < len(lines) and lines[idx].split()[0] not in ("h1", "h2"):
         key, val = lines[idx].split(maxsplit=1)
         if key not in _SCALARS or key in scalars:
             raise ValueError(f"unknown or repeated line: {lines[idx]!r}")
-        scalars[key] = val
+        scalars[key] = int(val)
         idx += 1
     try:
-        n1 = int(scalars["n_edges"])
-        n2 = int(scalars["n_triangles"])
-        c1 = int(scalars["c1"])
-        c2 = int(scalars["c2"])
-        alpha = float(scalars["alpha"])
+        n1, n2, c1, c2 = [scalars[key] for key in _SCALARS]
     except KeyError as missing:
         raise ValueError(f"instance file lacks {missing}") from None
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite; got {alpha}")
     n0 = candidate_n0(n1, n2)
-    _check_floors_and_alpha(n0, c1, c2, alpha)
+    _check_floors(c1, c2)
     h1 = np.zeros(n1)
     h2 = np.zeros(n2)
-    tri = np.zeros((n2, 3), dtype=np.int64)
-    # line tag -> (array it fills, parser of its values, values per line,
-    # which indices have a line already)
-    rows = {"h1": (h1, float, 1, np.zeros(n1, dtype=bool)),
-            "h2": (h2, float, 1, np.zeros(n2, dtype=bool)),
-            "tri": (tri, int, 3, np.zeros(n2, dtype=bool))}
+    # line tag -> (cost vector it fills, which indices have a line already)
+    rows = {"h1": (h1, np.zeros(n1, dtype=bool)),
+            "h2": (h2, np.zeros(n2, dtype=bool))}
     for ln in lines[idx:]:
         parts = ln.split()
         if parts[0] not in rows:
             raise ValueError(f"unrecognized line: {ln!r}")
-        target, parse, width, seen = rows[parts[0]]
-        if len(parts) != 2 + width:
-            raise ValueError(f"expected an index and {width} value(s): {ln!r}")
+        if len(parts) != 3:
+            raise ValueError(f"expected an index and a value: {ln!r}")
+        target, seen = rows[parts[0]]
         i = int(parts[1])
-        if not 0 <= i < len(target):
+        if not 0 <= i < target.size:
             raise ValueError(f"index out of range: {ln!r}")
         if seen[i]:
             raise ValueError(f"index given twice: {ln!r}")
-        values = [parse(v) for v in parts[2:]]
-        if not all(map(math.isfinite, values)):
+        value = float(parts[2])
+        if not math.isfinite(value):
             raise ValueError(f"non-finite value: {ln!r}")
         seen[i] = True
-        target[i] = values if width > 1 else values[0]
-    if not all(seen.all() for *_, seen in rows.values()):
+        target[i] = value
+    if not all(seen.all() for _, seen in rows.values()):
         raise ValueError("instance file is missing entries")
     if (h1 < 0).any() or (h2 < 0).any():
         raise ValueError("costs must be nonnegative")
-    if not np.array_equal(tri, build_candidate_complex(n0).triangle_edges):
-        raise ValueError(f"tri rows differ from the candidate complex on "
-                         f"{n0} nodes")
     return BlpInstance(n_edges=n1, n_triangles=n2, h1=h1, h2=h2, c1=c1, c2=c2,
-                       alpha=alpha, triangle_edges=tri)
+                       triangle_edges=build_candidate_complex(n0).triangle_edges)

@@ -220,6 +220,10 @@ def load_selection(path):
     try:
         payload = json.loads(Path(path).read_text())
         candidate_n0(payload["n_edges"], payload["n_triangles"])
+        for key in ("edges", "triangles"):
+            if not isinstance(payload[key], list):
+                raise ValueError(f"cannot read selection {path}: {key!r} "
+                                 f"must be a JSON list; got {payload[key]!r}")
         return Selection.from_indices(payload["n_edges"],
                                       payload["n_triangles"],
                                       payload["edges"], payload["triangles"])

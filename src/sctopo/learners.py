@@ -87,7 +87,7 @@ def learn_hierarchical(cx, costs, c1, c2):
     )
 
 
-def learn_joint(cx, costs, c1, c2, alpha=None, node_limit=10_000_000):
+def learn_joint(cx, costs, c1, c2, node_limit=10_000_000):
     """Exact joint optimum via branch and bound.
 
     The hierarchical solution primes the incumbent when it happens to be
@@ -95,7 +95,7 @@ def learn_joint(cx, costs, c1, c2, alpha=None, node_limit=10_000_000):
     ``node_limit`` exhaustion is not an error: the incumbent is returned
     and flagged through ``diagnostics["status"]``.
     """
-    instance = blp.build_joint_instance(cx, costs, c1, c2, alpha=alpha)
+    instance = blp.build_joint_instance(cx, costs, c1, c2)
     warm = learn_hierarchical(cx, costs, min(c1, cx.n_edges),
                               min(c2, cx.n_triangles)).selection
     sol = blp.solve(instance, node_limit=node_limit, warm_start=warm)

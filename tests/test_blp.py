@@ -282,17 +282,15 @@ def test_build_instance_validation():
     cx = build_candidate_complex(5)
     costs = CostVectors(h1=np.ones(cx.n_edges), h2=np.ones(cx.n_triangles),
                         h2_kind="curl")
-    for alpha in (0.0, -0.1, 1.0 / (cx.n0 - 2) + 1e-9):
-        with pytest.raises(ValueError):
-            build_joint_instance(cx, costs, 1, 1, alpha=alpha)
-    with pytest.raises(ValueError):
-        build_joint_instance(cx, costs, -1, 0)
+    for c1, c2 in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_joint_instance(cx, costs, c1, c2)
     short = CostVectors(h1=np.ones(3), h2=np.ones(cx.n_triangles),
                         h2_kind="curl")
     with pytest.raises(ValueError):
         build_joint_instance(cx, short, 1, 1)
     inst = build_joint_instance(cx, costs, 1, 1)
-    assert inst.alpha == pytest.approx(1.0 / (cx.n0 - 2))
+    assert inst.triangle_edges is cx.triangle_edges
 
 
 def test_oracle_budget_refusal():
@@ -327,7 +325,6 @@ def test_instance_io_round_trip(tmp_path):
     assert back.n_edges == inst.n_edges
     assert back.n_triangles == inst.n_triangles
     assert back.c1 == inst.c1 and back.c2 == inst.c2
-    assert back.alpha == inst.alpha
     assert np.array_equal(back.h1, inst.h1)  # repr round-trips floats exactly
     assert np.array_equal(back.h2, inst.h2)
     assert np.array_equal(back.triangle_edges, inst.triangle_edges)
@@ -347,27 +344,33 @@ def test_read_instance_rejects_malformed_files(tmp_path):
     good = tmp_path / "good.txt"
     write_instance(inst, good)
     text = good.read_text()
-
-    def with_tri0(row):
-        return "\n".join(row if ln.startswith("tri 0") else ln
-                         for ln in text.splitlines())
-
-    tri0 = inst.triangle_edges[0]
+    scalars, cost_lines = text.split("h1 0 ", 1)
+    cost_lines = "h1 0 " + cost_lines
+    tri_lines = "".join(f"tri {t} {a} {b} {c}\n"
+                        for t, (a, b, c) in enumerate(inst.triangle_edges))
+    # the same problem as a version-1 file, which also held alpha and faces
+    version_1 = (scalars.replace("sctopo-blp 2", "sctopo-blp 1", 1)
+                 + "alpha 0.5\n" + cost_lines + tri_lines)
     cases = {
-        "magic": text.replace("sctopo-blp 1", "sctopo-blp 9", 1),
+        "magic": text.replace("sctopo-blp 2", "sctopo-blp 9", 1),
+        "version 1": version_1,
+        "version 1 lines under the version 2 header":
+            version_1.replace("sctopo-blp 1", "sctopo-blp 2", 1),
+        "alpha": scalars + "alpha 0.5\n" + cost_lines,
+        "tri": text + tri_lines,
         "scalar": text.replace("c2 1\n", ""),
+        "float scalar": text.replace("c2 1\n", "c2 1.0\n"),
         "entry": text.replace("h1 3 ", "h1 0 ", 1),  # leaves h1[3] unset
         "negative": text.replace("h2 0 ", "h2 0 -", 1),
-        "face": with_tri0("tri 0 0 1 99"),
-        "repeated face": with_tri0("tri 0 0 0 0"),
-        "swapped faces": with_tri0(f"tri 0 {tri0[1]} {tri0[0]} {tri0[2]}"),
         "junk": text + "wat 0 0\n",
     }
     for name, mangled in cases.items():
         bad = tmp_path / f"{name}.txt"
         bad.write_text(mangled)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             read_instance(bad)
+        if name in ("magic", "version 1"):
+            assert "sctopo-blp 2" in str(err.value)
 
 
 def _inclusion_rows(pool):

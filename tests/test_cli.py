@@ -133,6 +133,21 @@ def test_eval_rejects_repeated_indices(tmp_path, capsys, key):
         assert "must not repeat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [{}, ""], ids=json.dumps)
+@pytest.mark.parametrize("key", ["edges", "triangles"])
+def test_eval_rejects_index_lists_that_are_not_lists(tmp_path, capsys, key,
+                                                     value):
+    truth = tmp_path / "truth.json"
+    save_selection(Selection.from_indices(3, 1, [0], []), truth)
+    est = tmp_path / "est.json"
+    payload = {"n_edges": 3, "n_triangles": 1, "edges": [], "triangles": []}
+    payload[key] = value
+    est.write_text(json.dumps(payload))
+    for a, b in ((est, truth), (truth, est)):
+        assert main(["eval", "--estimate", str(a), "--truth", str(b)]) == 1
+        assert "must be a JSON list" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n_edges, n_triangles, key", [
     (7, 35, "n_edges"),  # not n0 (n0 - 1) / 2 for any n0
     (10**13, 1, "n_edges"),  # must be rejected before a 10 TB allocation
@@ -201,9 +216,9 @@ def test_solve_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [
     "h1 -1 5.0",  # would overwrite the last edge cost
-    "tri -1 0 1 3",
+    "tri -1 0 1 3",  # faces follow from n_edges; no file lists them
     "h2 20 1.0",  # 20 triangles on 6 nodes: indices 0..19
-    "tri 0 1",  # too few faces
+    "tri 0 1",
     "h1 0 1.0 2.0",  # one value too many
     "h1 0 9.0",  # a second line for an index would override the first
     "tri 0 0 1 3",
@@ -225,8 +240,7 @@ def test_solve_rejects_repeated_or_unknown_scalar_lines(tmp_path, capsys, line):
     assert "unknown or repeated line" in err and line.split()[0] in err
 
 
-@pytest.mark.parametrize("line", ["h1 0 nan", "h2 3 inf", "h1 1 -inf",
-                                  "alpha nan"])
+@pytest.mark.parametrize("line", ["h1 0 nan", "h2 3 inf", "h1 1 -inf"])
 def test_solve_rejects_non_finite_instance_values(tmp_path, capsys, line):
     _, path = _dump_instance(tmp_path, 6, 3)
     tag = " ".join(line.split()[:-1]) + " "
@@ -238,12 +252,11 @@ def test_solve_rejects_non_finite_instance_values(tmp_path, capsys, line):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["c1 -2", "c2 -1", "alpha 5.0", "alpha 0.0",
-                                  "alpha -0.25", "alpha 0.2500001",
+@pytest.mark.parametrize("line", ["c1 -2", "c2 -1",
                                   "n_edges 14", "n_edges 16",
                                   "n_triangles 19", "n_triangles 21"])
 def test_solve_rejects_out_of_range_scalars(tmp_path, capsys, line):
-    # n0 = 6: 15 edges, 20 triangles, and alpha must lie in (0, 1/4]
+    # n0 = 6: 15 edges, 20 triangles
     _, path = _dump_instance(tmp_path, 6, 3)
     key = line.split()[0]
     text = "".join(line + "\n" if ln.split()[0] == key else ln
@@ -254,6 +267,62 @@ def test_solve_rejects_out_of_range_scalars(tmp_path, capsys, line):
     out, err = capsys.readouterr()
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("line", ["alpha 0.25", "alpha 5.0", "alpha 0.0",
+                                  "alpha -0.25", "alpha 0.2500001",
+                                  "alpha nan"])
+def test_solve_rejects_version_one_lines(tmp_path, capsys, line):
+    # version 1 stored alpha after the floors; no solve ever read it
+    _, path = _dump_instance(tmp_path, 6, 3)
+    text = path.read_text()
+    path.write_text(text.replace("c2 3\n", f"c2 3\n{line}\n", 1))
+    assert main(["solve", "--instance", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown or repeated line" in err and line in err
+
+
+def test_solve_rejects_every_single_line_corruption(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    cx = build_candidate_complex(5)
+    costs = CostVectors(h1=rng.random(cx.n_edges), h2=rng.random(cx.n_triangles),
+                        h2_kind="curl")
+    good = tmp_path / "good.txt"
+    write_instance(build_joint_instance(cx, costs, 4, 2), good)
+    lines = good.read_text().splitlines(keepends=True)
+    swap = {"h1": "h2", "h2": "h1"}
+    variants = {}
+    for i, ln in enumerate(lines):
+        variants[f"delete {i}"] = lines[:i] + lines[i + 1:]
+        variants[f"duplicate {i}"] = lines[:i + 1] + lines[i:]
+        tag = ln.split()[0]
+        if tag in swap:
+            variants[f"swap {i}"] = (lines[:i] + [swap[tag] + ln[2:]]
+                                     + lines[i + 1:])
+        if i + 1 < len(lines):
+            variants[f"cut after {i}"] = lines[:i + 1]
+    assert len(variants) == 4 * len(lines) - 1 - 5  # 5 lines have no h tag
+    path = tmp_path / "bad.txt"
+    for name, bad in variants.items():
+        path.write_text("".join(bad))
+        assert main(["solve", "--instance", str(path)]) == 1, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:"), name
+
+
+def test_negative_node_limit_is_rejected(tmp_path, capsys):
+    _, path = _dump_instance(tmp_path, 6, 3)
+    assert main(["solve", "--instance", str(path), "--node-limit", "-3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "node_limit" in err
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n0_values": [6], "seeds": [0],
+                               "methods": ["joint"], "node_limit": -3}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "node_limit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):
