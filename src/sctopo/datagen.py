@@ -105,8 +105,11 @@ def sample_triangle_truth(cx, s1, fraction, rng):
 
 
 def filtered_signals(L, f, noise_sigma, rng):
-    """X = U g(Lambda) U^T W + sigma E with g(lam) = 1/(1 + lam).
+    """X = (I + L)^-1 W + sigma E, the low-pass filter g(lam) = 1/(1 + lam).
 
+    For ``L = U diag(lam) U^T`` the filter is ``U diag(g(lam)) U^T``; one
+    linear solve with ``I + L`` applies it without the eigendecomposition.
+    ``L`` is a Laplacian, so ``I + L`` is symmetric positive definite.
     W and E are drawn from ``rng`` in that order regardless of sigma, so
     the same seed yields the same smooth component at any noise level.
     """
@@ -115,11 +118,10 @@ def filtered_signals(L, f, noise_sigma, rng):
         raise ValueError("L must be square")
     if not np.array_equal(L, L.T):
         raise ValueError("L must be symmetric")
-    lam, U = np.linalg.eigh(L)
-    gain = 1.0 / (1.0 + lam)
-    W = rng.standard_normal((L.shape[0], f))
-    E = rng.standard_normal((L.shape[0], f))
-    return U @ (gain[:, None] * (U.T @ W)) + noise_sigma * E
+    n = L.shape[0]
+    W = rng.standard_normal((n, f))
+    E = rng.standard_normal((n, f))
+    return np.linalg.solve(np.eye(n) + L, W) + noise_sigma * E
 
 
 def make_bundle(config):

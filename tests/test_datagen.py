@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from sctopo.complexes import Selection, build_candidate_complex, validate_inclusion
+from sctopo.complexes import (
+    Selection,
+    build_candidate_complex,
+    laplacian_node,
+    laplacian_upper_edge,
+    similarity_laplacian,
+    validate_inclusion,
+)
 from sctopo.datagen import (
     STAGE_EDGES,
     STAGE_NODE_SIGNALS,
+    STAGE_TRIANGLES,
     SynthConfig,
     filtered_signals,
     load_bundle,
@@ -59,13 +67,29 @@ def test_filtered_signals_seed_repeatable_and_symmetric_only():
                          stage_rng(8, 2))
 
 
+@pytest.mark.parametrize("which", ["node", "upper", "similarity"])
+def test_filtered_signals_match_the_eigendecomposition(which):
+    cx = build_candidate_complex(9)
+    s1 = sample_er_selection(9, 0.6, stage_rng(3, STAGE_EDGES))
+    s2 = sample_triangle_truth(cx, s1, 0.5, stage_rng(3, STAGE_TRIANGLES))
+    L = {"node": laplacian_node(cx, s1),
+         "upper": laplacian_upper_edge(cx, s2),
+         "similarity": similarity_laplacian(cx, s2)}[which]
+    assert np.abs(L).sum() > 0
+    X = filtered_signals(L, 5, 0.3, stage_rng(3, STAGE_NODE_SIGNALS))
+    rng = stage_rng(3, STAGE_NODE_SIGNALS)
+    W = rng.standard_normal((L.shape[0], 5))
+    E = rng.standard_normal((L.shape[0], 5))
+    lam, U = np.linalg.eigh(L)
+    reference = U @ ((1.0 / (1.0 + lam))[:, None] * (U.T @ W)) + 0.3 * E
+    np.testing.assert_allclose(X, reference, rtol=0, atol=1e-10)
+
+
 def test_filter_suppresses_rough_directions():
     # Monte Carlo: smoothness energy of filtered signals stays below that
     # of unfiltered white noise on the same operator
     cx = build_candidate_complex(8)
     s1 = np.ones(cx.n_edges, dtype=np.int8)
-    from sctopo.complexes import laplacian_node
-
     L = laplacian_node(cx, s1)
     rng = np.random.default_rng(123)
     filtered = sum(quadratic_form(L, filtered_signals(L, 1, 0.0, rng))
