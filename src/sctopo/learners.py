@@ -8,8 +8,9 @@
   face and alternates exact coordinate minimization between s2 and s1.
   Its output may violate inclusion; the violation count is reported.
 
-Ties are broken by ascending simplex index in every learner, which makes
-cross-learner agreement exactly testable.
+``learn_hierarchical`` and ``learn_greedy`` break ties by ascending
+simplex index.  ``learn_joint`` returns an optimum, but among tied optima
+not necessarily the one with the lowest indices.
 """
 
 from __future__ import annotations

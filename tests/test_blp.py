@@ -356,8 +356,6 @@ def test_read_instance_rejects_malformed_files(tmp_path):
         "version 1": version_1,
         "version 1 lines under the version 2 header":
             version_1.replace("sctopo-blp 1", "sctopo-blp 2", 1),
-        "alpha": scalars + "alpha 0.5\n" + cost_lines,
-        "tri": text + tri_lines,
         "scalar": text.replace("c2 1\n", ""),
         "float scalar": text.replace("c2 1\n", "c2 1.0\n"),
         "entry": text.replace("h1 3 ", "h1 0 ", 1),  # leaves h1[3] unset
