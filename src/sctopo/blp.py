@@ -15,7 +15,12 @@ its candidate complex, and those faces follow from ``n0``.
 
 ``solve`` runs best-first branch and bound on LP relaxations produced by
 :mod:`sctopo.simplex_lp`, generating violated inclusion rows lazily (the
-full set is 3 * n_triangles rows; a handful are ever active).
+full set is 3 * n_triangles rows; a handful are ever active).  It branches
+on triangles only: once they are fixed, the edge LP (unit rows, one floor,
+``[0, 1]`` boxes) is integral, and for ``h1 >= 0`` its optimum is their
+faces plus the cheapest other edges by ``(cost, index)`` up to ``c1``
+(``_complete_edges``).  So edge ties break toward the lowest index; tied
+triangle sets need not.
 ``oracle_enumerate`` is an independent brute-force reference used by the
 test suite; it shares no code with ``solve`` beyond the instance type.
 """
@@ -75,15 +80,12 @@ def build_joint_instance(cx, costs, c1, c2):
         raise ValueError("cost vectors do not match the candidate complex")
     if not (np.isfinite(costs.h1).all() and np.isfinite(costs.h2).all()):
         raise ValueError("cost vectors have non-finite entries")
-    return BlpInstance(
-        n_edges=cx.n_edges,
-        n_triangles=cx.n_triangles,
-        h1=np.asarray(costs.h1, dtype=float),
-        h2=np.asarray(costs.h2, dtype=float),
-        c1=c1,
-        c2=c2,
-        triangle_edges=cx.triangle_edges,
-    )
+    if (costs.h1 < 0).any() or (costs.h2 < 0).any():
+        raise ValueError("costs must be nonnegative")
+    return BlpInstance(n_edges=cx.n_edges, n_triangles=cx.n_triangles,
+                       h1=np.asarray(costs.h1, dtype=float),
+                       h2=np.asarray(costs.h2, dtype=float), c1=c1, c2=c2,
+                       triangle_edges=cx.triangle_edges)
 
 
 class _RowPool:
@@ -164,27 +166,32 @@ def _solve_node(pool, c, lower, upper, warm):
         warm = res
 
 
-def _feasible_exact(instance, s1, s2):
-    if int(s1.sum()) < instance.c1 or int(s2.sum()) < instance.c2:
-        return False
-    sel_t = np.flatnonzero(s2)
-    return bool(np.all(s1[instance.triangle_edges[sel_t]] == 1))
+def _complete_edges(instance, s2):
+    """The cheapest edges that carry the triangles ``s2`` when ``h1 >= 0``.
+
+    Their faces, then the other edges by ``(cost, index)`` up to ``c1``.
+    """
+    s1 = np.zeros(instance.n_edges, dtype=np.int8)
+    s1[instance.triangle_edges[s2 == 1]] = 1
+    order = np.lexsort((np.arange(instance.n_edges), instance.h1))
+    fill = order[s1[order] == 0][: max(instance.c1 - int(s1.sum()), 0)]
+    s1[fill] = 1
+    return s1
 
 
 def solve(instance, node_limit=10_000_000, warm_start=None):
-    """Best-first branch and bound; exact up to the stated tolerances.
+    """Best-first branch and bound on the triangles; exact up to tolerances.
 
-    ``warm_start`` seeds the incumbent with a known feasible selection
-    (it is ignored if infeasible).  Returns status ``"node_limit"`` with
-    the incumbent and a still-valid lower bound when the node budget runs
-    out, so the result is usable as an anytime answer.  A negative
-    ``node_limit`` raises ``ValueError``.
+    ``warm_start`` seeds the incumbent with a selection's triangles and
+    their completed edges (its own edges are not read), unless they miss
+    the floor ``c2``.  When the node budget runs out, returns status
+    ``"node_limit"`` with the incumbent and a still-valid lower bound, an
+    anytime answer.  A negative ``node_limit`` raises ``ValueError``.
     """
     if node_limit < 0:
         raise ValueError(f"node_limit must be nonnegative; got {node_limit}")
     t0 = time.perf_counter()
     n1, n2 = instance.n_edges, instance.n_triangles
-    n = n1 + n2
     if instance.c1 > n1 or instance.c2 > n2:
         return BlpSolution(None, inf, inf, "infeasible", 0,
                            time.perf_counter() - t0)
@@ -192,35 +199,35 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
     c = np.concatenate([instance.h1, instance.h2])
     pool = _RowPool(instance)
 
-    inc_sel = None
-    inc_obj = inf
-    if warm_start is not None:
-        s1 = np.asarray(warm_start.s1, dtype=np.int8)
-        s2 = np.asarray(warm_start.s2, dtype=np.int8)
-        if s1.size == n1 and s2.size == n2 and _feasible_exact(instance, s1, s2):
-            inc_sel = warm_start
-            inc_obj = float(instance.h1 @ s1 + instance.h2 @ s2)
+    inc_sel, inc_obj = None, inf
+    cutoff = inf  # nodes with bound at or above this cannot improve inc_obj
 
-    def prune_at():
-        # nodes with bound at or above this cannot improve the incumbent
-        if inc_sel is None:
-            return inf
-        return inc_obj - _PRUNE_REL * max(1.0, abs(inc_obj))
+    def offer(s2):  # keep s2 with its completed edges if they improve
+        nonlocal inc_sel, inc_obj, cutoff
+        s1 = _complete_edges(instance, s2)
+        obj = float(instance.h1 @ s1 + instance.h2 @ s2)
+        if obj < inc_obj:
+            inc_obj, inc_sel = obj, Selection(s1=s1, s2=s2)
+            cutoff = obj - _PRUNE_REL * max(1.0, abs(obj))
 
-    # heap of (bound, seq, lower, upper, parent LP result); bounds stored as
-    # int8.  The two children of a node share its LpResult without x
-    # (solve_lp copies the arrays on entry), so each branched node with an
-    # open child holds O(m^2) floats for its basis inverse.
+    if (warm_start is not None and warm_start.s2.size == n2
+            and warm_start.s2.sum() >= instance.c2):
+        offer(warm_start.s2)
+
+    # heap of (bound, seq, fixed, parent LP result); fixed is int8 over the
+    # triangles (-1 free, else 0 or 1); edges are never fixed.  Siblings share
+    # the parent's LpResult without x, one O(m^2) basis inverse per parent.
     seq = 0
-    heap = [(0.0, seq, np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8),
-             None)]
+    heap = [(0.0, seq, np.full(n2, -1, dtype=np.int8), None)]
     explored = 0
     lb_cap = inf  # min bound over pruned subtrees
     status = "optimal"
+    lower = np.zeros(n1 + n2)
+    upper = np.ones(n1 + n2)
 
     while heap:
-        bound, _, lo8, up8, warm = heapq.heappop(heap)
-        if bound >= prune_at():
+        bound, _, fixed, warm = heapq.heappop(heap)
+        if bound >= cutoff:
             # best-first order: every open node is at least this bad
             lb_cap = min(lb_cap, bound)
             break
@@ -230,52 +237,39 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
             break
         explored += 1
 
-        res = _solve_node(pool, c, lo8.astype(float), up8.astype(float), warm)
+        lower[n1:] = fixed == 1
+        upper[n1:] = fixed != 0
+        res = _solve_node(pool, c, lower, upper, warm)
         if res.status == "infeasible":
             continue
-        if res.bound >= prune_at():
+        if res.bound >= cutoff:
             lb_cap = min(lb_cap, res.bound)
             continue
 
-        x = res.x
-        frac = np.minimum(np.abs(x), np.abs(1.0 - x))
-        free = lo8 < up8
-        if res.status == "optimal" and (frac[free].max(initial=0.0) <= _INT_TOL):
-            s_all = (x > 0.5).astype(np.int8)
-            s_all[~free] = lo8[~free]  # fixed vars take their exact value
-            s1, s2 = s_all[:n1], s_all[n1:]
-            if _feasible_exact(instance, s1, s2):
-                obj = float(instance.h1 @ s1 + instance.h2 @ s2)
-                if obj < inc_obj:
-                    inc_obj = obj
-                    inc_sel = Selection(s1=s1, s2=s2)
-                continue
-            # cannot happen: the row pool was regenerated until clean
-            raise AssertionError("integral LP point failed exact feasibility")
+        x2 = res.x[n1:]
+        cand = np.where(fixed < 0, np.minimum(np.abs(x2), np.abs(1.0 - x2)),
+                        -1.0)
+        best = cand.max(initial=-1.0)
+        if best < 0 or (res.status == "optimal" and best <= _INT_TOL):
+            # the triangles are decided, so the completion solves this node
+            s2 = np.where(fixed < 0, x2 > 0.5, fixed).astype(np.int8)
+            if s2.sum() < instance.c2:
+                raise AssertionError("integral LP point misses the floor c2")
+            offer(s2)
+            continue
 
-        cand = np.where(free, frac, -1.0)
-        best = cand.max()
-        ties = np.flatnonzero(cand >= best - 1e-12)
-        tri_ties = ties[ties >= n1]
-        j = int(tri_ties[0]) if tri_ties.size else int(ties[0])
-
+        j = int(np.flatnonzero(cand >= best - 1e-12)[0])
         res = replace(res, x=None)  # x is not read after branching
         for fix_to in (0, 1):
-            lo_c, up_c = lo8.copy(), up8.copy()
-            if fix_to == 0:
-                up_c[j] = 0
-            else:
-                lo_c[j] = 1
+            child = fixed.copy()
+            child[j] = fix_to
             seq += 1
-            heapq.heappush(heap, (res.bound, seq, lo_c, up_c, res))
+            heapq.heappush(heap, (res.bound, seq, child, res))
 
-    wall = time.perf_counter() - t0
-    if inc_sel is None:
-        if status == "node_limit":
-            return BlpSolution(None, inf, lb_cap, status, explored, wall)
-        return BlpSolution(None, inf, inf, "infeasible", explored, wall)
+    if inc_sel is None and status == "optimal":
+        status, lb_cap = "infeasible", inf
     return BlpSolution(inc_sel, inc_obj, min(inc_obj, lb_cap), status,
-                       explored, wall)
+                       explored, time.perf_counter() - t0)
 
 
 def lp_bound(instance, fixed_edges=None, fixed_triangles=None):
@@ -373,6 +367,15 @@ def write_instance(instance, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _numbers(ln, *kinds):
+    """The fields after the tag of line ``ln``, parsed as ``kinds``."""
+    try:
+        return [kind(v) for kind, v in zip(kinds, ln.split()[1:], strict=True)]
+    except ValueError:
+        raise ValueError(f"expected {len(kinds)} number(s) after the tag: "
+                         f"{ln!r}") from None
+
+
 def read_instance(path):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -382,10 +385,10 @@ def read_instance(path):
     scalars = {}
     idx = 1
     while idx < len(lines) and lines[idx].split()[0] not in ("h1", "h2"):
-        key, val = lines[idx].split(maxsplit=1)
+        key = lines[idx].split()[0]
         if key not in _SCALARS or key in scalars:
             raise ValueError(f"unknown or repeated line: {lines[idx]!r}")
-        scalars[key] = int(val)
+        scalars[key] = _numbers(lines[idx], int)[0]
         idx += 1
     try:
         n1, n2, c1, c2 = [scalars[key] for key in _SCALARS]
@@ -399,25 +402,20 @@ def read_instance(path):
     rows = {"h1": (h1, np.zeros(n1, dtype=bool)),
             "h2": (h2, np.zeros(n2, dtype=bool))}
     for ln in lines[idx:]:
-        parts = ln.split()
-        if parts[0] not in rows:
+        tag = ln.split()[0]
+        if tag not in rows:
             raise ValueError(f"unrecognized line: {ln!r}")
-        if len(parts) != 3:
-            raise ValueError(f"expected an index and a value: {ln!r}")
-        target, seen = rows[parts[0]]
-        i = int(parts[1])
+        target, seen = rows[tag]
+        i, value = _numbers(ln, int, float)
         if not 0 <= i < target.size:
             raise ValueError(f"index out of range: {ln!r}")
         if seen[i]:
             raise ValueError(f"index given twice: {ln!r}")
-        value = float(parts[2])
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value: {ln!r}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"costs must be finite and nonnegative: {ln!r}")
         seen[i] = True
         target[i] = value
     if not all(seen.all() for _, seen in rows.values()):
         raise ValueError("instance file is missing entries")
-    if (h1 < 0).any() or (h2 < 0).any():
-        raise ValueError("costs must be nonnegative")
     return BlpInstance(n_edges=n1, n_triangles=n2, h1=h1, h2=h2, c1=c1, c2=c2,
                        triangle_edges=build_candidate_complex(n0).triangle_edges)

@@ -69,7 +69,11 @@ class RealDataset:
 
 def _read_features(path):
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        lines = Path(path).read_text().splitlines()
+        if not any(ln.strip() for ln in lines):
+            # np.loadtxt would only warn, then return an empty array
+            raise ValueError("the file holds no rows")
+        raw = np.loadtxt(lines, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise DatasetFormatError(f"cannot parse {path}: {exc}") from None
     if raw.shape[1] < 2:

@@ -26,7 +26,8 @@ import numpy as np
 from .complexes import build_candidate_complex, validate_inclusion
 from .datagen import SynthConfig, make_bundle, stage_rng
 from .datasets import load_real_dataset, subsample_dataset
-from .learners import learn_greedy, learn_hierarchical, learn_joint
+from .learners import (GREEDY_INITS, learn_greedy, learn_hierarchical,
+                       learn_joint)
 from .metrics import edge_signals_from_nodes, f1_scores
 from .smoothness import compute_costs
 
@@ -76,6 +77,13 @@ class ExperimentConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
+        if self.node_limit < 0:
+            raise ValueError(f"node_limit must be nonnegative; "
+                             f"got {self.node_limit}")
+        if self.gamma is not None and self.gamma < 0:
+            raise ValueError(f"gamma must be nonnegative; got {self.gamma}")
+        if self.greedy_init not in GREEDY_INITS:
+            raise ValueError(f"unknown greedy_init {self.greedy_init!r}")
 
     @classmethod
     def from_json(cls, path):

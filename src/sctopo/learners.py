@@ -9,8 +9,9 @@
   Its output may violate inclusion; the violation count is reported.
 
 ``learn_hierarchical`` and ``learn_greedy`` break ties by ascending
-simplex index.  ``learn_joint`` returns an optimum, but among tied optima
-not necessarily the one with the lowest indices.
+simplex index.  ``learn_joint`` returns an optimum whose edges break ties
+the same way, but among tied triangle sets not necessarily the one with
+the lowest indices.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import numpy as np
 
 from . import blp
 from .complexes import Selection, validate_inclusion
+
+GREEDY_INITS = ("ones", "hierarchical")  # starting s1 choices of learn_greedy
 
 
 @dataclass
@@ -91,10 +94,11 @@ def learn_hierarchical(cx, costs, c1, c2):
 def learn_joint(cx, costs, c1, c2, node_limit=10_000_000):
     """Exact joint optimum via branch and bound.
 
-    The hierarchical solution primes the incumbent when it happens to be
-    feasible, which tightens pruning without affecting exactness.  A
-    ``node_limit`` exhaustion is not an error: the incumbent is returned
-    and flagged through ``diagnostics["status"]``.
+    The hierarchical triangles prime the incumbent when they meet the
+    floor ``c2``; their completed edges are the hierarchical edges, so this
+    tightens pruning without affecting exactness.  Negative costs raise
+    ``ValueError``.  A ``node_limit`` exhaustion is not an error: the
+    incumbent is returned and flagged through ``diagnostics["status"]``.
     """
     instance = blp.build_joint_instance(cx, costs, c1, c2)
     warm = learn_hierarchical(cx, costs, min(c1, cx.n_edges),

@@ -116,8 +116,8 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
     # siblings are pushed in pairs and share their parent's one LP result
     assert pushed and len(pushed) % 2 == 0
     for down, up in zip(pushed[::2], pushed[1::2]):
-        assert down[4] is up[4]
-        assert down[4].binv is not None
+        assert down[-1] is up[-1]
+        assert down[-1].binv is not None
 
 
 def test_solution_satisfies_floors_and_inclusion():
@@ -289,6 +289,12 @@ def test_build_instance_validation():
                         h2_kind="curl")
     with pytest.raises(ValueError):
         build_joint_instance(cx, short, 1, 1)
+    # the edge completion and the oracle assume nonnegative costs
+    for key, value in (("h1", -1.0), ("h2", -1e-12)):
+        h = {"h1": np.ones(cx.n_edges), "h2": np.ones(cx.n_triangles)}
+        h[key][2] = value
+        with pytest.raises(ValueError, match="costs must be nonnegative"):
+            build_joint_instance(cx, CostVectors(**h, h2_kind="curl"), 1, 1)
     inst = build_joint_instance(cx, costs, 1, 1)
     assert inst.triangle_edges is cx.triangle_edges
 

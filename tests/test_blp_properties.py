@@ -60,6 +60,22 @@ def test_solve_matches_oracle(case):
     assert got.lower_bound <= got.objective
     if kind == "distinct":
         assert got.selection.same_as(want.selection)
+    # edges complete the triangles by (cost, index), as in the oracle;
+    # tied triangle sets may still differ
+    if np.array_equal(got.selection.s2, want.selection.s2):
+        assert np.array_equal(got.selection.s1, want.selection.s1)
+
+
+def test_solve_breaks_edge_ties_toward_the_lowest_index():
+    # triangle 2 with faces 1, 2, 5, plus edge 3 or 4 (both cost 0)
+    cx = build_candidate_complex(4)
+    costs = CostVectors(h1=np.array([2.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+                        h2=np.array([0.0, 0.0, 0.0, 2.0]), h2_kind="curl")
+    got = solve(build_joint_instance(cx, costs, 4, 1))
+    assert got.objective == 2.0
+    assert got.selection.edge_indices.tolist() == [1, 2, 3, 5]
+    assert got.selection.triangle_indices.tolist() == [2]
+    assert got.selection.same_as(oracle_enumerate(cx, costs, 4, 1).selection)
 
 
 @_SETTINGS

@@ -230,6 +230,20 @@ def test_solve_rejects_bad_instance_lines(tmp_path, capsys, extra):
     assert extra in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["c1", "n_edges six", "h1 x 1.0", "h1 0 abc"])
+def test_solve_rejects_unparsable_lines_quoting_them(tmp_path, capsys, line):
+    # the line replaces the first one with the same tag
+    _, path = _dump_instance(tmp_path, 6, 3)
+    lines = path.read_text().splitlines()
+    first = next(i for i, ln in enumerate(lines)
+                 if ln.split()[0] == line.split()[0])
+    lines[first] = line
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["solve", "--instance", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and repr(line) in err
+
+
 @pytest.mark.parametrize("line", ["c1 0", "n_edges 2", "c3 1"])
 def test_solve_rejects_repeated_or_unknown_scalar_lines(tmp_path, capsys, line):
     _, path = _dump_instance(tmp_path, 6, 3)
@@ -322,6 +336,23 @@ def test_negative_node_limit_is_rejected(tmp_path, capsys):
                                "methods": ["joint"], "node_limit": -3}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "node_limit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [("node_limit", -3), ("gamma", -0.5),
+                                        ("greedy_init", "zeros")])
+def test_run_rejects_bad_solver_settings_before_any_data(tmp_path, capsys,
+                                                         monkeypatch, key,
+                                                         value):
+    def no_data(*args, **kwargs):
+        raise AssertionError("a realization started")
+
+    monkeypatch.setattr("sctopo.experiment.make_bundle", no_data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n0_values": [6], "seeds": [0], key: value}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and key in err
     assert not (tmp_path / "o").exists()
 
 

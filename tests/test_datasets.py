@@ -1,6 +1,7 @@
 """Dataset directory formats, the co-authorship fixture, subsampling."""
 
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,34 @@ def test_more_format_rejections(tmp_path):
 
     with pytest.raises(DatasetFormatError):
         load_real_dataset(tmp_path / "nowhere")
+
+
+def test_run_rejects_every_single_line_corruption(tmp_path, capsys):
+    good = tmp_path / "good"
+    save_real_dataset(make_coauthorship_fixture(6, 5, 6, seed=1), good)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "real", "dataset_path": str(good),
+                               "n0_values": [6], "seeds": [0]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    variants = {}
+    for name in ("node_features.csv", "topology.json"):
+        lines = (good / name).read_text().splitlines(keepends=True)
+        for i in range(len(lines)):
+            variants[f"{name} delete {i}"] = (name, lines[:i] + lines[i + 1:])
+            variants[f"{name} duplicate {i}"] = (name, lines[:i + 1] + lines[i:])
+            variants[f"{name} cut before {i}"] = (name, lines[:i])
+    assert len(variants) == 162
+    bad = tmp_path / "bad"
+    cfg.write_text(json.dumps({"mode": "real", "dataset_path": str(bad),
+                               "n0_values": [6], "seeds": [0]}))
+    for label, (name, lines) in variants.items():
+        shutil.copytree(good, bad, dirs_exist_ok=True)
+        (bad / name).write_text("".join(lines))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o2")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.startswith("error:"), label
+        assert not (tmp_path / "o2").exists(), label
 
 
 @pytest.mark.parametrize("key, simplex", [

@@ -118,6 +118,16 @@ def test_joint_raises_when_infeasible():
         learn_joint(cx, costs, cx.n_edges + 1, 0)
 
 
+def test_joint_rejects_negative_costs():
+    # the optimum here takes both negative edges (-3.0); the closed-form
+    # completion assumes h1 >= 0 and would stop at one edge (-2.0)
+    cx = build_candidate_complex(4)
+    costs = CostVectors(h1=np.array([1.0, -2.0, 1.0, 1.0, -1.0, 1.0]),
+                        h2=np.ones(cx.n_triangles), h2_kind="curl")
+    with pytest.raises(ValueError, match="costs must be nonnegative"):
+        learn_joint(cx, costs, 1, 0)
+
+
 def test_greedy_gamma_zero_decouples():
     rng = np.random.default_rng(5)
     cx = build_candidate_complex(6)
