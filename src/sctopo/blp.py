@@ -20,7 +20,10 @@ on triangles only: once they are fixed, the edge LP (unit rows, one floor,
 ``[0, 1]`` boxes) is integral, and for ``h1 >= 0`` its optimum is their
 faces plus the cheapest other edges by ``(cost, index)`` up to ``c1``
 (``_complete_edges``).  So edge ties break toward the lowest index; tied
-triangle sets need not.
+triangle sets need not.  Since no edge is ever fixed, a node is feasible
+exactly when at least ``c2`` triangles are not fixed to 0: feasibility is
+decided by count, not by the LP.  Costs are divided by their maximum, so
+no tolerance depends on the cost scale.
 ``oracle_enumerate`` is an independent brute-force reference used by the
 test suite; it shares no code with ``solve`` beyond the instance type.
 """
@@ -141,7 +144,9 @@ def _solve_node(pool, c, lower, upper, warm):
 
     ``warm`` is an earlier :class:`LpResult` whose final basis starts the
     first LP, or None for a cold start.  Rows the pool gained after ``warm``
-    was solved enter with their slacks basic.
+    was solved enter with their slacks basic.  The last result is returned
+    whatever its status; ``solve`` decides feasibility by count and treats
+    an ``"infeasible"`` one as a numerical failure.
     """
     n = pool.n
     while True:
@@ -157,10 +162,6 @@ def _solve_node(pool, c, lower, upper, warm):
                     [vstat, np.full(pool.m - m_old, BASIC, dtype=np.int8)])
         res = solve_lp(c, pool.A[: pool.m], pool.b[: pool.m], lower, upper,
                        basis=basis, vstat=vstat, binv=binv)
-        if res.status == "infeasible" and warm is not None:
-            # a numerically drifted warm basis could misreport; certify cold
-            warm = None
-            continue
         if res.status != "optimal" or pool.add_violated(res.x) == 0:
             return res
         warm = res
@@ -182,6 +183,11 @@ def _complete_edges(instance, s2):
 def solve(instance, node_limit=10_000_000, warm_start=None):
     """Best-first branch and bound on the triangles; exact up to tolerances.
 
+    Every node keeps at least ``c2`` triangles not fixed to 0, so an
+    infeasible node LP is a numerical failure and raises ``AssertionError``.
+    The LPs see the costs divided by the largest one; ``objective`` and
+    ``lower_bound`` are in the original units.
+
     ``warm_start`` seeds the incumbent with a selection's triangles and
     their completed edges (its own edges are not read), unless they miss
     the floor ``c2``.  When the node budget runs out, returns status
@@ -197,10 +203,12 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
                            time.perf_counter() - t0)
 
     c = np.concatenate([instance.h1, instance.h2])
+    scale = float(c.max(initial=0.0)) or 1.0
+    c /= scale
     pool = _RowPool(instance)
 
     inc_sel, inc_obj = None, inf
-    cutoff = inf  # nodes with bound at or above this cannot improve inc_obj
+    cutoff = inf  # scaled; a node bound at or above it cannot improve inc_obj
 
     def offer(s2):  # keep s2 with its completed edges if they improve
         nonlocal inc_sel, inc_obj, cutoff
@@ -208,19 +216,20 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
         obj = float(instance.h1 @ s1 + instance.h2 @ s2)
         if obj < inc_obj:
             inc_obj, inc_sel = obj, Selection(s1=s1, s2=s2)
-            cutoff = obj - _PRUNE_REL * max(1.0, abs(obj))
+            cutoff = obj / scale - _PRUNE_REL * max(1.0, obj / scale)
 
     if (warm_start is not None and warm_start.s2.size == n2
             and warm_start.s2.sum() >= instance.c2):
         offer(warm_start.s2)
 
     # heap of (bound, seq, fixed, parent LP result); fixed is int8 over the
-    # triangles (-1 free, else 0 or 1); edges are never fixed.  Siblings share
-    # the parent's LpResult without x, one O(m^2) basis inverse per parent.
+    # triangles (-1 free, else 0 or 1); edges are never fixed, and at least
+    # c2 triangles are not fixed to 0.  Siblings share the parent's LpResult
+    # without x, one O(m^2) basis inverse per parent.
     seq = 0
     heap = [(0.0, seq, np.full(n2, -1, dtype=np.int8), None)]
     explored = 0
-    lb_cap = inf  # min bound over pruned subtrees
+    lb_cap = inf  # min scaled bound over pruned subtrees
     status = "optimal"
     lower = np.zeros(n1 + n2)
     upper = np.ones(n1 + n2)
@@ -241,7 +250,7 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
         upper[n1:] = fixed != 0
         res = _solve_node(pool, c, lower, upper, warm)
         if res.status == "infeasible":
-            continue
+            raise AssertionError("LP infeasible at a node feasible by count")
         if res.bound >= cutoff:
             lb_cap = min(lb_cap, res.bound)
             continue
@@ -260,15 +269,14 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
 
         j = int(np.flatnonzero(cand >= best - 1e-12)[0])
         res = replace(res, x=None)  # x is not read after branching
-        for fix_to in (0, 1):
+        # fixing j to 0 needs more than c2 triangles not fixed to 0
+        for fix_to in (0, 1) if (fixed != 0).sum() > instance.c2 else (1,):
             child = fixed.copy()
             child[j] = fix_to
             seq += 1
             heapq.heappush(heap, (res.bound, seq, child, res))
 
-    if inc_sel is None and status == "optimal":
-        status, lb_cap = "infeasible", inf
-    return BlpSolution(inc_sel, inc_obj, min(inc_obj, lb_cap), status,
+    return BlpSolution(inc_sel, inc_obj, min(inc_obj, lb_cap * scale), status,
                        explored, time.perf_counter() - t0)
 
 

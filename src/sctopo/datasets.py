@@ -78,6 +78,8 @@ def _read_features(path):
         raise DatasetFormatError(f"cannot parse {path}: {exc}") from None
     if raw.shape[1] < 2:
         raise DatasetFormatError("node_features.csv needs id plus features")
+    if not np.isfinite(raw).all():
+        raise DatasetFormatError("node_features.csv has non-finite entries")
     ids = raw[:, 0]
     if not np.array_equal(ids, np.arange(raw.shape[0])):
         raise DatasetFormatError("node ids must be 0..n0-1 in order")

@@ -71,6 +71,11 @@ class ExperimentConfig:
             raise ValueError("real mode needs dataset_path")
         if not self.n0_values or not self.seeds or not self.priors:
             raise ValueError("n0_values, seeds and priors must be nonempty")
+        if min(self.n0_values) < 3:
+            raise ValueError(f"n0_values must be at least 3; "
+                             f"got {min(self.n0_values)}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative; got {min(self.seeds)}")
         for prior in self.priors:
             if prior not in PRIOR_TO_KIND:
                 raise ValueError(f"unknown prior {prior!r}")

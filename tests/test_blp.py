@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,6 +119,43 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
     for down, up in zip(pushed[::2], pushed[1::2]):
         assert down[-1] is up[-1]
         assert down[-1].binv is not None
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2])
+def test_node_lps_stopped_early_still_give_the_optimum(monkeypatch, max_iter):
+    # a node LP cut short still gives a valid bound but may leave every
+    # triangle fractional, so branching alone must keep each child feasible:
+    # with c2 near n_triangles, fixing to 0 soon leaves too few triangles
+    monkeypatch.setattr(simplex_lp, "_MAX_ITER", max_iter)
+    rng = np.random.default_rng(max_iter)
+    for _ in range(20):
+        cx = build_candidate_complex(int(rng.integers(4, 6)))
+        costs = _random_costs(rng, cx)
+        c1 = int(rng.integers(0, cx.n_edges + 1))
+        c2 = int(rng.integers(cx.n_triangles - 3, cx.n_triangles + 1))
+        got = solve(build_joint_instance(cx, costs, c1, c2))
+        want = oracle_enumerate(cx, costs, c1, c2)
+        assert got.status == "optimal"
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        assert got.lower_bound <= got.objective
+
+
+def test_infeasible_warm_node_lp_raises(monkeypatch):
+    # feasibility is decided by count, so an infeasible node LP is a
+    # numerical failure, never a reason to prune or to re-solve cold
+    rng = np.random.default_rng(4)
+    cx = build_candidate_complex(6)
+    inst = build_joint_instance(cx, _near_uniform_costs(rng, cx), 6, 3)
+
+    def warm_infeasible(c, A, b, lower, upper, basis=None, vstat=None,
+                        binv=None):
+        res = simplex_lp.solve_lp(c, A, b, lower, upper, basis=basis,
+                                  vstat=vstat, binv=binv)
+        return res if basis is None else replace(res, status="infeasible")
+
+    monkeypatch.setattr(blp, "solve_lp", warm_infeasible)
+    with pytest.raises(AssertionError, match="feasible by count"):
+        solve(inst)
 
 
 def test_solution_satisfies_floors_and_inclusion():

@@ -1,7 +1,9 @@
 """Property tests of the branch-and-bound solver against the oracle.
 
-Instances are drawn over ``n0`` 4-7, cost scales 1e-6 to 1e6, and cost
-vectors that are distinct, partly zero, or tied on a few levels.
+Instances are drawn over ``n0`` 4-7, cost scales 1e-6 to 1e6, cost
+vectors that are distinct, partly zero, or tied on a few levels, and
+triangle floors ``c2`` either at most 3 or within 3 of ``n_triangles``,
+where the count of triangles not fixed to 0 decides which children exist.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sctopo.blp import build_joint_instance, lp_bound, oracle_enumerate, solve
-from sctopo.complexes import build_candidate_complex
+from sctopo.complexes import build_candidate_complex, validate_inclusion
 from sctopo.smoothness import CostVectors
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -39,13 +41,14 @@ def instances(draw):
                         h2=_costs(rng, cx.n_triangles, kind, scale),
                         h2_kind="curl")
     c1 = draw(st.integers(0, cx.n_edges))
-    c2 = draw(st.integers(0, min(3, cx.n_triangles)))
+    n2 = cx.n_triangles
+    c2 = draw(st.one_of(st.integers(0, 3), st.integers(n2 - 3, n2)))
     return cx, costs, c1, c2, kind
 
 
 def _tol(objective):
-    # the solver prunes within 1e-9 of max(1, |incumbent|)
-    return 2e-9 * max(1.0, abs(objective))
+    # relative, so no cost scale loosens what counts as optimal
+    return 2e-9 * abs(objective)
 
 
 @_SETTINGS
@@ -58,6 +61,9 @@ def test_solve_matches_oracle(case):
     assert got.objective == pytest.approx(want.objective, rel=1e-9,
                                           abs=_tol(want.objective))
     assert got.lower_bound <= got.objective
+    sel = got.selection
+    assert sel.n_selected_edges >= c1 and sel.n_selected_triangles >= c2
+    assert validate_inclusion(cx, sel) == []
     if kind == "distinct":
         assert got.selection.same_as(want.selection)
     # edges complete the triangles by (cost, index), as in the oracle;

@@ -340,7 +340,9 @@ def test_negative_node_limit_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("node_limit", -3), ("gamma", -0.5),
-                                        ("greedy_init", "zeros")])
+                                        ("greedy_init", "zeros"),
+                                        ("n0_values", [20, 2]),
+                                        ("seeds", [3, -1])])
 def test_run_rejects_bad_solver_settings_before_any_data(tmp_path, capsys,
                                                          monkeypatch, key,
                                                          value):

@@ -122,6 +122,26 @@ def test_run_rejects_every_single_line_corruption(tmp_path, capsys):
         assert not (tmp_path / "o2").exists(), label
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_run_rejects_non_finite_features(tmp_path, capsys, cell):
+    # one bad cell in node 0's row: rejected whichever nodes a seed samples
+    data = tmp_path / "d"
+    save_real_dataset(make_coauthorship_fixture(12, 15, 6, seed=1), data)
+    feats = data / "node_features.csv"
+    lines = feats.read_text().splitlines(keepends=True)
+    row = lines[0].split(",")
+    row[1] = cell
+    feats.write_text(",".join(row) + "".join(lines[1:]))
+    cfg = tmp_path / "cfg.json"
+    for seed in range(4):
+        cfg.write_text(json.dumps({"mode": "real", "dataset_path": str(data),
+                                   "n0_values": [8], "seeds": [seed]}))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and "non-finite" in err, seed
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, simplex", [
     ("edges", [0, 3.5]), ("edges", [0, "3"]), ("edges", [True, 3]),
     ("edges", [0.0, 3]), ("triangles", [0, 1, 2.0]), ("triangles", "012"),

@@ -235,20 +235,31 @@ def test_hierarchical_and_greedy_report_wall_time():
         assert 0.0 < out.diagnostics["wall_time"] < 60.0, out.method
 
 
-@pytest.mark.parametrize("prior", ["low_curl", "similarity"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_joint_selection_does_not_depend_on_cost_scale(seed, prior):
-    # TREND-sized instances: the pivot tolerances are absolute, so costs
-    # scaled far below and far above 1 must still give the same optimum
-    bundle = make_bundle(SynthConfig(n0=20, seed=seed, edge_prior=prior))
-    cx = build_candidate_complex(20)
-    costs = compute_costs(cx, bundle.x0, bundle.x1bar, PRIOR_TO_KIND[prior])
+def _check_scale_free(config):
+    # TREND-sized instances: the simplex tolerances and the prune slack are
+    # absolute numbers, yet costs scaled far below and far above 1 must
+    # give the same optimum
+    bundle = make_bundle(config)
+    cx = build_candidate_complex(config.n0)
+    costs = compute_costs(cx, bundle.x0, bundle.x1bar,
+                          PRIOR_TO_KIND[config.edge_prior])
     c1, c2 = bundle.truth.n_selected_edges, bundle.truth.n_selected_triangles
     want = learn_joint(cx, costs, c1, c2)
     assert want.diagnostics["status"] == "optimal"
-    for scale in (1e-6, 1e6):
+    for scale in (1e-15, 1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12, 1e15):
         scaled = CostVectors(h1=costs.h1 * scale, h2=costs.h2 * scale,
                              h2_kind=costs.h2_kind)
         got = learn_joint(cx, scaled, c1, c2)
         assert got.diagnostics["status"] == "optimal"
         assert got.selection.same_as(want.selection), scale
+
+
+@pytest.mark.parametrize("prior", ["low_curl", "similarity"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_joint_selection_does_not_depend_on_cost_scale(seed, prior):
+    _check_scale_free(SynthConfig(n0=20, seed=seed, edge_prior=prior))
+
+
+def test_noisy_joint_selection_does_not_depend_on_cost_scale():
+    _check_scale_free(SynthConfig(n0=20, seed=0, edge_prior="similarity",
+                                  noise_sigma=0.5))
