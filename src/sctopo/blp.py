@@ -15,7 +15,13 @@ its candidate complex, and those faces follow from ``n0``.
 
 ``solve`` runs best-first branch and bound on LP relaxations produced by
 :mod:`sctopo.simplex_lp`, generating violated inclusion rows lazily (the
-full set is 3 * n_triangles rows; a handful are ever active).  It branches
+full set is 3 * n_triangles rows; a handful are ever active).  Each node
+is one ``solve_lp`` call: it starts from the parent's final basis, with
+the rows pooled since then folded into the inverse; the LP adds the rows
+its optimum violates through the pool's ``separate`` and goes on pivoting;
+and it stops with status ``"cutoff"`` as soon as its dual objective
+reaches the incumbent's, which prunes the node.  ``_MAX_ITER`` of
+:mod:`sctopo.simplex_lp` caps the pivots of one node.  It branches
 on triangles only: once they are fixed, the edge LP (unit rows, one floor,
 ``[0, 1]`` boxes) is integral, and for ``h1 >= 0`` its optimum is their
 faces plus the cheapest other edges by ``(cost, index)`` up to ``c1``
@@ -138,33 +144,37 @@ class _RowPool:
             rows[k, self.tri_edges[t, slot]] = -1.0
         return int(t.size)
 
+    def separate(self, x):
+        """Add the rows violated at ``x``; the grown ``(A, b)``, or None."""
+        if self.add_violated(x) == 0:
+            return None
+        return self.A[: self.m], self.b[: self.m]
 
-def _solve_node(pool, c, lower, upper, warm):
-    """LP over the pool, regenerating violated inclusion rows until clean.
+
+def _solve_node(pool, c, lower, upper, warm, cutoff=inf):
+    """One LP over the pool, which grows by the inclusion rows it violates.
 
     ``warm`` is an earlier :class:`LpResult` whose final basis starts the
-    first LP, or None for a cold start.  Rows the pool gained after ``warm``
-    was solved enter with their slacks basic.  The last result is returned
+    LP, or None for a cold start.  Rows the pool gained after ``warm`` was
+    solved enter with their slacks basic, and so do the rows that the LP
+    separates at each optimum below ``cutoff``.  The result is returned
     whatever its status; ``solve`` decides feasibility by count and treats
     an ``"infeasible"`` one as a numerical failure.
     """
     n = pool.n
-    while True:
-        basis = vstat = binv = None
-        if warm is not None:
-            basis, vstat, binv = warm.basis, warm.vstat, warm.binv
-            m_old = basis.size
-            if m_old < pool.m:
-                binv = extend_binv_for_new_rows(binv, pool.A[m_old : pool.m, :n],
-                                                basis, n)
-                basis = np.concatenate([basis, np.arange(n + m_old, n + pool.m)])
-                vstat = np.concatenate(
-                    [vstat, np.full(pool.m - m_old, BASIC, dtype=np.int8)])
-        res = solve_lp(c, pool.A[: pool.m], pool.b[: pool.m], lower, upper,
-                       basis=basis, vstat=vstat, binv=binv)
-        if res.status != "optimal" or pool.add_violated(res.x) == 0:
-            return res
-        warm = res
+    basis = vstat = binv = None
+    if warm is not None:
+        basis, vstat, binv = warm.basis, warm.vstat, warm.binv
+        m_old = basis.size
+        if m_old < pool.m:
+            binv = extend_binv_for_new_rows(binv, pool.A[m_old : pool.m, :n],
+                                            basis, n)
+            basis = np.concatenate([basis, np.arange(n + m_old, n + pool.m)])
+            vstat = np.concatenate(
+                [vstat, np.full(pool.m - m_old, BASIC, dtype=np.int8)])
+    return solve_lp(c, pool.A[: pool.m], pool.b[: pool.m], lower, upper,
+                    basis=basis, vstat=vstat, binv=binv, cutoff=cutoff,
+                    separate=pool.separate)
 
 
 def _complete_edges(instance, s2):
@@ -248,10 +258,10 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
 
         lower[n1:] = fixed == 1
         upper[n1:] = fixed != 0
-        res = _solve_node(pool, c, lower, upper, warm)
+        res = _solve_node(pool, c, lower, upper, warm, cutoff)
         if res.status == "infeasible":
             raise AssertionError("LP infeasible at a node feasible by count")
-        if res.bound >= cutoff:
+        if res.bound >= cutoff:  # a "cutoff" result always lands here
             lb_cap = min(lb_cap, res.bound)
             continue
 
@@ -284,7 +294,9 @@ def lp_bound(instance, fixed_edges=None, fixed_triangles=None):
     """LP relaxation lower bound under a partial assignment.
 
     ``fixed_edges`` / ``fixed_triangles`` map index -> 0 or 1.  Returns
-    ``inf`` when the fixed problem is infeasible.
+    ``inf`` when the fixed problem is infeasible.  As in ``solve``, the LP
+    sees the costs divided by the largest one, and the bound is scaled
+    back.
     """
     n1, n2 = instance.n_edges, instance.n_triangles
     lower = np.zeros(n1 + n2)
@@ -300,9 +312,9 @@ def lp_bound(instance, fixed_edges=None, fixed_triangles=None):
     if instance.c1 > n1 or instance.c2 > n2:
         return inf
     c = np.concatenate([instance.h1, instance.h2])
-    pool = _RowPool(instance)
-    res = _solve_node(pool, c, lower, upper, None)
-    return inf if res.status == "infeasible" else float(res.bound)
+    scale = float(c.max(initial=0.0)) or 1.0
+    res = _solve_node(_RowPool(instance), c / scale, lower, upper, None)
+    return inf if res.status == "infeasible" else float(res.bound) * scale
 
 
 def oracle_enumerate(cx, costs, c1, c2, budget=1_000_000):

@@ -144,6 +144,10 @@ def run_experiment(config):
     dataset = None
     if config.mode == "real":
         dataset = load_real_dataset(config.dataset_path)
+        too_big = [n0 for n0 in config.n0_values if n0 > dataset.n0]
+        if too_big:
+            raise ValueError(f"n0_values {too_big} exceed the dataset's "
+                             f"{dataset.n0} nodes")
     report = EvalReport(config=asdict(config), seeds=list(config.seeds))
 
     for n0 in config.n0_values:

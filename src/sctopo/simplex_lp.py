@@ -12,22 +12,41 @@ for the branch-and-bound use case:
   (the heap of :mod:`sctopo.blp` holds the parent's :class:`LpResult`,
   one O(m^2) inverse per branched node that still has an open child);
 * appending rows with their slacks basic is also dual feasible, which is
-  what lazy constraint generation needs;
+  what lazy constraint generation needs: at an optimum, the ``separate``
+  callback may return the rows grown, and the solve goes on from the same
+  basis, its inverse extended by :func:`extend_binv_for_new_rows`;
 * every iterate of the dual simplex is a valid lower bound on the LP
   optimum, so the solve can stop early and still return a usable bound.
+  It stops with status ``"cutoff"`` as soon as that bound reaches the
+  ``cutoff`` passed in: a branch-and-bound node whose bound reaches the
+  incumbent's objective is pruned whatever its optimum.
+
+Rounds: the rows passed in make the first round, and each separation that
+adds rows starts another.  A round starts from a fresh point and restarts
+the degenerate-run and reinversion counters, so it pivots exactly as a new
+call warm-started from the previous round's result would.  ``_MAX_ITER``
+caps the pivots of the whole call, one node of :mod:`sctopo.blp`.
 
 State carried across pivots: the basis inverse (a rank-one update in
-place), the basic values ``xB`` (moved along the entering column) and the
-reduced costs ``d`` (moved along the pivot row).  ``xB`` and ``d`` are
-computed from the inverse at the start; all three are recomputed from the
-basis every ``_REFRESH_EVERY`` pivots of a call, which bounds their drift,
-and ``xB`` once more, with the bounds tested again, before a solve reports
-``"optimal"``.  An inverse passed in is used as given, so an inverse
-carried from call to call is refreshed only by a call that runs
-``_REFRESH_EVERY`` pivots.
+place), the basic values ``xB`` (moved along the entering column), the
+reduced costs ``d`` (moved along the pivot row) and the dual objective
+``c @ x`` of the basic point.  The objective moves in O(1) per pivot: by
+the dual step times the leaving row's violation, and for a long step by
+the piecewise sum over the passed breakpoints, whose slopes drop from the
+violation by each flipped box (Koberstein, *The dual simplex method,
+techniques for a fast and stable implementation*, 2005, ch. 3).  ``xB``,
+``d`` and the objective are computed from the inverse at the start of each
+round; all four are recomputed from the basis every ``_REFRESH_EVERY``
+pivots of a round, which bounds their drift; ``xB`` and the objective
+once more, with the test repeated, before a solve reports ``"optimal"``
+or ``"cutoff"``.  So a ``"cutoff"`` bound is ``c @ x`` of the returned
+point and reaches the cutoff.  An inverse passed in is used as given, so
+an inverse carried from call to call is refreshed only by a round that
+runs ``_REFRESH_EVERY`` pivots.
 
 The tolerances and limits are module constants (``_FEAS_TOL``,
 ``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``), read at each call.
+``cutoff`` and ``separate`` are part of the problem, not tuning knobs.
 
 Ratio test: the textbook dual ratio test picks the entering variable first.
 When that variable has a finite box and moving it across the whole box
@@ -51,6 +70,7 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -60,7 +80,7 @@ NB_LOWER, NB_UPPER, BASIC, NB_FIXED = 0, 1, 2, 3
 _PIV_TOL = 1e-9
 _RATIO_TIE = 1e-12
 _FEAS_TOL = 1e-9  # largest bound violation a basic value may show at optimum
-_MAX_ITER = 100_000  # pivots per call before "iteration_limit"
+_MAX_ITER = 100_000  # pivots per call (all rounds) before "iteration_limit"
 _BLAND_AFTER = 1000  # degenerate pivots in a row before Bland's rule
 _REFRESH_EVERY = 200  # pivots between reinversions of the basis
 # direction a nonbasic variable moves off its bound, by status: +1 up from
@@ -70,7 +90,7 @@ _TOWARD = np.array([1.0, -1.0, 0.0, 0.0])
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "iteration_limit"
+    status: str  # "optimal" | "infeasible" | "iteration_limit" | "cutoff"
     x: np.ndarray
     bound: float  # c @ x, a lower bound on the LP optimum; inf when infeasible
     iterations: int
@@ -109,30 +129,33 @@ def extend_binv_for_new_rows(binv, A_new_rows, basis, n):
     return out
 
 
-def solve_lp(c, A, b, lower, upper, basis=None, vstat=None, binv=None):
+def solve_lp(c, A, b, lower, upper, basis=None, vstat=None, binv=None,
+             cutoff=inf, separate=None):
     """Dual simplex on ``min c@x, A x <= b, lower <= x <= upper``.
 
     ``basis``/``vstat``/``binv`` restore a previous (dual-feasible) state;
     pass ``binv=None`` to have the inverse rebuilt from the basis.  The
     arrays passed in are copied, never modified.  Fixed variables
     (``lower == upper``) never enter the basis.
+
+    The solve stops with status ``"cutoff"`` once the dual objective, a
+    lower bound on the optimum, reaches ``cutoff``.  At an optimum below
+    it, ``separate(x)`` returns the grown ``(A, b)``, the rows of ``A``
+    followed by new ones, or None when ``x`` violates no further row; new
+    rows enter with their slacks basic and the solve goes on.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     m, n = A.shape
-    nm = n + m
-
-    lower_e = np.concatenate([lower, np.zeros(m)])
-    upper_e = np.concatenate([upper, np.full(m, np.inf)])
-    range_e = upper_e - lower_e
-    if (lower_e > upper_e + _FEAS_TOL).any():
-        return LpResult("infeasible", np.zeros(n), np.inf, 0, None, None, None)
-    c_e = np.concatenate([c, np.zeros(m)])
+    if (lower > upper + _FEAS_TOL).any():
+        return LpResult("infeasible", np.zeros(n), inf, 0, None, None, None)
 
     if basis is None:
-        basis = np.arange(n, nm, dtype=np.int64)
-        vstat = np.empty(nm, dtype=np.int8)
+        basis = np.arange(n, n + m, dtype=np.int64)
+        vstat = np.empty(n + m, dtype=np.int8)
         vstat[:n] = np.where(c >= 0.0, NB_LOWER, NB_UPPER)
         vstat[n:] = BASIC
         binv = np.eye(m)
@@ -148,124 +171,166 @@ def solve_lp(c, A, b, lower, upper, basis=None, vstat=None, binv=None):
     # separated goes back to the bound its cost sign favours (slacks are
     # never fixed, their upper bound being infinite)
     stat = vstat[:n]
-    is_fixed = lower_e[:n] == upper_e[:n]
+    is_fixed = lower == upper
     moved = (stat == NB_FIXED) != (is_fixed & (stat != BASIC))
     if moved.any():
         j = moved.nonzero()[0]
         stat[j] = np.where(is_fixed[j], NB_FIXED,
                            np.where(c[j] >= 0.0, NB_LOWER, NB_UPPER))
-    if np.isinf(upper_e[vstat == NB_UPPER]).any():
+    if np.isinf(upper[stat == NB_UPPER]).any() or (vstat[n:] == NB_UPPER).any():
         raise ValueError("variable at an infinite upper bound")
 
-    toward = _TOWARD[vstat]
-    lower_b = lower_e[basis]
-    upper_b = upper_e[basis]
-    alpha = np.empty(nm)  # pivot row over structural and slack columns
-
-    xB = _basic_values(binv, A, b, _nonbasic_values(vstat, basis, lower_e, upper_e))
-    d = _reduced_costs(binv, A, c_e, basis)
-    fresh = True  # xB computed from binv rather than carried across pivots
-    degen_run = 0
     it = 0
-    while it < _MAX_ITER:
-        below = lower_b - xB
-        above = xB - upper_b
-        viol = np.maximum(below, above)
-        r = int(viol.argmax())
-        if viol[r] <= _FEAS_TOL:
-            if not fresh:
-                # carried values drift; certify optimality on recomputed ones
-                xB = _basic_values(binv, A, b, _nonbasic_values(vstat, basis, lower_e, upper_e))
+    while True:
+        # one round per row set: the first over the rows passed in, one
+        # more after each separation that adds rows
+        nm = n + m
+        lower_e = np.concatenate([lower, np.zeros(m)])
+        upper_e = np.concatenate([upper, np.full(m, inf)])
+        range_e = upper_e - lower_e
+        c_e = np.concatenate([c, np.zeros(m)])
+        toward = _TOWARD[vstat]
+        lower_b = lower_e[basis]
+        upper_b = upper_e[basis]
+        alpha = np.empty(nm)  # pivot row over structural and slack columns
+
+        xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e)
+        d = _reduced_costs(binv, A, c_e, basis)
+        fresh = True  # xB and obj computed from binv, not carried
+        degen_run = 0
+        start = it  # reinversions fall every _REFRESH_EVERY pivots of a round
+        while it < _MAX_ITER:
+            below = lower_b - xB
+            above = xB - upper_b
+            viol = np.maximum(below, above)
+            r = int(viol.argmax())
+            if obj >= cutoff or viol[r] <= _FEAS_TOL:
+                if not fresh:
+                    # carried values drift; stop only on recomputed ones
+                    xB, obj = _fresh_point(binv, A, b, c, vstat, basis,
+                                           lower_e, upper_e)
+                    fresh = True
+                    continue
+                x = _nonbasic_values(vstat, basis, lower_e, upper_e)
+                x[basis] = xB
+                if obj >= cutoff:
+                    return LpResult("cutoff", x[:n], obj, it, basis, vstat, binv)
+                grown = None if separate is None else separate(x[:n])
+                if grown is None:
+                    return LpResult("optimal", x[:n], obj, it, basis, vstat, binv)
+                # the new rows' slacks enter basic: still dual feasible
+                A, b = (np.asarray(v, dtype=float) for v in grown)
+                added = A.shape[0] - m
+                binv = extend_binv_for_new_rows(binv, A[m:], basis, n)
+                basis = np.concatenate([basis, np.arange(nm, nm + added)])
+                vstat = np.concatenate(
+                    [vstat, np.full(added, BASIC, dtype=np.int8)])
+                m += added
+                break  # to the next round
+            if degen_run > _BLAND_AFTER:
+                rows = (viol > _FEAS_TOL).nonzero()[0]
+                r = int(rows[basis[rows].argmin()])
+
+            s = 1.0 if above[r] > below[r] else -1.0
+            rho = binv[r] if s > 0 else -binv[r]
+            np.dot(rho, A, out=alpha[:n])
+            alpha[n:] = rho
+
+            cand = (toward * alpha > _PIV_TOL).nonzero()[0]
+            if cand.size == 0:
+                # dual ray: the primal subproblem has no feasible point
+                x_nb = _nonbasic_values(vstat, basis, lower_e, upper_e)
+                return LpResult("infeasible", x_nb[:n], inf, it, basis, vstat,
+                                binv)
+
+            ratios = np.maximum(d[cand] / alpha[cand], 0.0)
+            theta = ratios.min()
+            entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
+            # the dual objective rises by the step times the row's violation
+            gain = theta * viol[r]
+            if (degen_run <= _BLAND_AFTER
+                    and viol[r] - abs(alpha[entering]) * range_e[entering] > _FEAS_TOL):
+                # long step: the entering variable would cross its whole box
+                # and still leave row r infeasible.  Pass the breakpoints in
+                # (ratio, index) order, flipping each variable to its other
+                # bound while the row stays infeasible; the first that would
+                # fix it enters.  The dual step to its ratio turns the reduced
+                # costs of the flipped variables to the sign their new bound
+                # needs.
+                order = ratios.argsort(kind="stable")
+                srt = cand[order]
+                left = viol[r] - np.cumsum(np.abs(alpha[srt]) * range_e[srt])
+                stop = (left <= _FEAS_TOL).nonzero()[0]
+                k = int(stop[0]) if stop.size else srt.size - 1
+                entering = int(srt[k])
+                steps = ratios[order[: k + 1]]
+                theta = steps[-1]
+                # piecewise linear: each passed breakpoint lowers the slope
+                # of the dual objective from viol[r] to left[i]
+                gain = viol[r] * steps[0] + left[:k] @ (steps[1:] - steps[:-1])
+                if k:
+                    flips = srt[:k]  # structural: a slack's range is infinite
+                    xB -= binv @ (A[:, flips] @ (toward[flips] * range_e[flips]))
+                    vstat[flips] ^= 1  # NB_LOWER <-> NB_UPPER
+                    toward[flips] = -toward[flips]
+            obj += gain
+
+            col = binv @ A[:, entering] if entering < n else binv[:, entering - n].copy()
+            piv = col[r]
+
+            # dual step along the pivot row; the entering reduced cost becomes 0
+            d -= (d[entering] / alpha[entering]) * alpha
+            d[entering] = 0.0
+            # primal step: the leaving variable lands on the bound it violated
+            step = (xB[r] - (upper_b[r] if s > 0 else lower_b[r])) / piv
+            x_entering = upper_e[entering] if toward[entering] < 0 else lower_e[entering]
+            xB -= step * col
+            xB[r] = x_entering + step
+
+            binv_r = binv[r] / piv
+            binv -= col[:, None] * binv_r
+            binv[r] = binv_r
+
+            leaving = basis[r]
+            if lower_e[leaving] == upper_e[leaving]:
+                vstat[leaving] = NB_FIXED
+                toward[leaving] = 0.0
+            else:
+                vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
+                toward[leaving] = -s
+            vstat[entering] = BASIC
+            toward[entering] = 0.0
+            basis[r] = entering
+            lower_b[r] = lower_e[entering]
+            upper_b[r] = upper_e[entering]
+
+            degen_run = degen_run + 1 if theta <= _RATIO_TIE else 0
+            it += 1
+            if (it - start) % _REFRESH_EVERY == 0:
+                binv = np.linalg.inv(build_basis_matrix(A, basis))
+                xB, obj = _fresh_point(binv, A, b, c, vstat, basis,
+                                       lower_e, upper_e)
+                d = _reduced_costs(binv, A, c_e, basis)
                 fresh = True
-                continue
+            else:
+                fresh = False
+        else:
+            # out of iterations: the basis is still dual feasible, so its
+            # objective (weak duality) is a valid lower bound even though x
+            # may violate bounds
             x = _nonbasic_values(vstat, basis, lower_e, upper_e)
-            x[basis] = xB
+            x[basis] = _basic_values(binv, A, b, x)
             obj = float(c @ x[:n])
-            return LpResult("optimal", x[:n], obj, it, basis, vstat, binv)
-        if degen_run > _BLAND_AFTER:
-            rows = (viol > _FEAS_TOL).nonzero()[0]
-            r = int(rows[basis[rows].argmin()])
+            return LpResult("iteration_limit", x[:n], obj, it, basis, vstat,
+                            binv)
 
-        s = 1.0 if above[r] > below[r] else -1.0
-        rho = binv[r] if s > 0 else -binv[r]
-        np.dot(rho, A, out=alpha[:n])
-        alpha[n:] = rho
 
-        cand = (toward * alpha > _PIV_TOL).nonzero()[0]
-        if cand.size == 0:
-            # dual ray: the primal subproblem has no feasible point
-            x_nb = _nonbasic_values(vstat, basis, lower_e, upper_e)
-            return LpResult("infeasible", x_nb[:n], np.inf, it, basis, vstat, binv)
-
-        ratios = np.maximum(d[cand] / alpha[cand], 0.0)
-        theta = ratios.min()
-        entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
-        if (degen_run <= _BLAND_AFTER
-                and viol[r] - abs(alpha[entering]) * range_e[entering] > _FEAS_TOL):
-            # long step: the entering variable would cross its whole box and
-            # still leave row r infeasible.  Pass the breakpoints in (ratio,
-            # index) order, flipping each variable to its other bound while
-            # the row stays infeasible; the first that would fix it enters.
-            # The dual step to its ratio turns the reduced costs of the
-            # flipped variables to the sign their new bound needs.
-            order = ratios.argsort(kind="stable")
-            srt = cand[order]
-            left = viol[r] - np.cumsum(np.abs(alpha[srt]) * range_e[srt])
-            stop = (left <= _FEAS_TOL).nonzero()[0]
-            k = int(stop[0]) if stop.size else srt.size - 1
-            entering = int(srt[k])
-            theta = ratios[order[k]]
-            if k:
-                flips = srt[:k]  # structural: a slack's range is infinite
-                xB -= binv @ (A[:, flips] @ (toward[flips] * range_e[flips]))
-                vstat[flips] ^= 1  # NB_LOWER <-> NB_UPPER
-                toward[flips] = -toward[flips]
-
-        col = binv @ A[:, entering] if entering < n else binv[:, entering - n].copy()
-        piv = col[r]
-
-        # dual step along the pivot row; the entering reduced cost becomes 0
-        d -= (d[entering] / alpha[entering]) * alpha
-        d[entering] = 0.0
-        # primal step: the leaving variable lands on the bound it violated
-        step = (xB[r] - (upper_b[r] if s > 0 else lower_b[r])) / piv
-        x_entering = upper_e[entering] if toward[entering] < 0 else lower_e[entering]
-        xB -= step * col
-        xB[r] = x_entering + step
-
-        binv_r = binv[r] / piv
-        binv -= col[:, None] * binv_r
-        binv[r] = binv_r
-
-        leaving = basis[r]
-        if lower_e[leaving] == upper_e[leaving]:
-            vstat[leaving] = NB_FIXED
-            toward[leaving] = 0.0
-        else:
-            vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
-            toward[leaving] = -s
-        vstat[entering] = BASIC
-        toward[entering] = 0.0
-        basis[r] = entering
-        lower_b[r] = lower_e[entering]
-        upper_b[r] = upper_e[entering]
-
-        degen_run = degen_run + 1 if theta <= _RATIO_TIE else 0
-        it += 1
-        if it % _REFRESH_EVERY == 0:
-            binv = np.linalg.inv(build_basis_matrix(A, basis))
-            xB = _basic_values(binv, A, b, _nonbasic_values(vstat, basis, lower_e, upper_e))
-            d = _reduced_costs(binv, A, c_e, basis)
-            fresh = True
-        else:
-            fresh = False
-
-    # out of iterations: the basis is still dual feasible, so its objective
-    # (weak duality) is a valid lower bound even though x may violate bounds
+def _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e):
+    """Basic values from the inverse, and the objective ``c @ x`` they give."""
     x = _nonbasic_values(vstat, basis, lower_e, upper_e)
-    x[basis] = _basic_values(binv, A, b, x)
-    obj = float(c @ x[:n])
-    return LpResult("iteration_limit", x[:n], obj, it, basis, vstat, binv)
+    xB = _basic_values(binv, A, b, x)
+    x[basis] = xB
+    return xB, float(c @ x[: A.shape[1]])
 
 
 def _nonbasic_values(vstat, basis, lower_e, upper_e):

@@ -19,7 +19,9 @@ from sctopo.blp import (
     write_instance,
 )
 from sctopo.complexes import Selection, build_candidate_complex
-from sctopo.smoothness import CostVectors
+from sctopo.datagen import SynthConfig, make_bundle
+from sctopo.experiment import PRIOR_TO_KIND
+from sctopo.smoothness import CostVectors, compute_costs
 
 
 def _random_costs(rng, cx, scale=1.0):
@@ -64,6 +66,32 @@ def test_solve_matches_oracle_on_branching_instances():
     assert got.selection.same_as(want.selection)
 
 
+def _explicit_rounds(separate, c, A, b, lower, upper, basis=None,
+                     vstat=None, binv=None, cutoff=np.inf):
+    """The separation loop run outside the solver, one LP call per round.
+
+    Each optimal round hands its ``x`` to ``separate``; the rows it adds
+    enter the next call with their slacks basic.  Returns the last result
+    and the pivots of each round.
+    """
+    n = A.shape[1]
+    pivots = []
+    while True:
+        res = simplex_lp.solve_lp(c, A, b, lower, upper, basis=basis,
+                                  vstat=vstat, binv=binv, cutoff=cutoff)
+        pivots.append(res.iterations)
+        grown = separate(res.x) if res.status == "optimal" else None
+        if grown is None:
+            return res, pivots
+        A, b = grown
+        m, k = res.basis.size, A.shape[0] - res.basis.size
+        binv = simplex_lp.extend_binv_for_new_rows(res.binv, A[m:],
+                                                   res.basis, n)
+        basis = np.concatenate([res.basis, np.arange(n + m, n + m + k)])
+        vstat = np.concatenate([res.vstat,
+                                np.full(k, simplex_lp.BASIC, dtype=np.int8)])
+
+
 @pytest.mark.parametrize("refresh_every", [7, 200])  # 200: the default
 def test_children_start_from_the_parents_basis_inverse(monkeypatch,
                                                        refresh_every):
@@ -75,24 +103,42 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
 
     build_basis = simplex_lp.build_basis_matrix
     built = []
-    pivots = []
+    counting = [True]
+    pivots = []  # of each separation round
     pushed = []
 
     def counting_build(A, basis):
-        built.append(basis.size)
+        if counting[0]:
+            built.append(basis.size)
         return build_basis(A, basis)
 
     def checked_solve_lp(c, A, b, lower, upper, basis=None, vstat=None,
-                         binv=None):
+                         binv=None, cutoff=np.inf, separate=None):
         if basis is not None:
             # a warm LP gets the inverse of its basis, carried rather than
-            # rebuilt, whether at a child's first LP or after new rows
+            # rebuilt, with the rows pooled since the parent's LP folded in
             assert binv is not None
             np.testing.assert_allclose(binv @ build_basis(A, basis),
                                        np.eye(A.shape[0]), atol=1e-8)
+        grown = []
+
+        def recording_separate(x):
+            grown.append(separate(x))
+            return grown[-1]
+
         res = simplex_lp.solve_lp(c, A, b, lower, upper, basis=basis,
-                                  vstat=vstat, binv=binv)
-        pivots.append(res.iterations)
+                                  vstat=vstat, binv=binv, cutoff=cutoff,
+                                  separate=recording_separate)
+        # replaying the call one round at a time gives each round's pivots
+        counting[0] = False
+        replay = iter(grown)
+        again, rounds = _explicit_rounds(lambda x: next(replay), c, A, b,
+                                         lower, upper, basis, vstat, binv,
+                                         cutoff)
+        counting[0] = True
+        assert sum(rounds) == res.iterations
+        np.testing.assert_array_equal(again.x, res.x)
+        pivots.extend(rounds)
         return res
 
     def recording_push(heap, item):
@@ -107,7 +153,8 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
 
     assert got.objective == pytest.approx(want.objective, rel=1e-12)
     assert got.selection.same_as(want.selection)
-    # the basis is rebuilt only at the periodic reinversions inside an LP
+    # the basis is rebuilt only at the periodic reinversions, counted from
+    # the start of each separation round
     assert len(built) == sum(it // refresh_every for it in pivots)
     if refresh_every == 200:
         assert got.nodes_explored == want.nodes_explored
@@ -119,6 +166,77 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
     for down, up in zip(pushed[::2], pushed[1::2]):
         assert down[-1] is up[-1]
         assert down[-1].binv is not None
+
+
+def test_each_node_makes_one_lp_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["cutoff"])
+        return simplex_lp.solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(blp, "solve_lp", counted)
+    rng = np.random.default_rng(12)
+    cx = build_candidate_complex(6)
+    for c1, c2 in ((6, 3), (6, 4), (9, 5)):
+        calls.clear()
+        inst = build_joint_instance(cx, _near_uniform_costs(rng, cx), c1, c2)
+        got = solve(inst)
+        assert got.status == "optimal"
+        assert got.nodes_explored > 1
+        assert len(calls) == got.nodes_explored
+        assert calls[0] == np.inf  # no incumbent before the root
+        assert min(calls) < np.inf  # later nodes stop at the incumbent
+
+
+def test_separation_inside_the_lp_matches_the_explicit_loop():
+    rng = np.random.default_rng(23)
+    rounds = 0
+    for _ in range(30):
+        cx = build_candidate_complex(int(rng.integers(5, 8)))
+        costs = _random_costs(rng, cx)
+        inst = build_joint_instance(cx, costs, int(rng.integers(0, 10)),
+                                    int(rng.integers(1, 5)))
+        c = np.concatenate([inst.h1, inst.h2])
+        lower, upper = np.zeros(c.size), np.ones(c.size)
+        fixed = rng.choice(cx.n_triangles, size=2, replace=False)
+        upper[cx.n_edges + fixed[0]] = 0.0
+        lower[cx.n_edges + fixed[1]] = 1.0
+        inside, outside = _RowPool(inst), _RowPool(inst)
+        got = simplex_lp.solve_lp(c, inside.A[:2], inside.b[:2], lower, upper,
+                                  separate=inside.separate)
+        want, pivots = _explicit_rounds(outside.separate, c, outside.A[:2],
+                                        outside.b[:2], lower, upper)
+        assert got.status == want.status == "optimal"
+        np.testing.assert_array_equal(got.x, want.x)
+        assert got.bound == pytest.approx(want.bound, rel=1e-12, abs=1e-12)
+        assert got.iterations == sum(pivots)
+        assert inside.m == outside.m
+        rounds += len(pivots)
+    assert rounds > 60  # most LPs separate rows more than once
+
+
+def test_cutoff_stops_each_node_lp_at_a_valid_bound():
+    # z <= bound <= the full LP bound, with the rows separated so far
+    rng = np.random.default_rng(31)
+    stopped = 0
+    for _ in range(30):
+        cx = build_candidate_complex(int(rng.integers(5, 8)))
+        inst = build_joint_instance(cx, _random_costs(rng, cx),
+                                    int(rng.integers(0, 10)),
+                                    int(rng.integers(1, 5)))
+        c = np.concatenate([inst.h1, inst.h2])
+        lower, upper = np.zeros(c.size), np.ones(c.size)
+        full = blp._solve_node(_RowPool(inst), c, lower, upper, None)
+        assert full.status == "optimal"
+        for frac in (0.3, 0.9, 0.999):
+            z = frac * full.bound
+            res = blp._solve_node(_RowPool(inst), c, lower, upper, None, z)
+            assert res.status == "cutoff"
+            assert z <= res.bound <= full.bound + 1e-12
+            assert res.iterations <= full.iterations
+            stopped += res.iterations < full.iterations
+    assert stopped > 30
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 2])
@@ -148,9 +266,10 @@ def test_infeasible_warm_node_lp_raises(monkeypatch):
     inst = build_joint_instance(cx, _near_uniform_costs(rng, cx), 6, 3)
 
     def warm_infeasible(c, A, b, lower, upper, basis=None, vstat=None,
-                        binv=None):
+                        binv=None, cutoff=np.inf, separate=None):
         res = simplex_lp.solve_lp(c, A, b, lower, upper, basis=basis,
-                                  vstat=vstat, binv=binv)
+                                  vstat=vstat, binv=binv, cutoff=cutoff,
+                                  separate=separate)
         return res if basis is None else replace(res, status="infeasible")
 
     monkeypatch.setattr(blp, "solve_lp", warm_infeasible)
@@ -250,6 +369,26 @@ def test_lp_bound_contracts():
         lp_bound(inst, fixed_edges={cx.n_edges: 0})
     with pytest.raises(ValueError):
         lp_bound(inst, fixed_triangles={0: 2})
+
+
+def test_lp_bound_does_not_depend_on_cost_scale():
+    # noisy costs at n0=20 reach about 1e4, while the pivot tolerances are
+    # absolute; the LP sees the costs divided by the largest one
+    bundle = make_bundle(SynthConfig(n0=20, seed=0, edge_prior="similarity",
+                                     noise_sigma=0.5))
+    cx = build_candidate_complex(20)
+    costs = compute_costs(cx, bundle.x0, bundle.x1bar,
+                          PRIOR_TO_KIND["similarity"])
+    c1, c2 = bundle.truth.n_selected_edges, bundle.truth.n_selected_triangles
+    unscaled = lp_bound(build_joint_instance(cx, costs, c1, c2))
+    for scale in (1e-15, 1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12, 1e15):
+        inst = build_joint_instance(
+            cx, CostVectors(h1=costs.h1 * scale, h2=costs.h2 * scale,
+                            h2_kind=costs.h2_kind), c1, c2)
+        bound = lp_bound(inst)
+        # this root LP is integral: the bound meets the optimum, to rounding
+        assert bound <= solve(inst).objective * (1.0 + 1e-12), scale
+        assert bound == pytest.approx(unscaled * scale, rel=1e-9), scale
 
 
 def test_node_limit_is_anytime():

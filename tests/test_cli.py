@@ -11,7 +11,11 @@ from sctopo.blp import build_joint_instance, solve, write_instance
 from sctopo.cli import build_parser, main
 from sctopo.complexes import Selection, build_candidate_complex
 from sctopo.datagen import load_bundle
-from sctopo.datasets import save_selection
+from sctopo.datasets import (
+    make_coauthorship_fixture,
+    save_real_dataset,
+    save_selection,
+)
 from sctopo.smoothness import CostVectors
 
 
@@ -355,6 +359,24 @@ def test_run_rejects_bad_solver_settings_before_any_data(tmp_path, capsys,
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and key in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_sizes_beyond_the_dataset_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a realization started")
+
+    monkeypatch.setattr("sctopo.experiment.subsample_dataset", no_solve)
+    monkeypatch.setattr("sctopo.experiment.compute_costs", no_solve)
+    root = save_real_dataset(make_coauthorship_fixture(12, 15, 6, seed=1),
+                             tmp_path / "fixture")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "real", "dataset_path": str(root),
+                               "n0_values": [8, 40], "seeds": [0]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "[40]" in err and "12 nodes" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -157,6 +157,55 @@ def test_iteration_limit_bound_is_valid(monkeypatch):
             assert short.bound <= ref.fun + 1e-7
 
 
+def test_cutoff_stops_between_the_cutoff_and_the_optimum(monkeypatch):
+    rng = np.random.default_rng(19)
+    stopped = 0
+    for trial in range(80):
+        n = int(rng.integers(3, 14))
+        m = int(rng.integers(2, 16))
+        c, A, b, lower, upper = _random_lp(rng, n, m, nonneg_costs=bool(trial % 2))
+        full = solve_lp(c, A, b, lower, upper)
+        if full.status != "optimal":
+            continue
+        z = full.bound - rng.random() * (1.0 + abs(full.bound))
+        res = solve_lp(c, A, b, lower, upper, cutoff=z)
+        assert res.status == "cutoff", trial
+        assert z <= res.bound <= full.bound + 1e-9
+        assert res.iterations <= full.iterations
+        # the bound is the objective of the point the final basis gives
+        assert res.bound == c @ res.x
+        if res.iterations:
+            # the objective tracked across pivots stops at the first
+            # iterate that reaches the cutoff, not later
+            stopped += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(simplex_lp, "_MAX_ITER", res.iterations - 1)
+                before = solve_lp(c, A, b, lower, upper)
+            assert before.status == "iteration_limit"
+            assert before.bound < z
+    assert stopped >= 10
+
+
+def test_cutoff_just_above_the_optimum_never_stops_early():
+    rng = np.random.default_rng(20)
+    n_checked = 0
+    for trial in range(80):
+        n = int(rng.integers(3, 14))
+        m = int(rng.integers(2, 16))
+        c, A, b, lower, upper = _random_lp(rng, n, m, nonneg_costs=bool(trial % 2))
+        full = solve_lp(c, A, b, lower, upper)
+        if full.status != "optimal":
+            continue
+        n_checked += 1
+        res = solve_lp(c, A, b, lower, upper,
+                       cutoff=full.bound + 1e-9 * (1.0 + abs(full.bound)))
+        assert res.status == "optimal", trial
+        np.testing.assert_array_equal(res.x, full.x)
+        assert res.bound == full.bound
+        assert res.iterations == full.iterations
+    assert n_checked >= 30
+
+
 def test_contradictory_bounds_are_infeasible():
     c = np.array([1.0, 1.0])
     A = np.array([[1.0, 1.0]])
