@@ -7,6 +7,9 @@
 # edges by componentwise min, and runs the same learners as in the
 # synthetic mode.
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from sctopo import (
@@ -40,11 +43,13 @@ print(f"mean squared distance: co-authors {d2[iu][on[iu]].mean():.2f}, "
 sub = subsample_dataset(ds, 12, stage_rng(0, 4))
 print(f"seed-0 sub-network on 12 authors: {sub.c1} edges, {sub.c2} triangles")
 
-root = save_real_dataset(ds, "/tmp/sctopo_demo_coauthors")
-cfg = ExperimentConfig(mode="real", dataset_path=str(root),
-                       n0_values=(12, 14), seeds=tuple(range(5)),
-                       priors=("similarity",))
-report = run_experiment(cfg)
+# real mode reads the dataset from a directory
+with tempfile.TemporaryDirectory() as tmp:
+    root = save_real_dataset(ds, Path(tmp) / "coauthors")
+    cfg = ExperimentConfig(mode="real", dataset_path=str(root),
+                           n0_values=(12, 14), seeds=tuple(range(5)),
+                           priors=("similarity",))
+    report = run_experiment(cfg)
 
 agg = {(a["n0"], a["method"], a["metric"]): a["mean"]
        for a in report.aggregates}

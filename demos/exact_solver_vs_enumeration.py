@@ -9,6 +9,9 @@ bound on LP relaxations; ``oracle_enumerate`` brute-forces triangle
 subsets.  They share nothing but the instance, which is the point.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from sctopo import (
@@ -59,7 +62,9 @@ print(f"\nnode_limit=2: status {capped.status!r}, incumbent "
 
 # instances round-trip through a plain text format (the CLI `solve`
 # subcommand reads the same files)
-write_instance(inst, "/tmp/sctopo_demo_instance.txt")
-again = solve(read_instance("/tmp/sctopo_demo_instance.txt"))
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "instance.txt"
+    write_instance(inst, path)
+    again = solve(read_instance(path))
 print("\nre-solved from disk, same objective:",
       again.objective == sol.objective)

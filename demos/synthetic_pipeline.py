@@ -1,6 +1,9 @@
 # Seeded synthetic data, step by step: planted topology, low-pass
 # signals, independent noise streams, and the on-disk bundle format.
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from sctopo import SynthConfig, load_bundle, make_bundle, save_bundle
@@ -44,7 +47,8 @@ print("same truth under noise:",
       np.array_equal(noisy.truth.s1, bundle.truth.s1))
 
 # bundles round-trip through a directory of csv files plus meta.json
-out = save_bundle(bundle, "/tmp/sctopo_demo_bundle")
-back = load_bundle(out)
-print("disk round-trip exact:", np.array_equal(back.x0, bundle.x0))
-print("wrote", out)
+with tempfile.TemporaryDirectory() as tmp:
+    out = save_bundle(bundle, Path(tmp) / "bundle")
+    back = load_bundle(out)
+    print("disk round-trip exact:", np.array_equal(back.x0, bundle.x0))
+    print("wrote", sorted(p.name for p in out.iterdir()))

@@ -10,6 +10,8 @@ hierarchical.  Here a trimmed grid keeps the demo quick; scale up the
 tuples to reproduce the full table.
 """
 
+import tempfile
+
 from sctopo import ExperimentConfig, run_experiment, write_report
 
 cfg = ExperimentConfig(n0_values=(10, 15), seeds=tuple(range(5)),
@@ -33,8 +35,9 @@ for n0 in cfg.n0_values:
 # persisted outputs: report.json carries every record (selections
 # included, so scores can be recomputed later); results.csv carries the
 # aggregate table and no timings, making reruns byte-identical
-report_path, csv_path = write_report(report, "/tmp/sctopo_demo_experiment")
-print(f"\nwrote {report_path} and {csv_path}")
-with open(csv_path) as fh:
-    for line in list(fh)[:4]:
-        print(" ", line.rstrip())
+with tempfile.TemporaryDirectory() as tmp:
+    report_path, csv_path = write_report(report, tmp)
+    print(f"\nwrote {report_path.name} and {csv_path.name}")
+    with open(csv_path) as fh:
+        for line in list(fh)[:4]:
+            print(" ", line.rstrip())

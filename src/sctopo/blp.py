@@ -16,10 +16,11 @@ its candidate complex, and those faces follow from ``n0``.
 ``solve`` runs best-first branch and bound on LP relaxations produced by
 :mod:`sctopo.simplex_lp`, generating violated inclusion rows lazily (the
 full set is 3 * n_triangles rows; a handful are ever active).  Each node
-is one ``solve_lp`` call: it starts from the parent's final basis, with
-the rows pooled since then folded into the inverse; the LP adds the rows
-its optimum violates through the pool's ``separate`` and goes on pivoting;
-and it stops with status ``"cutoff"`` as soon as its dual objective
+is one ``solve_lp`` call: it starts from the parent's final basis,
+extended to the rows pooled since then (``_RowPool.extend``); the LP adds
+the rows its optimum violates through the pool's ``separate``, which
+extends that round's result the same way, and goes on pivoting; and it
+stops with status ``"cutoff"`` as soon as its dual objective
 reaches the incumbent's, which prunes the node.  ``_MAX_ITER`` of
 :mod:`sctopo.simplex_lp` caps the pivots of one node.  It branches
 on triangles only: once they are fixed, the edge LP (unit rows, one floor,
@@ -46,7 +47,7 @@ from math import comb, inf
 import numpy as np
 
 from .complexes import Selection, build_candidate_complex, candidate_n0
-from .simplex_lp import BASIC, extend_binv_for_new_rows, solve_lp
+from .simplex_lp import extend_binv_for_new_rows, solve_lp
 
 _PRUNE_REL = 1e-9  # pruning slack, relative to the incumbent objective
 _INT_TOL = 1e-6
@@ -144,36 +145,35 @@ class _RowPool:
             rows[k, self.tri_edges[t, slot]] = -1.0
         return int(t.size)
 
-    def separate(self, x):
-        """Add the rows violated at ``x``; the grown ``(A, b)``, or None."""
-        if self.add_violated(x) == 0:
+    def extend(self, res):
+        """``res`` extended to the rows pooled since it was solved, if any.
+
+        The one place a result grows; its new rows' slacks enter basic.
+        """
+        if res is None or res.basis.size == self.m:
+            return res
+        return extend_binv_for_new_rows(res, self.A[res.basis.size : self.m],
+                                        self.n)
+
+    def separate(self, res):
+        """Add the rows violated at ``res.x``; ``(A, b, res)`` grown, or None."""
+        if self.add_violated(res.x) == 0:
             return None
-        return self.A[: self.m], self.b[: self.m]
+        return self.A[: self.m], self.b[: self.m], self.extend(res)
 
 
 def _solve_node(pool, c, lower, upper, warm, cutoff=inf):
     """One LP over the pool, which grows by the inclusion rows it violates.
 
     ``warm`` is an earlier :class:`LpResult` whose final basis starts the
-    LP, or None for a cold start.  Rows the pool gained after ``warm`` was
-    solved enter with their slacks basic, and so do the rows that the LP
-    separates at each optimum below ``cutoff``.  The result is returned
-    whatever its status; ``solve`` decides feasibility by count and treats
-    an ``"infeasible"`` one as a numerical failure.
+    LP, or None for a cold start.  ``pool.extend`` brings it to the rows
+    pooled since it was solved; ``pool.separate`` adds the rows violated
+    at each optimum below ``cutoff``.  The result is returned whatever its
+    status; ``solve`` decides feasibility by count and treats an
+    ``"infeasible"`` one as a numerical failure.
     """
-    n = pool.n
-    basis = vstat = binv = None
-    if warm is not None:
-        basis, vstat, binv = warm.basis, warm.vstat, warm.binv
-        m_old = basis.size
-        if m_old < pool.m:
-            binv = extend_binv_for_new_rows(binv, pool.A[m_old : pool.m, :n],
-                                            basis, n)
-            basis = np.concatenate([basis, np.arange(n + m_old, n + pool.m)])
-            vstat = np.concatenate(
-                [vstat, np.full(pool.m - m_old, BASIC, dtype=np.int8)])
     return solve_lp(c, pool.A[: pool.m], pool.b[: pool.m], lower, upper,
-                    basis=basis, vstat=vstat, binv=binv, cutoff=cutoff,
+                    warm=pool.extend(warm), cutoff=cutoff,
                     separate=pool.separate)
 
 
@@ -416,6 +416,9 @@ def read_instance(path):
         raise ValueError(f"instance file lacks {missing}") from None
     n0 = candidate_n0(n1, n2)
     _check_floors(c1, c2)
+    if len(lines) - idx < n1 + n2:  # checked before anything is allocated
+        raise ValueError(f"instance file is missing entries: {n1 + n2} costs "
+                         f"but {len(lines) - idx} lines after the scalars")
     h1 = np.zeros(n1)
     h2 = np.zeros(n2)
     # line tag -> (cost vector it fills, which indices have a line already)

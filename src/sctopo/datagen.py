@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import floor
+from math import floor, isfinite
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -159,9 +160,16 @@ def save_bundle(bundle, out_dir):
 
 
 def load_bundle(in_dir):
-    src = Path(in_dir)
+    """The bundle ``save_bundle`` wrote; a defect raises ``ValueError``."""
+    try:
+        return _read_bundle(Path(in_dir))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot read bundle {in_dir}: {exc}") from None
+
+
+def _read_bundle(src):
     meta = json.loads((src / "meta.json").read_text())
-    config = SynthConfig(**meta["config"])
+    config = SynthConfig(**_config_fields(meta["config"]))
     cx = build_candidate_complex(config.n0)
     truth = Selection.from_indices(cx.n_edges, cx.n_triangles,
                                    meta["truth_edges"], meta["truth_triangles"])
@@ -175,4 +183,32 @@ def load_bundle(in_dir):
     if x1bar.shape != (cx.n_edges, config.f1):
         raise ValueError(f"x1bar has shape {x1bar.shape}, config says "
                          f"{(cx.n_edges, config.f1)}")
+    if not (np.isfinite(x0).all() and np.isfinite(x1bar).all()):
+        raise ValueError("signals have non-finite cells")
     return SignalBundle(x0=x0, x1bar=x1bar, truth=truth, config=config)
+
+
+def _config_fields(raw):
+    """``raw`` checked as ``SynthConfig`` fields, each of its JSON type."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object; got {raw!r}")
+    kinds = get_type_hints(SynthConfig)
+    unknown = set(raw) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if not json_is(value, kinds[key]):
+            raise ValueError(f"config key {key!r} has the wrong type: "
+                             f"{value!r}")
+    return raw
+
+
+def json_is(value, kind):
+    """Whether a parsed JSON value has the type ``kind`` (None for null)."""
+    if kind is None:
+        return value is None
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and isfinite(value)
+    return isinstance(value, kind)

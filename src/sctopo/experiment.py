@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .complexes import build_candidate_complex, validate_inclusion
-from .datagen import SynthConfig, make_bundle, stage_rng
+from .datagen import SynthConfig, json_is, make_bundle, stage_rng
 from .datasets import load_real_dataset, subsample_dataset
 from .learners import (GREEDY_INITS, learn_greedy, learn_hierarchical,
                        learn_joint)
@@ -102,25 +101,14 @@ class ExperimentConfig:
             if key in _CONFIG_LISTS:
                 item = _CONFIG_LISTS[key]
                 if not (isinstance(value, list)
-                        and all(_json_is(v, item) for v in value)):
+                        and all(json_is(v, item) for v in value)):
                     raise ValueError(f"config key {key!r} must be a list of "
                                      f"{item.__name__}")
                 raw[key] = tuple(value)
-            elif not any(_json_is(value, kind) for kind in _CONFIG_SCALARS[key]):
+            elif not any(json_is(value, kind) for kind in _CONFIG_SCALARS[key]):
                 raise ValueError(f"config key {key!r} has the wrong type: "
                                  f"{value!r}")
         return cls(**raw)
-
-
-def _json_is(value, kind):
-    """Whether a parsed JSON value has the type ``kind`` (None for null)."""
-    if kind is None:
-        return value is None
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, kind)
 
 
 @dataclass

@@ -13,8 +13,8 @@ for the branch-and-bound use case:
   one O(m^2) inverse per branched node that still has an open child);
 * appending rows with their slacks basic is also dual feasible, which is
   what lazy constraint generation needs: at an optimum, the ``separate``
-  callback may return the rows grown, and the solve goes on from the same
-  basis, its inverse extended by :func:`extend_binv_for_new_rows`;
+  callback may return the rows grown with the result extended to them
+  (:func:`extend_binv_for_new_rows`), and the solve goes on from there;
 * every iterate of the dual simplex is a valid lower bound on the LP
   optimum, so the solve can stop early and still return a usable bound.
   It stops with status ``"cutoff"`` as soon as that bound reaches the
@@ -22,10 +22,10 @@ for the branch-and-bound use case:
   incumbent's objective is pruned whatever its optimum.
 
 Rounds: the rows passed in make the first round, and each separation that
-adds rows starts another.  A round starts from a fresh point and restarts
-the degenerate-run and reinversion counters, so it pivots exactly as a new
-call warm-started from the previous round's result would.  ``_MAX_ITER``
-caps the pivots of the whole call, one node of :mod:`sctopo.blp`.
+adds rows starts another from the state ``separate`` returned, entered as
+a warm call enters ``warm``.  So each round pivots exactly as a new call
+warm-started from that state would.  ``_MAX_ITER`` caps the pivots of the
+whole call, one node of :mod:`sctopo.blp`.
 
 State carried across pivots: the basis inverse (a rank-one update in
 place), the basic values ``xB`` (moved along the entering column), the
@@ -110,14 +110,15 @@ def build_basis_matrix(A, basis):
     return B
 
 
-def extend_binv_for_new_rows(binv, A_new_rows, basis, n):
-    """Basis inverse after appending rows whose slacks enter the basis.
+def extend_binv_for_new_rows(res, A_new_rows, n):
+    """A new :class:`LpResult`: ``res`` with appended rows' slacks basic.
 
-    ``binv`` inverts the old m x m basis; the new basis is the old basic
-    columns (now carrying entries in the appended rows) plus the new slack
-    columns.  Block inversion gives ``[[binv, 0], [-C @ binv, I]]`` where
-    ``C`` holds the appended-row entries of the old basic columns.
+    The new basis is the old basic columns (now carrying entries in the
+    appended rows) plus the new slack columns.  Block inversion gives
+    ``[[binv, 0], [-C @ binv, I]]`` where ``C`` holds the appended-row
+    entries of the old basic columns.
     """
+    basis, binv = res.basis, res.binv
     k, m = A_new_rows.shape[0], binv.shape[0]
     C = np.zeros((k, m))
     struct = basis < n
@@ -126,67 +127,67 @@ def extend_binv_for_new_rows(binv, A_new_rows, basis, n):
     out[:m, :m] = binv
     out[m:, :m] = -C @ binv
     out[m:, m:] = np.eye(k)
-    return out
+    return LpResult(res.status, res.x, res.bound, res.iterations,
+                    np.concatenate([basis, np.arange(n + m, n + m + k)]),
+                    np.concatenate([res.vstat, np.full(k, BASIC, np.int8)]),
+                    out)
 
 
-def solve_lp(c, A, b, lower, upper, basis=None, vstat=None, binv=None,
-             cutoff=inf, separate=None):
+def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     """Dual simplex on ``min c@x, A x <= b, lower <= x <= upper``.
 
-    ``basis``/``vstat``/``binv`` restore a previous (dual-feasible) state;
-    pass ``binv=None`` to have the inverse rebuilt from the basis.  The
-    arrays passed in are copied, never modified.  Fixed variables
-    (``lower == upper``) never enter the basis.
+    ``warm`` is a (dual-feasible) :class:`LpResult` whose basis covers the
+    rows of ``A``, or None for the all-slack basis; its arrays are copied,
+    never modified.  Fixed variables (``lower == upper``) never enter the
+    basis.
 
     The solve stops with status ``"cutoff"`` once the dual objective, a
     lower bound on the optimum, reaches ``cutoff``.  At an optimum below
-    it, ``separate(x)`` returns the grown ``(A, b)``, the rows of ``A``
-    followed by new ones, or None when ``x`` violates no further row; new
-    rows enter with their slacks basic and the solve goes on.
+    it, ``separate(res)`` gets that ``"optimal"`` result and returns None
+    when ``res.x`` violates no further row, or ``(A, b, warm)``: the rows
+    of ``A`` followed by new ones, and ``res`` extended to them.
     """
     c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    m, n = A.shape
+    n = c.size
     if (lower > upper + _FEAS_TOL).any():
         return LpResult("infeasible", np.zeros(n), inf, 0, None, None, None)
-
-    if basis is None:
-        basis = np.arange(n, n + m, dtype=np.int64)
-        vstat = np.empty(n + m, dtype=np.int8)
-        vstat[:n] = np.where(c >= 0.0, NB_LOWER, NB_UPPER)
-        vstat[n:] = BASIC
-        binv = np.eye(m)
-    else:
-        basis = np.array(basis, dtype=np.int64)
-        vstat = np.array(vstat, dtype=np.int8)
-        if binv is None:
-            binv = np.linalg.inv(build_basis_matrix(A, basis))
-        else:
-            binv = np.array(binv, dtype=float)
-    # normalize fixed markers to the current bounds: a nonbasic variable
-    # with equal bounds is fixed, and a fixed marker whose bounds have
-    # separated goes back to the bound its cost sign favours (slacks are
-    # never fixed, their upper bound being infinite)
-    stat = vstat[:n]
     is_fixed = lower == upper
-    moved = (stat == NB_FIXED) != (is_fixed & (stat != BASIC))
-    if moved.any():
-        j = moved.nonzero()[0]
-        stat[j] = np.where(is_fixed[j], NB_FIXED,
-                           np.where(c[j] >= 0.0, NB_LOWER, NB_UPPER))
-    if np.isinf(upper[stat == NB_UPPER]).any() or (vstat[n:] == NB_UPPER).any():
-        raise ValueError("variable at an infinite upper bound")
 
     it = 0
     while True:
-        # one round per row set: the first over the rows passed in, one
-        # more after each separation that adds rows
+        # one round per row set: the first from ``warm``, one more from
+        # each state that ``separate`` returns
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        m = A.shape[0]
         nm = n + m
+        if warm is None:
+            basis = np.arange(n, nm, dtype=np.int64)
+            vstat = np.empty(nm, dtype=np.int8)
+            vstat[:n] = np.where(c >= 0.0, NB_LOWER, NB_UPPER)
+            vstat[n:] = BASIC
+            binv = np.eye(m)
+        else:
+            basis = np.array(warm.basis, dtype=np.int64)
+            vstat = np.array(warm.vstat, dtype=np.int8)
+            binv = np.array(warm.binv, dtype=float)
+        # normalize fixed markers to the current bounds: a nonbasic variable
+        # with equal bounds is fixed, and a fixed marker whose bounds have
+        # separated goes back to the bound its cost sign favours (slacks are
+        # never fixed, their upper bound being infinite)
+        stat = vstat[:n]
+        moved = (stat == NB_FIXED) != (is_fixed & (stat != BASIC))
+        if moved.any():
+            j = moved.nonzero()[0]
+            stat[j] = np.where(is_fixed[j], NB_FIXED,
+                               np.where(c[j] >= 0.0, NB_LOWER, NB_UPPER))
+
         lower_e = np.concatenate([lower, np.zeros(m)])
         upper_e = np.concatenate([upper, np.full(m, inf)])
+        if np.isinf(upper_e[vstat == NB_UPPER]).any():
+            raise ValueError("variable at an infinite upper bound")
         range_e = upper_e - lower_e
         c_e = np.concatenate([c, np.zeros(m)])
         toward = _TOWARD[vstat]
@@ -215,17 +216,12 @@ def solve_lp(c, A, b, lower, upper, basis=None, vstat=None, binv=None,
                 x[basis] = xB
                 if obj >= cutoff:
                     return LpResult("cutoff", x[:n], obj, it, basis, vstat, binv)
-                grown = None if separate is None else separate(x[:n])
+                res = LpResult("optimal", x[:n], obj, it, basis, vstat, binv)
+                grown = None if separate is None else separate(res)
                 if grown is None:
-                    return LpResult("optimal", x[:n], obj, it, basis, vstat, binv)
+                    return res
                 # the new rows' slacks enter basic: still dual feasible
-                A, b = (np.asarray(v, dtype=float) for v in grown)
-                added = A.shape[0] - m
-                binv = extend_binv_for_new_rows(binv, A[m:], basis, n)
-                basis = np.concatenate([basis, np.arange(nm, nm + added)])
-                vstat = np.concatenate(
-                    [vstat, np.full(added, BASIC, dtype=np.int8)])
-                m += added
+                A, b, warm = grown
                 break  # to the next round
             if degen_run > _BLAND_AFTER:
                 rows = (viol > _FEAS_TOL).nonzero()[0]

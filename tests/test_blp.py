@@ -66,30 +66,23 @@ def test_solve_matches_oracle_on_branching_instances():
     assert got.selection.same_as(want.selection)
 
 
-def _explicit_rounds(separate, c, A, b, lower, upper, basis=None,
-                     vstat=None, binv=None, cutoff=np.inf):
+def _explicit_rounds(separate, c, A, b, lower, upper, warm=None,
+                     cutoff=np.inf):
     """The separation loop run outside the solver, one LP call per round.
 
-    Each optimal round hands its ``x`` to ``separate``; the rows it adds
-    enter the next call with their slacks basic.  Returns the last result
-    and the pivots of each round.
+    Each optimal round hands its result to ``separate``; the grown rows
+    and the result extended to them start the next call.  Returns the
+    last result and the pivots of each round.
     """
-    n = A.shape[1]
     pivots = []
     while True:
-        res = simplex_lp.solve_lp(c, A, b, lower, upper, basis=basis,
-                                  vstat=vstat, binv=binv, cutoff=cutoff)
+        res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
+                                  cutoff=cutoff)
         pivots.append(res.iterations)
-        grown = separate(res.x) if res.status == "optimal" else None
+        grown = separate(res) if res.status == "optimal" else None
         if grown is None:
             return res, pivots
-        A, b = grown
-        m, k = res.basis.size, A.shape[0] - res.basis.size
-        binv = simplex_lp.extend_binv_for_new_rows(res.binv, A[m:],
-                                                   res.basis, n)
-        basis = np.concatenate([res.basis, np.arange(n + m, n + m + k)])
-        vstat = np.concatenate([res.vstat,
-                                np.full(k, simplex_lp.BASIC, dtype=np.int8)])
+        A, b, warm = grown
 
 
 @pytest.mark.parametrize("refresh_every", [7, 200])  # 200: the default
@@ -112,29 +105,33 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
             built.append(basis.size)
         return build_basis(A, basis)
 
-    def checked_solve_lp(c, A, b, lower, upper, basis=None, vstat=None,
-                         binv=None, cutoff=np.inf, separate=None):
-        if basis is not None:
+    def assert_inverts(A, warm):
+        np.testing.assert_allclose(warm.binv @ build_basis(A, warm.basis),
+                                   np.eye(A.shape[0]), atol=1e-8)
+
+    def checked_solve_lp(c, A, b, lower, upper, warm=None, cutoff=np.inf,
+                         separate=None):
+        if warm is not None:
             # a warm LP gets the inverse of its basis, carried rather than
             # rebuilt, with the rows pooled since the parent's LP folded in
-            assert binv is not None
-            np.testing.assert_allclose(binv @ build_basis(A, basis),
-                                       np.eye(A.shape[0]), atol=1e-8)
+            assert warm.binv is not None
+            assert_inverts(A, warm)
         grown = []
 
-        def recording_separate(x):
-            grown.append(separate(x))
+        def recording_separate(res):
+            grown.append(separate(res))
+            if grown[-1] is not None:
+                # so does each round that a separation starts
+                assert_inverts(grown[-1][0], grown[-1][2])
             return grown[-1]
 
-        res = simplex_lp.solve_lp(c, A, b, lower, upper, basis=basis,
-                                  vstat=vstat, binv=binv, cutoff=cutoff,
-                                  separate=recording_separate)
+        res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
+                                  cutoff=cutoff, separate=recording_separate)
         # replaying the call one round at a time gives each round's pivots
         counting[0] = False
         replay = iter(grown)
-        again, rounds = _explicit_rounds(lambda x: next(replay), c, A, b,
-                                         lower, upper, basis, vstat, binv,
-                                         cutoff)
+        again, rounds = _explicit_rounds(lambda res: next(replay), c, A, b,
+                                         lower, upper, warm, cutoff)
         counting[0] = True
         assert sum(rounds) == res.iterations
         np.testing.assert_array_equal(again.x, res.x)
@@ -187,6 +184,25 @@ def test_each_node_makes_one_lp_call(monkeypatch):
         assert len(calls) == got.nodes_explored
         assert calls[0] == np.inf  # no incumbent before the root
         assert min(calls) < np.inf  # later nodes stop at the incumbent
+
+
+def test_rows_are_extended_by_the_pool_alone(monkeypatch):
+    # the LP continues from the state that separation returns; it never
+    # grows a basis itself
+    def refuse(*args):
+        raise AssertionError("the LP extended a basis itself")
+
+    monkeypatch.setattr(simplex_lp, "extend_binv_for_new_rows", refuse)
+    rng = np.random.default_rng(12)
+    cx = build_candidate_complex(6)
+    for c1, c2 in ((6, 3), (6, 4), (9, 5)):
+        costs = _near_uniform_costs(rng, cx)
+        got = solve(build_joint_instance(cx, costs, c1, c2))
+        want = oracle_enumerate(cx, costs, c1, c2)
+        assert got.status == "optimal"
+        assert got.nodes_explored > 1
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        assert got.selection.same_as(want.selection)
 
 
 def test_separation_inside_the_lp_matches_the_explicit_loop():
@@ -265,12 +281,11 @@ def test_infeasible_warm_node_lp_raises(monkeypatch):
     cx = build_candidate_complex(6)
     inst = build_joint_instance(cx, _near_uniform_costs(rng, cx), 6, 3)
 
-    def warm_infeasible(c, A, b, lower, upper, basis=None, vstat=None,
-                        binv=None, cutoff=np.inf, separate=None):
-        res = simplex_lp.solve_lp(c, A, b, lower, upper, basis=basis,
-                                  vstat=vstat, binv=binv, cutoff=cutoff,
-                                  separate=separate)
-        return res if basis is None else replace(res, status="infeasible")
+    def warm_infeasible(c, A, b, lower, upper, warm=None, cutoff=np.inf,
+                        separate=None):
+        res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
+                                  cutoff=cutoff, separate=separate)
+        return res if warm is None else replace(res, status="infeasible")
 
     monkeypatch.setattr(blp, "solve_lp", warm_infeasible)
     with pytest.raises(AssertionError, match="feasible by count"):

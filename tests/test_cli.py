@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from math import comb
 
 import numpy as np
 import pytest
@@ -299,6 +300,18 @@ def test_solve_rejects_version_one_lines(tmp_path, capsys, line):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unknown or repeated line" in err and line in err
+
+
+def test_solve_rejects_a_huge_claimed_size_before_allocating(tmp_path, capsys):
+    # n0 = 18172 would need 7.28 TiB of triangle costs; six lines hold one
+    n0 = 18172
+    path = tmp_path / "huge.txt"
+    path.write_text(f"sctopo-blp 2\nn_edges {comb(n0, 2)}\n"
+                    f"n_triangles {comb(n0, 3)}\nc1 0\nc2 0\nh1 0 1.0\n")
+    assert main(["solve", "--instance", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "missing entries" in err
 
 
 def test_solve_rejects_every_single_line_corruption(tmp_path, capsys):

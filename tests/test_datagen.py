@@ -1,5 +1,7 @@
 """Generator determinism, stream isolation, and planted-structure alignment."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,29 @@ def test_load_rejects_inconsistent_dirs(tmp_path):
     x0_path.write_text("\n".join(rows[:-1]) + "\n")
     with pytest.raises(ValueError):
         load_bundle(tmp_path / "b")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda meta: meta["config"].update(foo=1),  # unknown config key
+    lambda meta: meta.pop("truth_edges"),
+    lambda meta: meta.update(config=[6, 0.6]),  # not an object
+    lambda meta: meta["config"].update(n0=6.0),
+    lambda meta: meta["config"].update(seed="1"),
+    None,  # a nan signal cell instead
+], ids=["unknown_key", "no_truth_edges", "config_list", "n0_float",
+        "seed_string", "nan_cell"])
+def test_load_rejects_bad_files_naming_the_bundle(tmp_path, corrupt):
+    cfg = SynthConfig(n0=6, seed=1, f0=3, f1=3)
+    root = save_bundle(make_bundle(cfg), tmp_path / "bundle")
+    if corrupt is None:
+        x0_path = root / "x0.csv"
+        x0_path.write_text("nan," + x0_path.read_text().split(",", 1)[1])
+    else:
+        meta = json.loads((root / "meta.json").read_text())
+        corrupt(meta)
+        (root / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="cannot read bundle .*bundle"):
+        load_bundle(root)
 
 
 def test_config_validation():

@@ -14,6 +14,7 @@ from sctopo.simplex_lp import (
     NB_FIXED,
     NB_LOWER,
     NB_UPPER,
+    LpResult,
     build_basis_matrix,
     extend_binv_for_new_rows,
     solve_lp,
@@ -108,8 +109,7 @@ def test_warm_start_after_bound_change_matches_cold():
             upper2[j] = 0.0
         else:
             lower2[j] = 1.0
-        warm = solve_lp(c, A, b, lower2, upper2,
-                        basis=first.basis, vstat=first.vstat, binv=first.binv)
+        warm = solve_lp(c, A, b, lower2, upper2, warm=first)
         cold = solve_lp(c, A, b, lower2, upper2)
         assert warm.status == cold.status
         if warm.status == "optimal":
@@ -131,10 +131,12 @@ def test_row_extension_keeps_solving():
         b_extra = extra @ first.x - rng.random(2)  # cut off the old optimum
         A2 = np.vstack([A, extra])
         b2 = np.concatenate([b, b_extra])
-        basis = np.concatenate([first.basis, [n + m, n + m + 1]])
-        vstat = np.concatenate([first.vstat[:n + m], [BASIC, BASIC]])
-        binv = extend_binv_for_new_rows(first.binv, extra, first.basis, n)
-        warm = solve_lp(c, A2, b2, lower, upper, basis=basis, vstat=vstat, binv=binv)
+        grown = extend_binv_for_new_rows(first, extra, n)
+        assert grown.basis.tolist() == first.basis.tolist() + [n + m, n + m + 1]
+        assert grown.vstat.tolist() == first.vstat.tolist() + [BASIC, BASIC]
+        B = build_basis_matrix(A2, grown.basis)
+        np.testing.assert_allclose(grown.binv @ B, np.eye(m + 2), atol=1e-9)
+        warm = solve_lp(c, A2, b2, lower, upper, warm=grown)
         ref = _scipy_solve(c, A2, b2, lower, upper)
         if ref.status == 2:
             assert warm.status == "infeasible"
@@ -237,9 +239,10 @@ def test_fixed_markers_follow_the_current_bounds(monkeypatch):
     A = np.ones((1, 4))
     monkeypatch.setattr(simplex_lp, "_MAX_ITER", 0)
     res = solve_lp(c, A, np.array([10.0]), np.array([0.0, 0.0, 0.0, 1.0]),
-                   np.array([1.0, 1.0, 0.0, 1.0]), basis=np.array([2]),
-                   vstat=np.array([NB_FIXED, NB_FIXED, BASIC, NB_LOWER,
-                                   NB_LOWER]))
+                   np.array([1.0, 1.0, 0.0, 1.0]),
+                   warm=LpResult("optimal", None, 0.0, 0, np.array([2]),
+                                 np.array([NB_FIXED, NB_FIXED, BASIC, NB_LOWER,
+                                           NB_LOWER]), np.eye(1)))
     assert res.status == "iteration_limit"
     assert res.vstat.tolist() == [NB_LOWER, NB_UPPER, BASIC, NB_FIXED,
                                   NB_LOWER]
@@ -281,8 +284,7 @@ def test_carried_values_match_scipy_at_any_refresh_interval(monkeypatch,
         j = int(rng.integers(n))
         lower2, upper2 = lower.copy(), upper.copy()
         upper2[j] = lower2[j] = float(cold.x[j] < 0.5)
-        warm = solve_lp(c, A, b, lower2, upper2, basis=cold.basis,
-                        vstat=cold.vstat, binv=cold.binv)
+        warm = solve_lp(c, A, b, lower2, upper2, warm=cold)
         ref = _scipy_solve(c, A, b, lower2, upper2)
         assert warm.status == ("infeasible" if ref.status == 2 else "optimal")
         if warm.status == "optimal":
@@ -294,10 +296,7 @@ def test_carried_values_match_scipy_at_any_refresh_interval(monkeypatch,
         A2 = np.vstack([A, extra])
         b2 = np.concatenate([b, extra @ cold.x - rng.random(2)])
         ext = solve_lp(c, A2, b2, lower, upper,
-                       basis=np.concatenate([cold.basis, [n + m, n + m + 1]]),
-                       vstat=np.concatenate([cold.vstat, [BASIC, BASIC]]),
-                       binv=extend_binv_for_new_rows(cold.binv, extra,
-                                                     cold.basis, n))
+                       warm=extend_binv_for_new_rows(cold, extra, n))
         ref = _scipy_solve(c, A2, b2, lower, upper)
         assert ext.status == ("infeasible" if ref.status == 2 else "optimal")
         if ext.status == "optimal":
@@ -428,8 +427,7 @@ def test_long_step_matches_scipy_cold_and_warm(monkeypatch, bland_after):
         if at_one.size:
             upper2[rng.choice(at_one)] = 0.0
         b2 = b - rng.random(b.size) * (rng.random(b.size) < 0.5)
-        warm = solve_lp(c, A, b2, lower2, upper2, basis=cold.basis,
-                        vstat=cold.vstat, binv=cold.binv)
+        warm = solve_lp(c, A, b2, lower2, upper2, warm=cold)
         n_warm += _assert_matches_scipy(warm, c, A, b2, lower2, upper2)
     assert n_optimal >= 40 and n_warm >= 20
 
@@ -447,8 +445,7 @@ def test_warm_start_from_upper_bounds_flips_down():
         first = solve_lp(c, A, b, lower, upper)
         assert _assert_matches_scipy(first, c, A, b, lower, upper)
         b2 = b * rng.uniform(0.3, 0.9, size=m)
-        warm = solve_lp(c, A, b2, lower, upper, basis=first.basis,
-                        vstat=first.vstat, binv=first.binv)
+        warm = solve_lp(c, A, b2, lower, upper, warm=first)
         assert _assert_matches_scipy(warm, c, A, b2, lower, upper)
 
 
