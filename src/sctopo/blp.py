@@ -19,9 +19,10 @@ full set is 3 * n_triangles rows; a handful are ever active).  Each node
 is one ``solve_lp`` call: it starts from the parent's final basis,
 extended to the rows pooled since then (``_RowPool.extend``); the LP adds
 the rows its optimum violates through the pool's ``separate``, which
-extends that round's result the same way, and goes on pivoting; and it
-stops with status ``"cutoff"`` as soon as its dual objective
-reaches the incumbent's, which prunes the node.  ``_MAX_ITER`` of
+extends that round's result the same way, and goes on pivoting from it in
+place, with no per-round rebuild of its dual-simplex state; and it stops
+with status ``"cutoff"`` as soon as its dual objective reaches the
+incumbent's, which prunes the node.  ``_MAX_ITER`` of
 :mod:`sctopo.simplex_lp` caps the pivots of one node.  It branches
 on triangles only: once they are fixed, the edge LP (unit rows, one floor,
 ``[0, 1]`` boxes) is integral, and for ``h1 >= 0`` its optimum is their

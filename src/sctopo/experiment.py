@@ -68,8 +68,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "real" and not self.dataset_path:
             raise ValueError("real mode needs dataset_path")
-        if not self.n0_values or not self.seeds or not self.priors:
-            raise ValueError("n0_values, seeds and priors must be nonempty")
+        for key in _CONFIG_LISTS:
+            values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} must be nonempty")
+            # a repeat would count one realization or record twice
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} repeats an entry: {list(values)}")
         if min(self.n0_values) < 3:
             raise ValueError(f"n0_values must be at least 3; "
                              f"got {min(self.n0_values)}")

@@ -22,10 +22,18 @@ for the branch-and-bound use case:
   incumbent's objective is pruned whatever its optimum.
 
 Rounds: the rows passed in make the first round, and each separation that
-adds rows starts another from the state ``separate`` returned, entered as
-a warm call enters ``warm``.  So each round pivots exactly as a new call
-warm-started from that state would.  ``_MAX_ITER`` caps the pivots of the
-whole call, one node of :mod:`sctopo.blp`.
+adds rows starts another, in place.  The call adopts copies of the basis,
+statuses and inverse that ``separate`` returned and appends an entry per
+new row to its per-variable arrays.  The new slacks enter basic with dual
+0, so every other reduced cost stays as it is, and the new ones are 0.
+``xB`` and the objective are recomputed from the grown inverse, reusing
+the ``b - A x_N`` that the stop test formed for the old rows, and the
+degenerate-run and reinversion counters restart.  So each round pivots as
+a new call warm-started from the returned state would, up to rounding: the
+reduced costs are carried rather than recomputed from the inverse, and
+``b - A x_N`` is not formed again for the old rows.
+``_MAX_ITER`` caps the pivots of the whole call, one node of
+:mod:`sctopo.blp`.
 
 State carried across pivots: the basis inverse (a rank-one update in
 place), the basic values ``xB`` (moved along the entering column), the
@@ -34,15 +42,15 @@ reduced costs ``d`` (moved along the pivot row) and the dual objective
 the dual step times the leaving row's violation, and for a long step by
 the piecewise sum over the passed breakpoints, whose slopes drop from the
 violation by each flipped box (Koberstein, *The dual simplex method,
-techniques for a fast and stable implementation*, 2005, ch. 3).  ``xB``,
-``d`` and the objective are computed from the inverse at the start of each
-round; all four are recomputed from the basis every ``_REFRESH_EVERY``
-pivots of a round, which bounds their drift; ``xB`` and the objective
-once more, with the test repeated, before a solve reports ``"optimal"``
-or ``"cutoff"``.  So a ``"cutoff"`` bound is ``c @ x`` of the returned
-point and reaches the cutoff.  An inverse passed in is used as given, so
-an inverse carried from call to call is refreshed only by a round that
-runs ``_REFRESH_EVERY`` pivots.
+techniques for a fast and stable implementation*, 2005, ch. 3).  ``xB``
+and the objective are computed from the inverse at the start of each
+round, and ``d`` at the start of the call; all four are recomputed from
+the basis every ``_REFRESH_EVERY`` pivots of a round, which bounds their
+drift; ``xB`` and the objective once more, with the test repeated, before
+a solve reports ``"optimal"`` or ``"cutoff"``.  So a ``"cutoff"`` bound
+is ``c @ x`` of the returned point and reaches the cutoff.  An inverse
+passed in is used as given, so an inverse carried from call to call is
+refreshed only by a round that runs ``_REFRESH_EVERY`` pivots.
 
 The tolerances and limits are module constants (``_FEAS_TOL``,
 ``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``), read at each call.
@@ -145,188 +153,228 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     lower bound on the optimum, reaches ``cutoff``.  At an optimum below
     it, ``separate(res)`` gets that ``"optimal"`` result and returns None
     when ``res.x`` violates no further row, or ``(A, b, warm)``: the rows
-    of ``A`` followed by new ones, and ``res`` extended to them.
+    of ``A`` followed by new ones, and ``res`` extended to them.  A
+    ``warm`` whose basis, statuses or inverse do not match the rows of its
+    ``A`` raises ``ValueError``.
     """
     c = np.asarray(c, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     n = c.size
+    m = A.shape[0]
     if (lower > upper + _FEAS_TOL).any():
         return LpResult("infeasible", np.zeros(n), inf, 0, None, None, None)
     is_fixed = lower == upper
 
-    it = 0
-    while True:
-        # one round per row set: the first from ``warm``, one more from
-        # each state that ``separate`` returns
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        m = A.shape[0]
-        nm = n + m
-        if warm is None:
-            basis = np.arange(n, nm, dtype=np.int64)
-            vstat = np.empty(nm, dtype=np.int8)
-            vstat[:n] = np.where(c >= 0.0, NB_LOWER, NB_UPPER)
-            vstat[n:] = BASIC
-            binv = np.eye(m)
-        else:
-            basis = np.array(warm.basis, dtype=np.int64)
-            vstat = np.array(warm.vstat, dtype=np.int8)
-            binv = np.array(warm.binv, dtype=float)
-        # normalize fixed markers to the current bounds: a nonbasic variable
-        # with equal bounds is fixed, and a fixed marker whose bounds have
-        # separated goes back to the bound its cost sign favours (slacks are
-        # never fixed, their upper bound being infinite)
-        stat = vstat[:n]
-        moved = (stat == NB_FIXED) != (is_fixed & (stat != BASIC))
-        if moved.any():
-            j = moved.nonzero()[0]
-            stat[j] = np.where(is_fixed[j], NB_FIXED,
-                               np.where(c[j] >= 0.0, NB_LOWER, NB_UPPER))
+    if warm is None:
+        basis = np.arange(n, n + m, dtype=np.int64)
+        vstat = np.empty(n + m, dtype=np.int8)
+        vstat[:n] = np.where(c >= 0.0, NB_LOWER, NB_UPPER)
+        vstat[n:] = BASIC
+        binv = np.eye(m)
+    else:
+        basis, vstat, binv = _adopt(warm, n, m)
+    # normalize fixed markers to the current bounds: a nonbasic variable
+    # with equal bounds is fixed, and a fixed marker whose bounds have
+    # separated goes back to the bound its cost sign favours (slacks are
+    # never fixed, their upper bound being infinite)
+    stat = vstat[:n]
+    moved = (stat == NB_FIXED) != (is_fixed & (stat != BASIC))
+    if moved.any():
+        j = moved.nonzero()[0]
+        stat[j] = np.where(is_fixed[j], NB_FIXED,
+                           np.where(c[j] >= 0.0, NB_LOWER, NB_UPPER))
 
-        lower_e = np.concatenate([lower, np.zeros(m)])
-        upper_e = np.concatenate([upper, np.full(m, inf)])
-        if np.isinf(upper_e[vstat == NB_UPPER]).any():
-            raise ValueError("variable at an infinite upper bound")
-        range_e = upper_e - lower_e
-        c_e = np.concatenate([c, np.zeros(m)])
-        toward = _TOWARD[vstat]
-        lower_b = lower_e[basis]
-        upper_b = upper_e[basis]
-        alpha = np.empty(nm)  # pivot row over structural and slack columns
+    lower_e = np.concatenate([lower, np.zeros(m)])
+    upper_e = np.concatenate([upper, np.full(m, inf)])
+    if np.isinf(upper_e[vstat == NB_UPPER]).any():
+        raise ValueError("variable at an infinite upper bound")
+    range_e = upper_e - lower_e
+    c_e = np.concatenate([c, np.zeros(m)])
+    toward = _TOWARD[vstat]
+    lower_b = lower_e[basis]
+    upper_b = upper_e[basis]
+    alpha = np.empty(n + m)  # pivot row over structural and slack columns
 
-        xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e)
-        d = _reduced_costs(binv, A, c_e, basis)
-        fresh = True  # xB and obj computed from binv, not carried
-        degen_run = 0
-        start = it  # reinversions fall every _REFRESH_EVERY pivots of a round
-        while it < _MAX_ITER:
-            below = lower_b - xB
-            above = xB - upper_b
-            viol = np.maximum(below, above)
-            r = int(viol.argmax())
-            if obj >= cutoff or viol[r] <= _FEAS_TOL:
-                if not fresh:
-                    # carried values drift; stop only on recomputed ones
-                    xB, obj = _fresh_point(binv, A, b, c, vstat, basis,
-                                           lower_e, upper_e)
-                    fresh = True
-                    continue
-                x = _nonbasic_values(vstat, basis, lower_e, upper_e)
-                x[basis] = xB
-                if obj >= cutoff:
-                    return LpResult("cutoff", x[:n], obj, it, basis, vstat, binv)
-                res = LpResult("optimal", x[:n], obj, it, basis, vstat, binv)
-                grown = None if separate is None else separate(res)
-                if grown is None:
-                    return res
-                # the new rows' slacks enter basic: still dual feasible
-                A, b, warm = grown
-                break  # to the next round
-            if degen_run > _BLAND_AFTER:
-                rows = (viol > _FEAS_TOL).nonzero()[0]
-                r = int(rows[basis[rows].argmin()])
-
-            s = 1.0 if above[r] > below[r] else -1.0
-            rho = binv[r] if s > 0 else -binv[r]
-            np.dot(rho, A, out=alpha[:n])
-            alpha[n:] = rho
-
-            cand = (toward * alpha > _PIV_TOL).nonzero()[0]
-            if cand.size == 0:
-                # dual ray: the primal subproblem has no feasible point
-                x_nb = _nonbasic_values(vstat, basis, lower_e, upper_e)
-                return LpResult("infeasible", x_nb[:n], inf, it, basis, vstat,
-                                binv)
-
-            ratios = np.maximum(d[cand] / alpha[cand], 0.0)
-            theta = ratios.min()
-            entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
-            # the dual objective rises by the step times the row's violation
-            gain = theta * viol[r]
-            if (degen_run <= _BLAND_AFTER
-                    and viol[r] - abs(alpha[entering]) * range_e[entering] > _FEAS_TOL):
-                # long step: the entering variable would cross its whole box
-                # and still leave row r infeasible.  Pass the breakpoints in
-                # (ratio, index) order, flipping each variable to its other
-                # bound while the row stays infeasible; the first that would
-                # fix it enters.  The dual step to its ratio turns the reduced
-                # costs of the flipped variables to the sign their new bound
-                # needs.
-                order = ratios.argsort(kind="stable")
-                srt = cand[order]
-                left = viol[r] - np.cumsum(np.abs(alpha[srt]) * range_e[srt])
-                stop = (left <= _FEAS_TOL).nonzero()[0]
-                k = int(stop[0]) if stop.size else srt.size - 1
-                entering = int(srt[k])
-                steps = ratios[order[: k + 1]]
-                theta = steps[-1]
-                # piecewise linear: each passed breakpoint lowers the slope
-                # of the dual objective from viol[r] to left[i]
-                gain = viol[r] * steps[0] + left[:k] @ (steps[1:] - steps[:-1])
-                if k:
-                    flips = srt[:k]  # structural: a slack's range is infinite
-                    xB -= binv @ (A[:, flips] @ (toward[flips] * range_e[flips]))
-                    vstat[flips] ^= 1  # NB_LOWER <-> NB_UPPER
-                    toward[flips] = -toward[flips]
-            obj += gain
-
-            col = binv @ A[:, entering] if entering < n else binv[:, entering - n].copy()
-            piv = col[r]
-
-            # dual step along the pivot row; the entering reduced cost becomes 0
-            d -= (d[entering] / alpha[entering]) * alpha
-            d[entering] = 0.0
-            # primal step: the leaving variable lands on the bound it violated
-            step = (xB[r] - (upper_b[r] if s > 0 else lower_b[r])) / piv
-            x_entering = upper_e[entering] if toward[entering] < 0 else lower_e[entering]
-            xB -= step * col
-            xB[r] = x_entering + step
-
-            binv_r = binv[r] / piv
-            binv -= col[:, None] * binv_r
-            binv[r] = binv_r
-
-            leaving = basis[r]
-            if lower_e[leaving] == upper_e[leaving]:
-                vstat[leaving] = NB_FIXED
-                toward[leaving] = 0.0
-            else:
-                vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
-                toward[leaving] = -s
-            vstat[entering] = BASIC
-            toward[entering] = 0.0
-            basis[r] = entering
-            lower_b[r] = lower_e[entering]
-            upper_b[r] = upper_e[entering]
-
-            degen_run = degen_run + 1 if theta <= _RATIO_TIE else 0
-            it += 1
-            if (it - start) % _REFRESH_EVERY == 0:
-                binv = np.linalg.inv(build_basis_matrix(A, basis))
-                xB, obj = _fresh_point(binv, A, b, c, vstat, basis,
-                                       lower_e, upper_e)
-                d = _reduced_costs(binv, A, c_e, basis)
+    x, xB, obj, rhs = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
+                                   upper_e)
+    d = _reduced_costs(binv, A, c_e, basis)
+    fresh = True  # x, xB and obj computed from binv, not carried
+    degen_run = 0
+    it = start = 0  # reinversions fall every _REFRESH_EVERY pivots from start
+    while it < _MAX_ITER:
+        below = lower_b - xB
+        above = xB - upper_b
+        viol = np.maximum(below, above)
+        r = int(viol.argmax())
+        if obj >= cutoff or viol[r] <= _FEAS_TOL:
+            if not fresh:
+                # carried values drift; stop only on recomputed ones
+                x, xB, obj, rhs = _fresh_point(binv, A, b, c, vstat, basis,
+                                               lower_e, upper_e)
                 fresh = True
-            else:
-                fresh = False
-        else:
-            # out of iterations: the basis is still dual feasible, so its
-            # objective (weak duality) is a valid lower bound even though x
-            # may violate bounds
-            x = _nonbasic_values(vstat, basis, lower_e, upper_e)
-            x[basis] = _basic_values(binv, A, b, x)
-            obj = float(c @ x[:n])
-            return LpResult("iteration_limit", x[:n], obj, it, basis, vstat,
+                continue
+            # x is the point the last recomputation gave: no pivot since
+            if obj >= cutoff:
+                return LpResult("cutoff", x[:n], obj, it, basis, vstat, binv)
+            res = LpResult("optimal", x[:n], obj, it, basis, vstat, binv)
+            grown = None if separate is None else separate(res)
+            if grown is None:
+                return res
+            # continue on the grown rows in place: their slacks enter basic,
+            # which keeps the basis dual feasible, and their duals are 0, so
+            # no other reduced cost moves
+            A, b, warm = grown
+            A = np.asarray(A, dtype=float)
+            b = np.asarray(b, dtype=float)
+            added = A.shape[0] - m
+            m = A.shape[0]
+            basis, vstat, binv = _adopt(warm, n, m)
+            zeros, infs = np.zeros(added), np.full(added, inf)
+            lower_e = np.concatenate([lower_e, zeros])
+            upper_e = np.concatenate([upper_e, infs])
+            range_e = np.concatenate([range_e, infs])
+            c_e = np.concatenate([c_e, zeros])
+            toward = np.concatenate([toward, zeros])
+            lower_b = np.concatenate([lower_b, zeros])
+            upper_b = np.concatenate([upper_b, infs])
+            d = np.concatenate([d, zeros])
+            alpha = np.empty(n + m)
+            # no nonbasic value moved since rhs was formed for the old rows
+            x, xB, obj, rhs = _fresh_point(binv, A, b, c, vstat, basis,
+                                           lower_e, upper_e, rhs)
+            degen_run = 0
+            start = it
+            continue
+        if degen_run > _BLAND_AFTER:
+            rows = (viol > _FEAS_TOL).nonzero()[0]
+            r = int(rows[basis[rows].argmin()])
+
+        s = 1.0 if above[r] > below[r] else -1.0
+        rho = binv[r] if s > 0 else -binv[r]
+        np.dot(rho, A, out=alpha[:n])
+        alpha[n:] = rho
+
+        cand = (toward * alpha > _PIV_TOL).nonzero()[0]
+        if cand.size == 0:
+            # dual ray: the primal subproblem has no feasible point
+            x_nb = _nonbasic_values(vstat, basis, lower_e, upper_e)
+            return LpResult("infeasible", x_nb[:n], inf, it, basis, vstat,
                             binv)
 
+        ratios = np.maximum(d[cand] / alpha[cand], 0.0)
+        theta = ratios.min()
+        entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
+        # the dual objective rises by the step times the row's violation
+        gain = theta * viol[r]
+        if (degen_run <= _BLAND_AFTER
+                and viol[r] - abs(alpha[entering]) * range_e[entering] > _FEAS_TOL):
+            # long step: the entering variable would cross its whole box
+            # and still leave row r infeasible.  Pass the breakpoints in
+            # (ratio, index) order, flipping each variable to its other
+            # bound while the row stays infeasible; the first that would
+            # fix it enters.  The dual step to its ratio turns the reduced
+            # costs of the flipped variables to the sign their new bound
+            # needs.
+            order = ratios.argsort(kind="stable")
+            srt = cand[order]
+            left = viol[r] - np.cumsum(np.abs(alpha[srt]) * range_e[srt])
+            stop = (left <= _FEAS_TOL).nonzero()[0]
+            k = int(stop[0]) if stop.size else srt.size - 1
+            entering = int(srt[k])
+            steps = ratios[order[: k + 1]]
+            theta = steps[-1]
+            # piecewise linear: each passed breakpoint lowers the slope
+            # of the dual objective from viol[r] to left[i]
+            gain = viol[r] * steps[0] + left[:k] @ (steps[1:] - steps[:-1])
+            if k:
+                flips = srt[:k]  # structural: a slack's range is infinite
+                xB -= binv @ (A[:, flips] @ (toward[flips] * range_e[flips]))
+                vstat[flips] ^= 1  # NB_LOWER <-> NB_UPPER
+                toward[flips] = -toward[flips]
+        obj += gain
 
-def _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e):
-    """Basic values from the inverse, and the objective ``c @ x`` they give."""
+        col = binv @ A[:, entering] if entering < n else binv[:, entering - n].copy()
+        piv = col[r]
+
+        # dual step along the pivot row; the entering reduced cost becomes 0
+        d -= (d[entering] / alpha[entering]) * alpha
+        d[entering] = 0.0
+        # primal step: the leaving variable lands on the bound it violated
+        step = (xB[r] - (upper_b[r] if s > 0 else lower_b[r])) / piv
+        x_entering = upper_e[entering] if toward[entering] < 0 else lower_e[entering]
+        xB -= step * col
+        xB[r] = x_entering + step
+
+        binv_r = binv[r] / piv
+        binv -= col[:, None] * binv_r
+        binv[r] = binv_r
+
+        leaving = basis[r]
+        if lower_e[leaving] == upper_e[leaving]:
+            vstat[leaving] = NB_FIXED
+            toward[leaving] = 0.0
+        else:
+            vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
+            toward[leaving] = -s
+        vstat[entering] = BASIC
+        toward[entering] = 0.0
+        basis[r] = entering
+        lower_b[r] = lower_e[entering]
+        upper_b[r] = upper_e[entering]
+
+        degen_run = degen_run + 1 if theta <= _RATIO_TIE else 0
+        it += 1
+        if (it - start) % _REFRESH_EVERY == 0:
+            binv = np.linalg.inv(build_basis_matrix(A, basis))
+            x, xB, obj, rhs = _fresh_point(binv, A, b, c, vstat, basis,
+                                           lower_e, upper_e)
+            d = _reduced_costs(binv, A, c_e, basis)
+            fresh = True
+        else:
+            fresh = False
+
+    # out of iterations: the basis is still dual feasible, so its objective
+    # (weak duality) is a valid lower bound even though x may violate bounds
+    x, _, obj, _ = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
+                                upper_e)
+    return LpResult("iteration_limit", x[:n], obj, it, basis, vstat, binv)
+
+
+def _adopt(warm, n, m):
+    """Copies of ``warm``'s basis, statuses and inverse, checked to cover
+    ``m`` rows and ``n`` structural columns."""
+    if (warm.basis.size != m or warm.vstat.size != n + m
+            or warm.binv.shape != (m, m)):
+        raise ValueError(
+            f"warm state does not match the {m} rows of A: its basis has "
+            f"{warm.basis.size} entries, its statuses {warm.vstat.size} "
+            f"(want {n + m}) and its inverse is "
+            f"{' x '.join(map(str, warm.binv.shape))}")
+    return (np.array(warm.basis, dtype=np.int64),
+            np.array(warm.vstat, dtype=np.int8),
+            np.array(warm.binv, dtype=float))
+
+
+def _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e, known=None):
+    """The basic point from the inverse: ``x`` over structural and slack
+    columns, its basic values ``xB``, the objective ``c @ x`` and
+    ``b - A x_N``.
+
+    ``known`` is ``b - A x_N`` of the leading rows, formed while the
+    nonbasic values were as now; only the rows after it are computed.
+    """
+    n = A.shape[1]
     x = _nonbasic_values(vstat, basis, lower_e, upper_e)
-    xB = _basic_values(binv, A, b, x)
+    if known is None:
+        rhs = b - A @ x[:n]
+    else:
+        rhs = np.concatenate([known, b[known.size:] - A[known.size:] @ x[:n]])
+    xB = binv @ rhs
     x[basis] = xB
-    return xB, float(c @ x[: A.shape[1]])
+    return x, xB, float(c @ x[:n]), rhs
 
 
 def _nonbasic_values(vstat, basis, lower_e, upper_e):
@@ -334,11 +382,6 @@ def _nonbasic_values(vstat, basis, lower_e, upper_e):
     x = np.where(vstat == NB_UPPER, upper_e, lower_e)
     x[basis] = 0.0
     return x
-
-
-def _basic_values(binv, A, b, x_nb):
-    """``xB = B^-1 (b - A x_N)`` for nonbasic values ``x_nb`` (basic zeroed)."""
-    return binv @ (b - A @ x_nb[: A.shape[1]])
 
 
 def _reduced_costs(binv, A, c_e, basis):

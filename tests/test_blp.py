@@ -19,8 +19,10 @@ from sctopo.blp import (
     write_instance,
 )
 from sctopo.complexes import Selection, build_candidate_complex
-from sctopo.datagen import SynthConfig, make_bundle
+from sctopo.datagen import SynthConfig, make_bundle, stage_rng
+from sctopo.datasets import make_coauthorship_fixture, subsample_dataset
 from sctopo.experiment import PRIOR_TO_KIND
+from sctopo.metrics import edge_signals_from_nodes
 from sctopo.smoothness import CostVectors, compute_costs
 
 
@@ -230,6 +232,79 @@ def test_separation_inside_the_lp_matches_the_explicit_loop():
         assert inside.m == outside.m
         rounds += len(pivots)
     assert rounds > 60  # most LPs separate rows more than once
+
+
+def _coauthorship_instance(seed):
+    """An n0 = 20 real-mode realization with similarity costs, as a run makes."""
+    ds = make_coauthorship_fixture(n_authors=40, n_papers=60, keyword_dim=20,
+                                   seed=0)
+    sub = subsample_dataset(ds, 20, stage_rng(seed, 4))
+    cx = build_candidate_complex(20)
+    truth = sub.truth_selection(cx)
+    costs = compute_costs(cx, sub.node_features,
+                          edge_signals_from_nodes(sub.node_features),
+                          PRIOR_TO_KIND["similarity"])
+    return build_joint_instance(cx, costs, truth.n_selected_edges,
+                                truth.n_selected_triangles)
+
+
+@pytest.mark.parametrize("refresh_every", [200, 7])  # 200: the default
+def test_many_separation_rounds_match_the_explicit_loop(monkeypatch,
+                                                        refresh_every):
+    # one LP that goes on in place across many separations pivots exactly
+    # as a new warm call per round
+    monkeypatch.setattr(simplex_lp, "_REFRESH_EVERY", refresh_every)
+    inst = _coauthorship_instance(seed=3)
+    c = np.concatenate([inst.h1, inst.h2])
+    c /= c.max()
+    lower, upper = np.zeros(c.size), np.ones(c.size)
+    inside, outside = _RowPool(inst), _RowPool(inst)
+    got = simplex_lp.solve_lp(c, inside.A[:2], inside.b[:2], lower, upper,
+                              separate=inside.separate)
+    want, pivots = _explicit_rounds(outside.separate, c, outside.A[:2],
+                                    outside.b[:2], lower, upper)
+    assert len(pivots) > 10  # the root separates rows at least 10 times
+    assert got.status == want.status == "optimal"
+    np.testing.assert_array_equal(got.x, want.x)
+    assert got.bound == want.bound
+    assert got.iterations == sum(pivots)
+    assert inside.m == outside.m
+    if refresh_every == 7:
+        assert max(pivots) > 7  # a round reinverts
+
+
+def test_lp_work_on_branching_and_trend_instances_is_pinned(monkeypatch):
+    # totals of LP calls, pivots, separations and nodes; a change to the
+    # pivot path shows up here and has to say so
+    totals = dict(calls=0, pivots=0, separations=0, nodes=0)
+
+    def counted(c, A, b, lower, upper, warm=None, cutoff=np.inf,
+                separate=None):
+        def counted_separate(res):
+            totals["separations"] += 1
+            return separate(res)
+
+        totals["calls"] += 1
+        res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
+                                  cutoff=cutoff, separate=counted_separate)
+        totals["pivots"] += res.iterations
+        return res
+
+    monkeypatch.setattr(blp, "solve_lp", counted)
+    cx = build_candidate_complex(6)
+    for i in range(32):  # the branch benchmark's first instances
+        costs = _near_uniform_costs(np.random.default_rng([0, i]), cx)
+        totals["nodes"] += solve(build_joint_instance(cx, costs, 6,
+                                                      4)).nodes_explored
+    for n0 in (10, 15, 20):  # one realization per TREND size
+        bundle = make_bundle(SynthConfig(n0=n0, seed=0, edge_prior="low_curl"))
+        big = build_candidate_complex(n0)
+        costs = compute_costs(big, bundle.x0, bundle.x1bar,
+                              PRIOR_TO_KIND["low_curl"])
+        totals["nodes"] += solve(build_joint_instance(
+            big, costs, bundle.truth.n_selected_edges,
+            bundle.truth.n_selected_triangles)).nodes_explored
+    assert totals == dict(calls=253, pivots=2750, separations=606, nodes=253)
 
 
 def test_cutoff_stops_each_node_lp_at_a_valid_bound():

@@ -375,6 +375,27 @@ def test_run_rejects_bad_solver_settings_before_any_data(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [("seeds", [0, 0]),
+                                        ("n0_values", [6, 7, 6]),
+                                        ("priors", ["similarity", "similarity"]),
+                                        ("methods", ["joint", "greedy", "joint"]),
+                                        ("methods", [])])
+def test_run_rejects_repeated_or_empty_lists(tmp_path, capsys, monkeypatch,
+                                             key, value):
+    # a repeated seed would report the std of copies of one realization,
+    # and an empty method list would run to zero records
+    def no_data(*args, **kwargs):
+        raise AssertionError("a realization started")
+
+    monkeypatch.setattr("sctopo.experiment.make_bundle", no_data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n0_values": [6], "seeds": [0], key: value}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and key in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_sizes_beyond_the_dataset_before_any_solve(
         tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):

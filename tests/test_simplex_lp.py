@@ -145,6 +145,35 @@ def test_row_extension_keeps_solving():
             assert warm.bound == pytest.approx(ref.fun, abs=1e-7)
 
 
+def test_warm_state_that_misses_rows_is_rejected():
+    # at entry: a warm basis from before two rows were appended
+    rng = np.random.default_rng(5)
+    c, A, b, lower, upper = _random_lp(rng, 6, 3)
+    first = solve_lp(c, A, b, lower, upper)
+    assert first.status == "optimal"
+    extra = rng.normal(size=(2, 6))
+    A2 = np.vstack([A, extra])
+    b2 = np.concatenate([b, extra @ first.x - 1.0])
+    with pytest.raises(ValueError, match=r"5 rows.* 3 entries.* 3 x 3"):
+        solve_lp(c, A2, b2, lower, upper, warm=first)
+
+    # at a continuation: ``separate`` grows the rows but not the result
+    calls = []
+
+    def unextended(res):
+        calls.append(res)
+        return A2, b2, res
+
+    with pytest.raises(ValueError, match=r"5 rows.* 3 entries.* 3 x 3"):
+        solve_lp(c, A, b, lower, upper, separate=unextended)
+    assert len(calls) == 1
+    # the same rows with the result extended go on to the optimum
+    grown = solve_lp(c, A, b, lower, upper, separate=lambda res: (
+        None if res.basis.size == 5
+        else (A2, b2, extend_binv_for_new_rows(res, extra, 6))))
+    assert _assert_matches_scipy(grown, c, A2, b2, lower, upper)
+
+
 def test_iteration_limit_bound_is_valid(monkeypatch):
     monkeypatch.setattr(simplex_lp, "_MAX_ITER", 2)
     rng = np.random.default_rng(13)
