@@ -30,8 +30,9 @@ faces plus the cheapest other edges by ``(cost, index)`` up to ``c1``
 (``_complete_edges``).  So edge ties break toward the lowest index; tied
 triangle sets need not.  Since no edge is ever fixed, a node is feasible
 exactly when at least ``c2`` triangles are not fixed to 0: feasibility is
-decided by count, not by the LP.  Costs are divided by their maximum, so
-no tolerance depends on the cost scale.
+decided by count (``_feasible``, in ``solve`` and ``lp_bound``), not by
+the LP.  Costs are divided by their maximum, so no tolerance depends on
+the cost scale.
 ``oracle_enumerate`` is an independent brute-force reference used by the
 test suite; it shares no code with ``solve`` beyond the instance type.
 """
@@ -163,19 +164,34 @@ class _RowPool:
         return self.A[: self.m], self.b[: self.m], self.extend(res)
 
 
-def _solve_node(pool, c, lower, upper, warm, cutoff=inf):
-    """One LP over the pool, which grows by the inclusion rows it violates.
+def _feasible(instance, fixed):
+    """Feasibility by count: edges are never fixed, so the floors can be
+    met when ``c1 <= n_edges`` and at least ``c2`` triangles are not fixed
+    to 0, the nonzero entries of ``fixed``."""
+    return (instance.c1 <= instance.n_edges
+            and np.count_nonzero(fixed) >= instance.c2)
 
-    ``warm`` is an earlier :class:`LpResult` whose final basis starts the
-    LP, or None for a cold start.  ``pool.extend`` brings it to the rows
-    pooled since it was solved; ``pool.separate`` adds the rows violated
-    at each optimum below ``cutoff``.  The result is returned whatever its
-    status; ``solve`` decides feasibility by count and treats an
-    ``"infeasible"`` one as a numerical failure.
+
+def _solve_node(pool, c, fixed, warm, cutoff=inf):
+    """The LP of a node feasible by count; the pool grows by its violated rows.
+
+    ``fixed`` is int8 over the triangles (-1 free, else 0 or 1); edges
+    keep ``[0, 1]``.  ``warm`` is an earlier :class:`LpResult`, solved
+    under looser or equal bounds, or None for a cold start; ``pool.extend``
+    brings it to the rows pooled since.  ``pool.separate`` adds the rows
+    violated at each optimum below ``cutoff``.  An ``"infeasible"`` LP is a
+    numerical failure and raises ``AssertionError``.
     """
-    return solve_lp(c, pool.A[: pool.m], pool.b[: pool.m], lower, upper,
-                    warm=pool.extend(warm), cutoff=cutoff,
-                    separate=pool.separate)
+    lower = np.zeros(pool.n)
+    upper = np.ones(pool.n)
+    lower[pool.n1 :] = fixed == 1
+    upper[pool.n1 :] = fixed != 0
+    res = solve_lp(c, pool.A[: pool.m], pool.b[: pool.m], lower, upper,
+                   warm=pool.extend(warm), cutoff=cutoff,
+                   separate=pool.separate)
+    if res.status == "infeasible":
+        raise AssertionError("LP infeasible at a node feasible by count")
+    return res
 
 
 def _complete_edges(instance, s2):
@@ -194,8 +210,8 @@ def _complete_edges(instance, s2):
 def solve(instance, node_limit=10_000_000, warm_start=None):
     """Best-first branch and bound on the triangles; exact up to tolerances.
 
-    Every node keeps at least ``c2`` triangles not fixed to 0, so an
-    infeasible node LP is a numerical failure and raises ``AssertionError``.
+    Every node is feasible by count (``_feasible``), so an infeasible
+    node LP is a numerical failure and raises ``AssertionError``.
     The LPs see the costs divided by the largest one; ``objective`` and
     ``lower_bound`` are in the original units.
 
@@ -209,7 +225,8 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
         raise ValueError(f"node_limit must be nonnegative; got {node_limit}")
     t0 = time.perf_counter()
     n1, n2 = instance.n_edges, instance.n_triangles
-    if instance.c1 > n1 or instance.c2 > n2:
+    root = np.full(n2, -1, dtype=np.int8)
+    if not _feasible(instance, root):
         return BlpSolution(None, inf, inf, "infeasible", 0,
                            time.perf_counter() - t0)
 
@@ -234,16 +251,14 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
         offer(warm_start.s2)
 
     # heap of (bound, seq, fixed, parent LP result); fixed is int8 over the
-    # triangles (-1 free, else 0 or 1); edges are never fixed, and at least
-    # c2 triangles are not fixed to 0.  Siblings share the parent's LpResult
-    # without x, one O(m^2) basis inverse per parent.
+    # triangles (-1 free, else 0 or 1), and every node in it is feasible by
+    # count.  Siblings share the parent's LpResult without x, one O(m^2)
+    # basis inverse per parent.
     seq = 0
-    heap = [(0.0, seq, np.full(n2, -1, dtype=np.int8), None)]
+    heap = [(0.0, seq, root, None)]
     explored = 0
     lb_cap = inf  # min scaled bound over pruned subtrees
     status = "optimal"
-    lower = np.zeros(n1 + n2)
-    upper = np.ones(n1 + n2)
 
     while heap:
         bound, _, fixed, warm = heapq.heappop(heap)
@@ -257,11 +272,7 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
             break
         explored += 1
 
-        lower[n1:] = fixed == 1
-        upper[n1:] = fixed != 0
-        res = _solve_node(pool, c, lower, upper, warm, cutoff)
-        if res.status == "infeasible":
-            raise AssertionError("LP infeasible at a node feasible by count")
+        res = _solve_node(pool, c, fixed, warm, cutoff)
         if res.bound >= cutoff:  # a "cutoff" result always lands here
             lb_cap = min(lb_cap, res.bound)
             continue
@@ -280,42 +291,39 @@ def solve(instance, node_limit=10_000_000, warm_start=None):
 
         j = int(np.flatnonzero(cand >= best - 1e-12)[0])
         res = replace(res, x=None)  # x is not read after branching
-        # fixing j to 0 needs more than c2 triangles not fixed to 0
-        for fix_to in (0, 1) if (fixed != 0).sum() > instance.c2 else (1,):
+        for fix_to in (0, 1):
             child = fixed.copy()
             child[j] = fix_to
-            seq += 1
-            heapq.heappush(heap, (res.bound, seq, child, res))
+            if _feasible(instance, child):
+                seq += 1
+                heapq.heappush(heap, (res.bound, seq, child, res))
 
     return BlpSolution(inc_sel, inc_obj, min(inc_obj, lb_cap * scale), status,
                        explored, time.perf_counter() - t0)
 
 
-def lp_bound(instance, fixed_edges=None, fixed_triangles=None):
-    """LP relaxation lower bound under a partial assignment.
+def lp_bound(instance, fixed_triangles=None):
+    """LP relaxation lower bound with some triangles fixed.
 
-    ``fixed_edges`` / ``fixed_triangles`` map index -> 0 or 1.  Returns
-    ``inf`` when the fixed problem is infeasible.  As in ``solve``, the LP
-    sees the costs divided by the largest one, and the bound is scaled
-    back.
+    ``fixed_triangles`` maps triangle index -> 0 or 1.  Returns ``inf``
+    when the fixed problem is infeasible, which, as in ``solve``, is
+    decided by count; an infeasible LP raises ``AssertionError``.  As in
+    ``solve``, the LP sees the costs divided by the largest one, and the
+    bound is scaled back.
     """
-    n1, n2 = instance.n_edges, instance.n_triangles
-    lower = np.zeros(n1 + n2)
-    upper = np.ones(n1 + n2)
-    for mapping, off, size, what in ((fixed_edges, 0, n1, "edge"),
-                                     (fixed_triangles, n1, n2, "triangle")):
-        for idx, val in (mapping or {}).items():
-            if not 0 <= idx < size:
-                raise ValueError(f"{what} index {idx} out of range")
-            if val not in (0, 1):
-                raise ValueError(f"{what} fixing must be 0 or 1; got {val}")
-            lower[off + idx] = upper[off + idx] = float(val)
-    if instance.c1 > n1 or instance.c2 > n2:
+    fixed = np.full(instance.n_triangles, -1, dtype=np.int8)
+    for idx, val in (fixed_triangles or {}).items():
+        if not 0 <= idx < instance.n_triangles:
+            raise ValueError(f"triangle index {idx} out of range")
+        if val not in (0, 1):
+            raise ValueError(f"triangle fixing must be 0 or 1; got {val}")
+        fixed[idx] = val
+    if not _feasible(instance, fixed):
         return inf
     c = np.concatenate([instance.h1, instance.h2])
     scale = float(c.max(initial=0.0)) or 1.0
-    res = _solve_node(_RowPool(instance), c / scale, lower, upper, None)
-    return inf if res.status == "infeasible" else float(res.bound) * scale
+    res = _solve_node(_RowPool(instance), c / scale, fixed, None)
+    return float(res.bound) * scale
 
 
 def oracle_enumerate(cx, costs, c1, c2, budget=1_000_000):

@@ -19,7 +19,7 @@ import json
 from dataclasses import asdict, dataclass
 from math import floor, isfinite
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -169,7 +169,7 @@ def load_bundle(in_dir):
 
 def _read_bundle(src):
     meta = json.loads((src / "meta.json").read_text())
-    config = SynthConfig(**_config_fields(meta["config"]))
+    config = SynthConfig(**fields_from_json(SynthConfig, meta["config"]))
     cx = build_candidate_complex(config.n0)
     truth = Selection.from_indices(cx.n_edges, cx.n_triangles,
                                    meta["truth_edges"], meta["truth_triangles"])
@@ -188,25 +188,38 @@ def _read_bundle(src):
     return SignalBundle(x0=x0, x1bar=x1bar, truth=truth, config=config)
 
 
-def _config_fields(raw):
-    """``raw`` checked as ``SynthConfig`` fields, each of its JSON type."""
+def fields_from_json(cls, raw):
+    """A parsed JSON object checked as fields of the dataclass ``cls``.
+
+    Each value must have the JSON type of its field's annotation:
+    ``tuple[X, ...]`` takes a list of ``X``, made a tuple; ``X | None``
+    also takes null; a float also takes an integer.
+    """
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object; got {raw!r}")
-    kinds = get_type_hints(SynthConfig)
+    kinds = get_type_hints(cls)
     unknown = set(raw) - set(kinds)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    fields = {}
     for key, value in raw.items():
-        if not json_is(value, kinds[key]):
+        kind = kinds[key]
+        if get_origin(kind) is tuple:
+            item = get_args(kind)[0]
+            if not (isinstance(value, list)
+                    and all(json_is(v, item) for v in value)):
+                raise ValueError(f"config key {key!r} must be a list of "
+                                 f"{item.__name__}")
+            value = tuple(value)
+        elif not any(json_is(value, k) for k in get_args(kind) or (kind,)):
             raise ValueError(f"config key {key!r} has the wrong type: "
                              f"{value!r}")
-    return raw
+        fields[key] = value
+    return fields
 
 
 def json_is(value, kind):
-    """Whether a parsed JSON value has the type ``kind`` (None for null)."""
-    if kind is None:
-        return value is None
+    """Whether a parsed JSON value has the type ``kind`` (NoneType: null)."""
     if isinstance(value, bool):
         return False
     if kind is float:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import build_candidate_complex, validate_inclusion
-from .datagen import SynthConfig, json_is, make_bundle, stage_rng
+from .datagen import SynthConfig, fields_from_json, make_bundle, stage_rng
 from .datasets import load_real_dataset, subsample_dataset
 from .learners import (GREEDY_INITS, learn_greedy, learn_hierarchical,
                        learn_joint)
@@ -36,23 +36,15 @@ SCORE_METRICS = ("f1_edges", "f1_triangles", "precision_edges", "recall_edges",
                  "precision_triangles", "recall_triangles", "objective")
 # rng stream tag for real-mode sub-network draws; 0..3 belong to datagen
 _STAGE_SUBNET = 4
-# JSON types each config key accepts: a list's item type, or the scalar
-# types (None admits null); float keys also take integers
-_CONFIG_LISTS = {"n0_values": int, "seeds": int, "priors": str, "methods": str}
-_CONFIG_SCALARS = {"mode": (str,), "er_p": (float,),
-                   "triangle_fraction": (float,), "f0": (int,), "f1": (int,),
-                   "noise_sigma": (float,), "gamma": (float, None),
-                   "greedy_init": (str,), "node_limit": (int,),
-                   "dataset_path": (str, None)}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "synthetic"
-    n0_values: tuple = (10,)
-    seeds: tuple = tuple(range(10))
-    priors: tuple = ("low_curl",)
-    methods: tuple = METHODS
+    n0_values: tuple[int, ...] = (10,)
+    seeds: tuple[int, ...] = tuple(range(10))
+    priors: tuple[str, ...] = ("low_curl",)
+    methods: tuple[str, ...] = METHODS
     er_p: float = 0.6
     triangle_fraction: float = 0.5
     f0: int = 100
@@ -68,7 +60,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "real" and not self.dataset_path:
             raise ValueError("real mode needs dataset_path")
-        for key in _CONFIG_LISTS:
+        for key in ("n0_values", "seeds", "priors", "methods"):
             values = getattr(self, key)
             if not values:
                 raise ValueError(f"{key} must be nonempty")
@@ -96,24 +88,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path):
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            if key in _CONFIG_LISTS:
-                item = _CONFIG_LISTS[key]
-                if not (isinstance(value, list)
-                        and all(json_is(v, item) for v in value)):
-                    raise ValueError(f"config key {key!r} must be a list of "
-                                     f"{item.__name__}")
-                raw[key] = tuple(value)
-            elif not any(json_is(value, kind) for kind in _CONFIG_SCALARS[key]):
-                raise ValueError(f"config key {key!r} has the wrong type: "
-                                 f"{value!r}")
-        return cls(**raw)
+        return cls(**fields_from_json(cls, json.loads(Path(path).read_text())))
 
 
 @dataclass

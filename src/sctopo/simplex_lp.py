@@ -7,10 +7,12 @@ for the branch-and-bound use case:
 * the all-slack basis is dual feasible whenever each structural variable
   can sit at a bound with the right reduced-cost sign (always true here,
   where costs are nonnegative and variables live in ``[0, 1]``);
-* changing variable bounds never destroys dual feasibility of a basis, so
-  a parent node's final basis and its inverse warm-start both children
+* tightening variable bounds never destroys dual feasibility of a basis,
+  so a parent node's final basis and its inverse warm-start both children
   (the heap of :mod:`sctopo.blp` holds the parent's :class:`LpResult`,
-  one O(m^2) inverse per branched node that still has an open child);
+  one O(m^2) inverse per branched node that still has an open child).
+  So a warm start may only tighten the bounds it was solved under; one
+  that loosens them can be dual infeasible and raises ``ValueError``;
 * appending rows with their slacks basic is also dual feasible, which is
   what lazy constraint generation needs: at an optimum, the ``separate``
   callback may return the rows grown with the result extended to them
@@ -82,18 +84,19 @@ from math import inf
 
 import numpy as np
 
-# nonbasic-at-lower / nonbasic-at-upper / basic / nonbasic-fixed (lower == upper)
-NB_LOWER, NB_UPPER, BASIC, NB_FIXED = 0, 1, 2, 3
+# nonbasic-at-lower / nonbasic-at-upper / basic
+NB_LOWER, NB_UPPER, BASIC = 0, 1, 2
 
 _PIV_TOL = 1e-9
 _RATIO_TIE = 1e-12
-_FEAS_TOL = 1e-9  # largest bound violation a basic value may show at optimum
+_FEAS_TOL = 1e-9  # violation let pass: of a bound by xB, of a sign by d
 _MAX_ITER = 100_000  # pivots per call (all rounds) before "iteration_limit"
 _BLAND_AFTER = 1000  # degenerate pivots in a row before Bland's rule
 _REFRESH_EVERY = 200  # pivots between reinversions of the basis
 # direction a nonbasic variable moves off its bound, by status: +1 up from
 # its lower bound, -1 down from its upper bound, 0 when basic or fixed
-_TOWARD = np.array([1.0, -1.0, 0.0, 0.0])
+# (a box of zero width, whatever its status)
+_TOWARD = np.array([1.0, -1.0, 0.0])
 
 
 @dataclass
@@ -146,7 +149,9 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
 
     ``warm`` is a (dual-feasible) :class:`LpResult` whose basis covers the
     rows of ``A``, or None for the all-slack basis; its arrays are copied,
-    never modified.  Fixed variables (``lower == upper``) never enter the
+    never modified.  The bounds may only be tighter than those it was
+    solved under; a start that is not dual feasible under them raises
+    ``ValueError``.  Fixed variables (``lower == upper``) never enter the
     basis.
 
     The solve stops with status ``"cutoff"`` once the dual objective, a
@@ -166,7 +171,6 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     m = A.shape[0]
     if (lower > upper + _FEAS_TOL).any():
         return LpResult("infeasible", np.zeros(n), inf, 0, None, None, None)
-    is_fixed = lower == upper
 
     if warm is None:
         basis = np.arange(n, n + m, dtype=np.int64)
@@ -176,17 +180,6 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         binv = np.eye(m)
     else:
         basis, vstat, binv = _adopt(warm, n, m)
-    # normalize fixed markers to the current bounds: a nonbasic variable
-    # with equal bounds is fixed, and a fixed marker whose bounds have
-    # separated goes back to the bound its cost sign favours (slacks are
-    # never fixed, their upper bound being infinite)
-    stat = vstat[:n]
-    moved = (stat == NB_FIXED) != (is_fixed & (stat != BASIC))
-    if moved.any():
-        j = moved.nonzero()[0]
-        stat[j] = np.where(is_fixed[j], NB_FIXED,
-                           np.where(c[j] >= 0.0, NB_LOWER, NB_UPPER))
-
     lower_e = np.concatenate([lower, np.zeros(m)])
     upper_e = np.concatenate([upper, np.full(m, inf)])
     if np.isinf(upper_e[vstat == NB_UPPER]).any():
@@ -194,6 +187,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     range_e = upper_e - lower_e
     c_e = np.concatenate([c, np.zeros(m)])
     toward = _TOWARD[vstat]
+    toward[range_e == 0.0] = 0.0
     lower_b = lower_e[basis]
     upper_b = upper_e[basis]
     alpha = np.empty(n + m)  # pivot row over structural and slack columns
@@ -201,6 +195,9 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     x, xB, obj, rhs = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
                                    upper_e)
     d = _reduced_costs(binv, A, c_e, basis)
+    if (toward * d < -_FEAS_TOL).any():
+        raise ValueError("warm start is not dual feasible under these bounds; "
+                         "a warm start may only tighten them")
     fresh = True  # x, xB and obj computed from binv, not carried
     degen_run = 0
     it = start = 0  # reinversions fall every _REFRESH_EVERY pivots from start
@@ -313,12 +310,8 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         binv[r] = binv_r
 
         leaving = basis[r]
-        if lower_e[leaving] == upper_e[leaving]:
-            vstat[leaving] = NB_FIXED
-            toward[leaving] = 0.0
-        else:
-            vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
-            toward[leaving] = -s
+        vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
+        toward[leaving] = -s if range_e[leaving] else 0.0
         vstat[entering] = BASIC
         toward[entering] = 0.0
         basis[r] = entering

@@ -317,12 +317,12 @@ def test_cutoff_stops_each_node_lp_at_a_valid_bound():
                                     int(rng.integers(0, 10)),
                                     int(rng.integers(1, 5)))
         c = np.concatenate([inst.h1, inst.h2])
-        lower, upper = np.zeros(c.size), np.ones(c.size)
-        full = blp._solve_node(_RowPool(inst), c, lower, upper, None)
+        free = np.full(inst.n_triangles, -1, dtype=np.int8)
+        full = blp._solve_node(_RowPool(inst), c, free, None)
         assert full.status == "optimal"
         for frac in (0.3, 0.9, 0.999):
             z = frac * full.bound
-            res = blp._solve_node(_RowPool(inst), c, lower, upper, None, z)
+            res = blp._solve_node(_RowPool(inst), c, free, None, z)
             assert res.status == "cutoff"
             assert z <= res.bound <= full.bound + 1e-12
             assert res.iterations <= full.iterations
@@ -435,14 +435,14 @@ def test_lp_bound_contracts():
     assert root <= opt.objective + 1e-9
 
     # fixing can only push the bound up
-    e0 = int(opt.selection.edge_indices[0])
-    tightened = lp_bound(inst, fixed_edges={e0: 0})
+    t0 = int(opt.selection.triangle_indices[0])
+    tightened = lp_bound(inst, fixed_triangles={t0: 0})
     assert tightened >= root - 1e-9
 
-    # fully pinning the optimum reproduces its objective
-    fixed_e = {e: int(opt.selection.s1[e]) for e in range(cx.n_edges)}
+    # pinning the optimum's triangles reproduces its objective: with the
+    # triangles fixed, the edge LP is integral
     fixed_t = {t: int(opt.selection.s2[t]) for t in range(cx.n_triangles)}
-    pinned = lp_bound(inst, fixed_edges=fixed_e, fixed_triangles=fixed_t)
+    pinned = lp_bound(inst, fixed_triangles=fixed_t)
     assert pinned == pytest.approx(opt.objective, rel=1e-9)
 
     zero = build_joint_instance(
@@ -450,15 +450,38 @@ def test_lp_bound_contracts():
                         h2_kind="curl"), 6, 2)
     assert lp_bound(zero) == pytest.approx(0.0, abs=1e-12)
 
-    # contradictory fixings leave nothing feasible
-    t0 = int(cx.triangle_id(0, 1, 2))
-    e01 = int(cx.edge_id(0, 1))
-    assert lp_bound(inst, fixed_edges={e01: 0}, fixed_triangles={t0: 1}) == np.inf
+    # fixing all but one triangle to 0 leaves fewer than c2 = 2
+    assert lp_bound(inst, fixed_triangles={
+        t: 0 for t in range(1, cx.n_triangles)}) == np.inf
 
     with pytest.raises(ValueError):
-        lp_bound(inst, fixed_edges={cx.n_edges: 0})
+        lp_bound(inst, fixed_triangles={cx.n_triangles: 0})
     with pytest.raises(ValueError):
         lp_bound(inst, fixed_triangles={0: 2})
+
+
+def test_lp_bound_decides_feasibility_by_count(monkeypatch):
+    # an infeasible fixing is known by counting, before any LP; an LP that
+    # still reports "infeasible" is a numerical failure, as in solve
+    rng = np.random.default_rng(12)
+    cx = build_candidate_complex(5)
+    inst = build_joint_instance(cx, _random_costs(rng, cx), 4, 3)
+
+    def no_lp(*args, **kwargs):
+        raise RuntimeError("the LP was asked")
+
+    monkeypatch.setattr(blp, "solve_lp", no_lp)
+    assert lp_bound(inst, fixed_triangles={
+        t: 0 for t in range(cx.n_triangles - 2)}) == np.inf
+    assert lp_bound(replace(inst, c1=cx.n_edges + 1)) == np.inf
+
+    def infeasible(*args, **kwargs):
+        return replace(simplex_lp.solve_lp(*args, **kwargs),
+                       status="infeasible")
+
+    monkeypatch.setattr(blp, "solve_lp", infeasible)
+    with pytest.raises(AssertionError, match="feasible by count"):
+        lp_bound(inst, fixed_triangles={0: 0})
 
 
 def test_lp_bound_does_not_depend_on_cost_scale():

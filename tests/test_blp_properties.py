@@ -90,24 +90,22 @@ def test_lp_bound_is_below_the_optimum_and_grows_with_fixings(case, data):
     cx, costs, c1, c2, _ = case
     inst = build_joint_instance(cx, costs, c1, c2)
     opt = solve(inst)
-    n1, n2 = cx.n_edges, cx.n_triangles
-    best = np.concatenate([opt.selection.s1, opt.selection.s2])
+    n2 = cx.n_triangles
 
-    order = data.draw(st.permutations(range(n1 + n2)))
+    order = data.draw(st.permutations(range(n2)))
     k = data.draw(st.integers(1, 6))
     # fixings that keep the optimum feasible, or arbitrary ones
     agree = data.draw(st.booleans())
     flips = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    fixed = ({}, {})
+    fixed = {}
     bound = lp_bound(inst)
     assert bound <= opt.objective + _tol(opt.objective)
-    for j, flip in zip(order[:k], flips):
-        value = int(best[j]) ^ (flip and not agree)
-        if j < n1:
-            fixed[0][j] = value
-        else:
-            fixed[1][j - n1] = value
-        tighter = lp_bound(inst, fixed_edges=fixed[0], fixed_triangles=fixed[1])
+    for t, flip in zip(order[:k], flips):
+        fixed[t] = int(opt.selection.s2[t]) ^ (flip and not agree)
+        tighter = lp_bound(inst, fixed_triangles=fixed)
+        # infeasible exactly when too few triangles are not fixed to 0
+        n_open = n2 - sum(v == 0 for v in fixed.values())
+        assert (tighter == np.inf) == (n_open < c2)
         if bound == np.inf:
             assert tighter == np.inf  # infeasible stays infeasible
         else:

@@ -11,10 +11,8 @@ from scipy.optimize import linprog
 from sctopo import simplex_lp
 from sctopo.simplex_lp import (
     BASIC,
-    NB_FIXED,
     NB_LOWER,
     NB_UPPER,
-    LpResult,
     build_basis_matrix,
     extend_binv_for_new_rows,
     solve_lp,
@@ -249,6 +247,8 @@ def test_contradictory_bounds_are_infeasible():
 
 
 def test_fixed_marker_set_on_equal_bounds():
+    # a fixed variable is a box of zero width: it sits at its value as a
+    # nonbasic variable, and no pivot moves it
     c = np.array([1.0, 1.0])
     A = np.array([[1.0, 1.0]])
     b = np.array([5.0])
@@ -256,25 +256,78 @@ def test_fixed_marker_set_on_equal_bounds():
     upper = np.array([1.0, 1.0])
     res = solve_lp(c, A, b, lower, upper)
     assert res.status == "optimal"
-    assert res.vstat[1] in (NB_FIXED, BASIC)
-    assert res.x[1] == pytest.approx(1.0)
+    assert res.x.tolist() == [0.0, 1.0]
+    assert 1 not in res.basis
+    assert res.vstat[1] in (NB_LOWER, NB_UPPER)
 
 
 def test_fixed_markers_follow_the_current_bounds(monkeypatch):
-    # columns: two fixed markers whose bounds separated (costs of either
-    # sign), a basic variable with equal bounds, a nonbasic one with equal
-    # bounds, then the slack of the single row
-    c = np.array([1.0, -1.0, 2.0, 3.0])
-    A = np.ones((1, 4))
-    monkeypatch.setattr(simplex_lp, "_MAX_ITER", 0)
-    res = solve_lp(c, A, np.array([10.0]), np.array([0.0, 0.0, 0.0, 1.0]),
-                   np.array([1.0, 1.0, 0.0, 1.0]),
-                   warm=LpResult("optimal", None, 0.0, 0, np.array([2]),
-                                 np.array([NB_FIXED, NB_FIXED, BASIC, NB_LOWER,
-                                           NB_LOWER]), np.eye(1)))
-    assert res.status == "iteration_limit"
-    assert res.vstat.tolist() == [NB_LOWER, NB_UPPER, BASIC, NB_FIXED,
-                                  NB_LOWER]
+    # warm starts whose bounds fix variables the parent left basic or
+    # nonbasic: each ends at its value, the bound matches a cold solve and
+    # HiGHS, and a fixed variable out of the basis, from the start or after
+    # leaving it, never enters.  The iterates are replayed by capping the
+    # pivots at 0, 1, 2, ...
+    rng = np.random.default_rng(9)
+    n_checked = 0
+    for trial in range(300):
+        c, A, b, lower, upper = _random_lp(rng, 8, 5,
+                                           nonneg_costs=bool(trial % 2))
+        first = solve_lp(c, A, b, lower, upper)
+        if first.status != "optimal":
+            continue
+        basic = first.basis[first.basis < 8]
+        fixed = np.unique(np.r_[rng.choice(8, size=2, replace=False),
+                                rng.choice(basic, size=min(2, basic.size),
+                                           replace=False)])
+        lower2, upper2 = lower.copy(), upper.copy()
+        lower2[fixed] = upper2[fixed] = rng.integers(0, 2, size=fixed.size)
+        res = solve_lp(c, A, b, lower2, upper2, warm=first)
+        out = set(fixed) - set(first.basis)
+        for k in range(res.iterations + 1):
+            monkeypatch.setattr(simplex_lp, "_MAX_ITER", k)
+            basis = set(solve_lp(c, A, b, lower2, upper2, warm=first).basis)
+            assert not out & basis, (trial, k)
+            out |= set(fixed) - basis
+        monkeypatch.undo()
+        ref = _scipy_solve(c, A, b, lower2, upper2)
+        if ref.status == 2:
+            assert res.status == "infeasible", trial
+            continue
+        assert res.status == "optimal", trial
+        n_checked += 1
+        assert res.bound == pytest.approx(ref.fun, abs=1e-7)
+        assert res.bound == pytest.approx(
+            solve_lp(c, A, b, lower2, upper2).bound, abs=1e-7)
+        np.testing.assert_allclose(res.x[fixed], lower2[fixed], atol=1e-9)
+    assert n_checked >= 100
+
+
+def test_loosened_warm_start_is_rejected():
+    # a warm start solved with a variable fixed, then given its whole box
+    # back, may leave that variable at a bound its reduced cost does not
+    # allow; such a start raises instead of returning a wrong optimum
+    rng = np.random.default_rng(0)
+    n_raised = n_checked = 0
+    for trial in range(200):
+        c, A, b, lower, upper = _random_lp(rng, 6, 4,
+                                           nonneg_costs=bool(trial % 2))
+        lower2, upper2 = lower.copy(), upper.copy()
+        j = int(rng.integers(6))
+        lower2[j] = upper2[j] = float(rng.integers(2))
+        first = solve_lp(c, A, b, lower2, upper2)
+        if first.status != "optimal":
+            continue
+        try:
+            res = solve_lp(c, A, b, lower, upper, warm=first)
+        except ValueError:
+            n_raised += 1
+            continue
+        ref = _scipy_solve(c, A, b, lower, upper)
+        assert ref.status == 0
+        assert res.status == "optimal", trial
+        assert res.bound == pytest.approx(ref.fun, abs=1e-7), trial
+        n_checked += 1
+    assert n_raised >= 10 and n_checked >= 10
 
 
 def _assert_basic_values_from_basis(res, A, b):
