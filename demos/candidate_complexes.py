@@ -12,7 +12,6 @@ import numpy as np
 from sctopo import (
     Selection,
     build_candidate_complex,
-    hodge_laplacian_edge,
     laplacian_node,
     laplacian_upper_edge,
     validate_inclusion,
@@ -46,7 +45,8 @@ L0 = laplacian_node(cx, s1)
 print("node Laplacian degrees:", np.diag(L0))
 L1up = laplacian_upper_edge(cx, s2)
 print("upper edge Laplacian rank:", np.linalg.matrix_rank(L1up))
-L1 = hodge_laplacian_edge(cx, s1, s2)
+B1s = cx.b1 * s1  # the lower term acts on the selected edges only
+L1 = B1s.T @ B1s + L1up
 print("Hodge edge Laplacian is symmetric:", np.allclose(L1, L1.T))
 
 # a selection is valid when every chosen triangle brings its three edges

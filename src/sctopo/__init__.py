@@ -20,7 +20,7 @@ from .complexes import (
     CandidateComplex,
     Selection,
     build_candidate_complex,
-    hodge_laplacian_edge,
+    feasible_triangles,
     laplacian_node,
     laplacian_upper_edge,
     similarity_laplacian,
@@ -49,7 +49,6 @@ from .experiment import EvalReport, ExperimentConfig, run_experiment, write_repo
 from .learners import (
     LearnerOutput,
     default_gamma,
-    feasible_triangles,
     learn_greedy,
     learn_hierarchical,
     learn_joint,

@@ -48,9 +48,10 @@ from math import comb, inf
 
 import numpy as np
 
-from .complexes import Selection, build_candidate_complex, candidate_n0
+from .complexes import Selection, build_candidate_complex, candidate_n0, cheapest
 from .simplex_lp import extend_binv_for_new_rows, solve_lp
 
+DEFAULT_NODE_LIMIT = 10_000_000  # branch-and-bound nodes before "node_limit"
 _PRUNE_REL = 1e-9  # pruning slack, relative to the incumbent objective
 _INT_TOL = 1e-6
 _ROW_TOL = 1e-9
@@ -60,13 +61,19 @@ _ROW_TOL = 1e-9
 class BlpInstance:
     """Costs, cardinality floors and triangle/edge incidence of one problem."""
 
-    n_edges: int
-    n_triangles: int
     h1: np.ndarray
     h2: np.ndarray
     c1: int
     c2: int
     triangle_edges: np.ndarray  # (n_triangles, 3) edge ids of each face
+
+    @property
+    def n_edges(self):
+        return self.h1.size
+
+    @property
+    def n_triangles(self):
+        return self.h2.size
 
 
 @dataclass
@@ -94,8 +101,7 @@ def build_joint_instance(cx, costs, c1, c2):
         raise ValueError("cost vectors have non-finite entries")
     if (costs.h1 < 0).any() or (costs.h2 < 0).any():
         raise ValueError("costs must be nonnegative")
-    return BlpInstance(n_edges=cx.n_edges, n_triangles=cx.n_triangles,
-                       h1=np.asarray(costs.h1, dtype=float),
+    return BlpInstance(h1=np.asarray(costs.h1, dtype=float),
                        h2=np.asarray(costs.h2, dtype=float), c1=c1, c2=c2,
                        triangle_edges=cx.triangle_edges)
 
@@ -201,13 +207,12 @@ def _complete_edges(instance, s2):
     """
     s1 = np.zeros(instance.n_edges, dtype=np.int8)
     s1[instance.triangle_edges[s2 == 1]] = 1
-    order = np.lexsort((np.arange(instance.n_edges), instance.h1))
-    fill = order[s1[order] == 0][: max(instance.c1 - int(s1.sum()), 0)]
-    s1[fill] = 1
+    s1[cheapest(max(instance.c1 - int(s1.sum()), 0), instance.h1,
+                exclude=s1 == 1)] = 1
     return s1
 
 
-def solve(instance, node_limit=10_000_000, warm_start=None):
+def solve(instance, node_limit=DEFAULT_NODE_LIMIT, warm_start=None):
     """Best-first branch and bound on the triangles; exact up to tolerances.
 
     Every node is feasible by count (``_feasible``), so an infeasible
@@ -449,5 +454,5 @@ def read_instance(path):
         target[i] = value
     if not all(seen.all() for _, seen in rows.values()):
         raise ValueError("instance file is missing entries")
-    return BlpInstance(n_edges=n1, n_triangles=n2, h1=h1, h2=h2, c1=c1, c2=c2,
+    return BlpInstance(h1=h1, h2=h2, c1=c1, c2=c2,
                        triangle_edges=build_candidate_complex(n0).triangle_edges)

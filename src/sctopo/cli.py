@@ -98,7 +98,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve a dumped problem instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--node-limit", type=int, default=10_000_000)
+    p.add_argument("--node-limit", type=int, default=blp.DEFAULT_NODE_LIMIT)
     p.set_defaults(func=_cmd_solve)
     return parser
 
@@ -113,7 +113,7 @@ def main(argv=None):
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,13 +1,15 @@
 """Candidate simplicial complexes over a fixed node set.
 
-The candidate complex on ``n0`` nodes holds every possible edge and
-triangle in lexicographic order.  The closed-form ranks below and their
-inverses are the one map between vertices and indices.  A complex stores
-only the edge indices of each triangle's faces; the vertex tuples, the
-oriented incidence matrices ``b1`` (nodes x edges) and ``b2`` (edges x
-triangles) and ``b2_plus = |b2|`` are derived on first access.  Binary
-selection vectors pick out the active structure; the routines here build
-the selection-dependent Laplacians and check the face-inclusion property.
+The one module that derives complex structure.  The candidate complex on
+``n0`` nodes holds every possible edge and triangle in lexicographic
+order.  The closed-form ranks below and their inverses are the one map
+between vertices and indices.  A complex stores only the edge indices of
+each triangle's faces, all that the solver, learners and costs read.  The
+vertex tuples, and the dense views that no module here reads (oriented
+incidence ``b1``, nodes x edges, ``b2``, edges x triangles, and
+``b2_plus = |b2|``), are derived on first access.  Binary selection
+vectors pick out the active structure; the routines here build its
+Laplacians, list the triangles an edge set supports and check inclusion.
 
 Index conventions (used by every module in this package):
 
@@ -98,7 +100,8 @@ class CandidateComplex:
     """The complete candidate complex on ``n0`` nodes.
 
     Only ``triangle_edges`` is stored; the vertex tuples and the dense
-    incidence matrices are derived from the ranks when first read.
+    incidence matrices are derived from the ranks when first read.  No
+    module in the package reads ``b1``, ``b2`` or ``b2_plus``.
 
     Attributes
     ----------
@@ -220,6 +223,14 @@ class Selection:
         return np.array_equal(self.s1, other.s1) and np.array_equal(self.s2, other.s2)
 
 
+def cheapest(count, values, exclude=None):
+    """First ``count`` indices by ``(value, index)``, skipping mask ``exclude``."""
+    order = np.lexsort((np.arange(values.size), values))
+    if exclude is not None:
+        order = order[~exclude[order]]
+    return order[:count]
+
+
 def _indicator(n, indices, name):
     idx = np.asarray(list(indices))
     if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu"
@@ -261,45 +272,24 @@ def validate_inclusion(cx, sel):
     return [(int(t), int(faces[t, f])) for t, f in zip(ts, fs)]
 
 
+def feasible_triangles(cx, s1):
+    """Indices of triangles whose three faces are all selected in s1."""
+    s1 = np.asarray(s1)
+    if s1.size != cx.n_edges:
+        raise ValueError("s1 length does not match the candidate complex")
+    return np.flatnonzero(np.all(s1[cx.triangle_edges] == 1, axis=1))
+
+
 def laplacian_node(cx, s1):
     """Graph Laplacian of the selected edge set: ``b1 @ diag(s1) @ b1.T``."""
-    s1 = _check_len(s1, cx.n_edges, "s1")
-    e = np.flatnonzero(s1)
-    w = s1[e].astype(float)
-    i, j = _edge_vertices(cx.n0, e)
-    L = np.zeros((cx.n0, cx.n0))
-    L[i, j] = L[j, i] = -w
-    L[np.diag_indices(cx.n0)] = np.bincount(i, w, cx.n0) + np.bincount(j, w, cx.n0)
-    return L
+    ends = np.column_stack(_edge_vertices(cx.n0, np.arange(cx.n_edges)))
+    return _block_sum(cx.n0, ends, s1, "s1", np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def laplacian_upper_edge(cx, s2):
     """Upper edge Laplacian of the selected triangles: ``b2 @ diag(s2) @ b2.T``."""
-    return _face_block_sum(cx, s2, np.outer(TRIANGLE_FACE_SIGNS, TRIANGLE_FACE_SIGNS))
-
-
-def _face_block_sum(cx, s2, block):
-    """Sum of ``s2[t] * block`` on each triangle's faces (lexicographic order)."""
-    s2 = _check_len(s2, cx.n_triangles, "s2")
-    t = np.flatnonzero(s2)
-    faces = cx.triangle_edges[t]
-    L = np.zeros((cx.n_edges, cx.n_edges))
-    np.add.at(L, (faces[:, :, None], faces[:, None, :]),
-              s2[t].astype(float)[:, None, None] * block)
-    return L
-
-
-def hodge_laplacian_edge(cx, s1, s2):
-    """Full edge-space Hodge Laplacian of a selection.
-
-    The lower term restricts ``b1`` to the selected edge columns but keeps
-    the result indexed over the full candidate edge space; the upper term is
-    ``b2 @ diag(s2) @ b2.T``.
-    """
-    s1 = _check_len(s1, cx.n_edges, "s1")
-    b1_sel = cx.b1 * s1
-    lower = b1_sel.T @ b1_sel.astype(float)
-    return lower + laplacian_upper_edge(cx, s2)
+    return _block_sum(cx.n_edges, cx.triangle_edges, s2, "s2",
+                      np.outer(TRIANGLE_FACE_SIGNS, TRIANGLE_FACE_SIGNS))
 
 
 def similarity_laplacian(cx, s2):
@@ -309,7 +299,18 @@ def similarity_laplacian(cx, s2):
     of the complete-graph Laplacian on the triangle's three face edges
     (diagonal 2, off-diagonal -1), embedded in the full candidate edge space.
     """
-    return _face_block_sum(cx, s2, 3.0 * np.eye(3) - 1.0)
+    return _block_sum(cx.n_edges, cx.triangle_edges, s2, "s2", 3.0 * np.eye(3) - 1.0)
+
+
+def _block_sum(size, faces, weights, name, block):
+    """The one Laplacian builder: ``weights[s] * block`` summed on the rows
+    and columns ``faces[s]`` of each simplex ``s`` (its faces, in order)."""
+    weights = _check_len(weights, len(faces), name)
+    s = np.flatnonzero(weights)
+    L = np.zeros((size, size))
+    np.add.at(L, (faces[s, :, None], faces[s, None, :]),
+              weights[s].astype(float)[:, None, None] * block)
+    return L
 
 
 def _check_len(v, n, name):

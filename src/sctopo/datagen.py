@@ -26,12 +26,12 @@ import numpy as np
 from .complexes import (
     Selection,
     build_candidate_complex,
+    feasible_triangles,
     laplacian_node,
     laplacian_upper_edge,
     similarity_laplacian,
     validate_inclusion,
 )
-from .learners import feasible_triangles
 
 # stream tags; order is part of the on-disk reproducibility contract
 STAGE_EDGES = 0

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blp import DEFAULT_NODE_LIMIT
 from .complexes import build_candidate_complex, validate_inclusion
 from .datagen import SynthConfig, fields_from_json, make_bundle, stage_rng
 from .datasets import load_real_dataset, subsample_dataset
@@ -52,7 +53,7 @@ class ExperimentConfig:
     noise_sigma: float = 0.0
     gamma: float | None = None
     greedy_init: str = "hierarchical"
-    node_limit: int = 10_000_000
+    node_limit: int = DEFAULT_NODE_LIMIT
     dataset_path: str | None = None
 
     def __post_init__(self):

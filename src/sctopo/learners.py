@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blp
-from .complexes import Selection, validate_inclusion
+from .complexes import Selection, cheapest, feasible_triangles, validate_inclusion
 
 GREEDY_INITS = ("ones", "hierarchical")  # starting s1 choices of learn_greedy
 
@@ -33,22 +33,6 @@ class LearnerOutput:
     objective: float  # h1 @ s1 + h2 @ s2, comparable across methods
     method: str  # "joint" | "hierarchical" | "greedy"
     diagnostics: dict
-
-
-def feasible_triangles(cx, s1):
-    """Indices of triangles whose three faces are all selected in s1."""
-    s1 = np.asarray(s1)
-    if s1.size != cx.n_edges:
-        raise ValueError("s1 length does not match the candidate complex")
-    return np.flatnonzero(np.all(s1[cx.triangle_edges] == 1, axis=1))
-
-
-def _cheapest(count, values, exclude=None):
-    """First ``count`` indices by (value, index); optionally skip a mask."""
-    order = np.lexsort((np.arange(values.size), values))
-    if exclude is not None:
-        order = order[~exclude[order]]
-    return order[:count]
 
 
 def _objective(costs, s1, s2):
@@ -69,14 +53,14 @@ def learn_hierarchical(cx, costs, c1, c2):
     if not 0 <= c1 <= cx.n_edges or not 0 <= c2 <= cx.n_triangles:
         raise ValueError("cardinality floors outside the candidate ranges")
     s1 = np.zeros(cx.n_edges, dtype=np.int8)
-    s1[_cheapest(c1, costs.h1)] = 1
+    s1[cheapest(c1, costs.h1)] = 1
 
     feas = feasible_triangles(cx, s1)
     relaxed = feas.size < c2
     take = feas.size if relaxed else c2
-    order = np.lexsort((feas, costs.h2[feas]))
     s2 = np.zeros(cx.n_triangles, dtype=np.int8)
-    s2[feas[order[:take]]] = 1
+    # feas ascends, so its positions break ties as its indices do
+    s2[feas[cheapest(take, costs.h2[feas])]] = 1
 
     sel = Selection(s1=s1, s2=s2)
     return LearnerOutput(
@@ -91,7 +75,7 @@ def learn_hierarchical(cx, costs, c1, c2):
     )
 
 
-def learn_joint(cx, costs, c1, c2, node_limit=10_000_000):
+def learn_joint(cx, costs, c1, c2, node_limit=blp.DEFAULT_NODE_LIMIT):
     """Exact joint optimum via branch and bound.
 
     The hierarchical triangles prime the incumbent when they meet the
@@ -158,10 +142,12 @@ def learn_greedy(cx, costs, c1, c2, gamma=None, max_iter=20, init="ones"):
     else:
         raise ValueError(f"unknown init {init!r}")
 
+    def missing(s1v):  # faces of each triangle not selected in s1v
+        return 3 - s1v[tri_edges].sum(axis=1)
+
     def penalized(s1v, s2v):
-        missing = (1 - s1v)[tri_edges].sum(axis=1)
         return float(s1v.sum() + s2v.sum() + h1 @ s1v + h2 @ s2v
-                     + gamma * float(missing @ s2v))
+                     + gamma * float(missing(s1v) @ s2v))
 
     trace = []
     seen = set()
@@ -171,9 +157,8 @@ def learn_greedy(cx, costs, c1, c2, gamma=None, max_iter=20, init="ones"):
     for _ in range(max_iter):
         iterations += 1
         # s2-step: penalty for faces currently missing from s1
-        miss = 3 - s1[tri_edges].sum(axis=1)
         s2 = np.zeros(n2, dtype=np.int8)
-        s2[_cheapest(c2, h2 + gamma * miss)] = 1
+        s2[cheapest(c2, h2 + gamma * missing(s1))] = 1
         trace.append(penalized(s1, s2))
 
         # s1-step: coverage counts from the fresh s2
@@ -182,7 +167,7 @@ def learn_greedy(cx, costs, c1, c2, gamma=None, max_iter=20, init="ones"):
         s1_new = (psi < 0.0).astype(np.int8)
         shortfall = c1 - int(s1_new.sum())
         if shortfall > 0:
-            s1_new[_cheapest(shortfall, psi, exclude=s1_new == 1)] = 1
+            s1_new[cheapest(shortfall, psi, exclude=s1_new == 1)] = 1
         s1 = s1_new
         trace.append(penalized(s1, s2))
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes import _edge_vertices
+
 
 @dataclass(frozen=True)
 class ScoreReport:
@@ -52,5 +54,6 @@ def edge_signals_from_nodes(x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = x0[:, None]
-    i_idx, j_idx = np.triu_indices(x0.shape[0], k=1)
-    return np.minimum(x0[i_idx], x0[j_idx])
+    n0 = x0.shape[0]
+    i, j = _edge_vertices(n0, np.arange(n0 * (n0 - 1) // 2))
+    return np.minimum(x0[i], x0[j])

@@ -53,12 +53,12 @@ def compute_costs(cx, x0, x1bar, h2_kind):
 def h1_node_smoothness(cx, x0):
     """Edge costs from node signals: squared endpoint differences.
 
-    ``h1[e] = sum_f (x0[j, f] - x0[i, f])**2`` for edge ``e = (i, j)``.
+    ``h1[e] = sum_f (x0[j, f] - x0[i, f])**2`` for edge ``e = (i, j)``,
+    the :func:`face_similarity_costs` of each edge's two endpoints.
     """
     x0 = _check_rows(x0, cx.n0, "x0")
-    i, j = _edge_vertices(cx.n0, np.arange(cx.n_edges))
-    diff = x0[j] - x0[i]
-    return _clamped(np.einsum("ef,ef->e", diff, diff))
+    ends = np.column_stack(_edge_vertices(cx.n0, np.arange(cx.n_edges)))
+    return face_similarity_costs(ends, x0)
 
 
 def h2_curl(cx, x1bar):
@@ -84,7 +84,7 @@ def face_similarity_costs(face_indices, signals):
 
     ``face_indices`` has one row per simplex listing the indices of its
     faces into ``signals``; any face count >= 2 works.  For edges with
-    their two endpoint nodes this reduces to the node-smoothness edge cost.
+    their two endpoint nodes it is the node-smoothness edge cost ``h1``.
     """
     face_indices = np.asarray(face_indices)
     rows = np.asarray(signals, dtype=float)[face_indices]  # (count, faces, F)

@@ -314,6 +314,24 @@ def test_solve_rejects_a_huge_claimed_size_before_allocating(tmp_path, capsys):
     assert err.startswith("error:") and "missing entries" in err
 
 
+# Each request is far beyond any 64-bit address space (about 1.2 PiB of
+# triangle ranks, and 57 PiB of node signals), so numpy refuses it before
+# touching memory.
+@pytest.mark.parametrize("command", [
+    ["synth", "--n0", "100000"],
+    ["run", "--config", "{cfg}"],
+], ids=["synth", "run"])
+def test_a_request_too_large_to_allocate_exits_one(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n0_values": [8], "seeds": [0], "f0": 10**15}))
+    out_dir = tmp_path / "o"
+    argv = [a.format(cfg=cfg) for a in command] + ["--out", str(out_dir)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "allocate" in err
+    assert not out_dir.exists()
+
+
 def test_solve_rejects_every_single_line_corruption(tmp_path, capsys):
     rng = np.random.default_rng(5)
     cx = build_candidate_complex(5)

@@ -13,7 +13,6 @@ from sctopo.complexes import (
     _edge_vertices,
     _triangle_vertices,
     build_candidate_complex,
-    hodge_laplacian_edge,
     laplacian_node,
     laplacian_upper_edge,
     similarity_laplacian,
@@ -194,9 +193,12 @@ def test_laplacians_match_loop_reference():
         assert np.allclose(laplacian_node(cx, s1), L0)
         assert np.allclose(laplacian_upper_edge(cx, s2), Lup)
         assert np.allclose(similarity_laplacian(cx, s2), Lsim)
+        # the edge Hodge Laplacian, lower term from b1: b1 @ b2 == 0, so
+        # the upper term adds nothing to b1 @ hodge
         B1s = cx.b1 * s1
-        hodge = (B1s.T @ B1s).astype(float) + Lup
-        assert np.allclose(hodge_laplacian_edge(cx, s1, s2), hodge)
+        lower = (B1s.T @ B1s).astype(float)
+        hodge = lower + laplacian_upper_edge(cx, s2)
+        assert np.array_equal(cx.b1 @ hodge, cx.b1 @ lower)
 
 
 def test_laplacians_equal_dense_incidence_formulas():

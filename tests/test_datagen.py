@@ -8,6 +8,7 @@ import pytest
 from sctopo.complexes import (
     Selection,
     build_candidate_complex,
+    feasible_triangles,
     laplacian_node,
     laplacian_upper_edge,
     similarity_laplacian,
@@ -26,7 +27,6 @@ from sctopo.datagen import (
     save_bundle,
     stage_rng,
 )
-from sctopo.learners import feasible_triangles
 from sctopo.smoothness import compute_costs, quadratic_form
 
 

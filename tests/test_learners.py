@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from sctopo.blp import oracle_enumerate
-from sctopo.complexes import Selection, build_candidate_complex, validate_inclusion
+from sctopo.complexes import (
+    Selection,
+    build_candidate_complex,
+    feasible_triangles,
+    validate_inclusion,
+)
 from sctopo.datagen import SynthConfig, make_bundle
 from sctopo.experiment import PRIOR_TO_KIND
 from sctopo.learners import (
     default_gamma,
-    feasible_triangles,
     learn_greedy,
     learn_hierarchical,
     learn_joint,

@@ -12,7 +12,6 @@ import pytest
 
 from sctopo.complexes import (
     build_candidate_complex,
-    hodge_laplacian_edge,
     laplacian_node,
     laplacian_upper_edge,
     similarity_laplacian,
@@ -80,10 +79,11 @@ def test_linear_equals_quadratic_everywhere():
 
         # full joint objective against the Hodge form plus node form
         full = lhs1 + lhs2
-        hodge = quadratic_form(hodge_laplacian_edge(cx, s1, s2), x1)
         # the Hodge form contains the lower term B1 s1 acting on edge
         # signals, not the node smoothness, so only the upper parts agree
-        lower = quadratic_form(((cx.b1 * s1).T @ (cx.b1 * s1)).astype(float), x1)
+        lower_l = ((cx.b1 * s1).T @ (cx.b1 * s1)).astype(float)
+        hodge = quadratic_form(lower_l + laplacian_upper_edge(cx, s2), x1)
+        lower = quadratic_form(lower_l, x1)
         assert _rel_close(hodge - lower, rhs2)
         assert full == pytest.approx(lhs1 + rhs2, rel=REL)
 
