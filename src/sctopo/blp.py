@@ -14,8 +14,13 @@ therefore stored: an instance is its costs, its floors and the faces of
 its candidate complex, and those faces follow from ``n0``.
 
 ``solve`` runs best-first branch and bound on LP relaxations produced by
-:mod:`sctopo.simplex_lp`, generating violated inclusion rows lazily (the
-full set is 3 * n_triangles rows; a handful are ever active).  Each node
+:mod:`sctopo.simplex_lp`, generating violated inclusion rows lazily into
+one pool shared by the tree.  Of the 3 * n_triangles rows, pools at
+``n0 >= 10`` end with a few percent.  Small trees (``n0 = 6``) would
+pool most rows anyway, one round at a time, so once the triangles with
+a row are half of all triangles, the pool takes every row at once.
+``BlpSolution`` reports the rounds that pooled rows and the rows pooled
+at the end.  Each node
 is one ``solve_lp`` call: it starts from the parent's final basis,
 extended to the rows pooled since then (``_RowPool.extend``); the LP adds
 the rows its optimum violates through the pool's ``separate``, which
@@ -84,6 +89,8 @@ class BlpSolution:
     status: str  # "optimal" | "infeasible" | "node_limit"
     nodes_explored: int
     wall_time: float
+    separations: int = 0  # rounds that pooled inclusion rows
+    pool_rows: int = 0  # rows pooled at the end, the two floors included
 
 
 def _check_floors(c1, c2):
@@ -115,6 +122,8 @@ class _RowPool:
         self.n = n1 + n2
         self.tri_edges = instance.triangle_edges
         self.pooled = np.zeros((n2, 3), dtype=bool)  # (t, slot) rows added
+        self.full = 2 + 3 * n2  # m once every inclusion row is pooled
+        self.rounds = 0  # add_violated calls that added rows
         cap = 64
         self.A = np.zeros((cap, self.n))
         self.b = np.zeros(cap)
@@ -140,12 +149,25 @@ class _RowPool:
         """Append inclusion rows s2[t] - s1[e] <= 0 violated at x; count added.
 
         Rows go in row-major ``(t, slot)`` order and each at most once.
+        Once at least half of the triangles have a pooled or newly violated
+        row, every row not yet pooled is added, in the same order.
         """
+        if self.m == self.full:
+            return 0
         x1 = x[: self.n1]
         x2 = x[self.n1 :]
         new = (x2[:, None] - x1[self.tri_edges] > _ROW_TOL) & ~self.pooled
         t, slot = np.nonzero(new)
+        # Complete at half of the triangles: n0 = 6 trees end holding 73% of
+        # the rows on average, pools at n0 >= 10 never more than 10%.  A
+        # triangle with a row holds at least one, so the triangles can reach
+        # half only once the rows do; below that, they are not counted.
+        n2 = self.pooled.shape[0]
+        if (t.size and 2 * (self.m - 2 + t.size) >= n2
+                and 2 * np.count_nonzero((self.pooled | new).any(axis=1)) >= n2):
+            t, slot = np.nonzero(~self.pooled)
         if t.size:
+            self.rounds += 1
             self.pooled[t, slot] = True
             rows = self._append(t.size, 0.0)
             k = np.arange(t.size)
@@ -304,7 +326,8 @@ def solve(instance, node_limit=DEFAULT_NODE_LIMIT, warm_start=None):
                 heapq.heappush(heap, (res.bound, seq, child, res))
 
     return BlpSolution(inc_sel, inc_obj, min(inc_obj, lb_cap * scale), status,
-                       explored, time.perf_counter() - t0)
+                       explored, time.perf_counter() - t0,
+                       separations=pool.rounds, pool_rows=pool.m)
 
 
 def lp_bound(instance, fixed_triangles=None):

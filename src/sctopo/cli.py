@@ -59,6 +59,8 @@ def _cmd_solve(args):
         "lower_bound": (sol.lower_bound
                         if math.isfinite(sol.lower_bound) else None),
         "nodes_explored": sol.nodes_explored,
+        "separations": sol.separations,
+        "pool_rows": sol.pool_rows,
         "wall_time": sol.wall_time,
     }
     if sol.selection is not None:

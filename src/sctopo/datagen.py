@@ -65,8 +65,9 @@ class SynthConfig:
             raise ValueError("feature counts must be positive")
         if self.filter_kind != "inv_one_plus_lambda":
             raise ValueError(f"unknown filter_kind {self.filter_kind!r}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and nonnegative; "
+                             f"got {self.noise_sigma}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.edge_prior not in EDGE_PRIORS:
@@ -113,6 +114,8 @@ def filtered_signals(L, f, noise_sigma, rng):
     ``L`` is a Laplacian, so ``I + L`` is symmetric positive definite.
     W and E are drawn from ``rng`` in that order regardless of sigma, so
     the same seed yields the same smooth component at any noise level.
+    A ``noise_sigma`` so large that the signals overflow raises
+    ``ValueError``.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -122,7 +125,12 @@ def filtered_signals(L, f, noise_sigma, rng):
     n = L.shape[0]
     W = rng.standard_normal((n, f))
     E = rng.standard_normal((n, f))
-    return np.linalg.solve(np.eye(n) + L, W) + noise_sigma * E
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        X = np.linalg.solve(np.eye(n) + L, W) + noise_sigma * E
+    if not np.isfinite(X).all():
+        raise ValueError(f"noise_sigma {noise_sigma} makes the signals "
+                         f"non-finite")
+    return X
 
 
 def make_bundle(config):

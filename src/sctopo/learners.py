@@ -98,6 +98,8 @@ def learn_joint(cx, costs, c1, c2, node_limit=blp.DEFAULT_NODE_LIMIT):
             "status": sol.status,
             "nodes_explored": sol.nodes_explored,
             "lower_bound": sol.lower_bound,
+            "separations": sol.separations,
+            "pool_rows": sol.pool_rows,
             "wall_time": sol.wall_time,
         },
     )

@@ -304,7 +304,7 @@ def test_lp_work_on_branching_and_trend_instances_is_pinned(monkeypatch):
         totals["nodes"] += solve(build_joint_instance(
             big, costs, bundle.truth.n_selected_edges,
             bundle.truth.n_selected_triangles)).nodes_explored
-    assert totals == dict(calls=253, pivots=2750, separations=606, nodes=253)
+    assert totals == dict(calls=253, pivots=2607, separations=320, nodes=253)
 
 
 def test_cutoff_stops_each_node_lp_at_a_valid_bound():
@@ -726,3 +726,87 @@ def test_build_instance_rejects_non_finite_costs(bad):
         costs = CostVectors(h1=vals["h1"], h2=vals["h2"], h2_kind="curl")
         with pytest.raises(ValueError, match="non-finite"):
             build_joint_instance(cx, costs, 1, 1)
+
+
+def test_row_pool_completes_once_half_the_triangles_have_a_row():
+    cx = build_candidate_complex(6)  # 20 triangles, 60 inclusion rows
+    tri = cx.triangle_edges
+    inst = build_joint_instance(
+        cx, _near_uniform_costs(np.random.default_rng(5), cx), 6, 4)
+    pool = _RowPool(inst)
+    n1 = cx.n_edges
+
+    def point(triangles):  # every face row of these triangles is violated
+        x = np.zeros(pool.n)
+        x[n1 + np.asarray(triangles)] = 1.0
+        return x
+
+    assert pool.add_violated(point([1, 5, 9])) == 9
+    # 3 pooled and 5 new triangles: 8 of 20, still lazy
+    assert pool.add_violated(point([1, 2, 3, 4, 6, 7])) == 15
+    lazy = [(t, e) for t in (1, 5, 9) for e in tri[t]]
+    lazy += [(t, e) for t in (2, 3, 4, 6, 7) for e in tri[t]]
+    assert _inclusion_rows(pool) == lazy
+    # 8 pooled and 2 new: half of the triangles, so every row is pooled,
+    # the rest in row-major order
+    assert pool.add_violated(point([0, 8])) == 60 - 24
+    assert pool.m == 2 + 3 * cx.n_triangles
+    rest = [(t, e) for t in range(cx.n_triangles) for e in tri[t]
+            if (t, e) not in lazy]
+    assert _inclusion_rows(pool) == lazy + rest
+
+    A, b, m = pool.A.copy(), pool.b.copy(), pool.m
+    for x in (point(range(20)), np.zeros(pool.n), np.ones(pool.n)):
+        assert pool.add_violated(x) == 0
+        assert pool.m == m
+        np.testing.assert_array_equal(pool.A, A)
+        np.testing.assert_array_equal(pool.b, b)
+
+
+def test_trend_sized_root_stays_lazy():
+    # the n0 = 20 root pools rows of fewer than half of its triangles, so
+    # trend and real mode keep generating rows lazily
+    inst = _coauthorship_instance(seed=3)
+    c = np.concatenate([inst.h1, inst.h2])
+    pool = _RowPool(inst)
+    free = np.full(inst.n_triangles, -1, dtype=np.int8)
+    assert blp._solve_node(pool, c / c.max(), free, None).status == "optimal"
+    assert pool.rounds > 10
+    assert 2 * np.count_nonzero(pool.pooled.any(axis=1)) < inst.n_triangles
+
+    got = solve(inst)
+    assert got.separations >= pool.rounds
+    assert 2 < got.pool_rows < 3 * inst.n_triangles / 2
+
+
+def test_solve_matches_oracle_on_instances_that_complete_their_pool():
+    completed = branched = 0
+    for n0, c1, c2 in ((5, 4, 2), (6, 6, 3), (6, 9, 5), (7, 6, 3), (7, 9, 4)):
+        cx = build_candidate_complex(n0)
+        for i in range(6):
+            costs = _near_uniform_costs(np.random.default_rng([n0, i]), cx)
+            got = solve(build_joint_instance(cx, costs, c1, c2))
+            if got.pool_rows < 2 + 3 * cx.n_triangles:
+                continue
+            want = oracle_enumerate(cx, costs, c1, c2)
+            assert got.status == "optimal"
+            assert got.objective == pytest.approx(want.objective, rel=1e-9)
+            assert got.selection.same_as(want.selection)
+            completed += 1
+            branched += got.nodes_explored > 1
+    assert completed >= 24 and branched >= 20
+
+
+def test_solution_reports_separations_and_pooled_rows():
+    cx = build_candidate_complex(6)
+    inst = build_joint_instance(
+        cx, _near_uniform_costs(np.random.default_rng([0, 1]), cx), 6, 4)
+    got = solve(inst)
+    assert got.nodes_explored > 1
+    assert got.pool_rows == 62  # the two floors and all 60 inclusion rows
+    assert got.separations >= 1
+    # a solve that needs no LP pools nothing
+    none = solve(build_joint_instance(cx, _near_uniform_costs(
+        np.random.default_rng(0), cx), 6, 21))
+    assert none.status == "infeasible"
+    assert (none.separations, none.pool_rows) == (0, 0)

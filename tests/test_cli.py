@@ -106,6 +106,21 @@ def test_run_rejects_broken_config(tmp_path, capsys):
     assert "wat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e308])
+def test_run_rejects_noise_sigma_that_is_not_finite_or_overflows(
+        tmp_path, capsys, sigma):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n0_values": [6], "seeds": [0],
+                               "noise_sigma": sigma}))
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    # a non-finite value is refused when the config is read, a finite one
+    # that overflows when the signals are drawn; both name the key
+    assert out == "" and err.startswith("error:") and "noise_sigma" in err
+    assert not out_dir.exists()
+
+
 def test_eval_missing_file_exits_one(tmp_path, capsys):
     sel = tmp_path / "a.json"
     save_selection(Selection.from_indices(3, 1, [0], []), sel)
@@ -201,6 +216,8 @@ def test_solve_subcommand_matches_library(tmp_path, capsys):
     assert payload["edges"] == [int(e) for e in ref.selection.edge_indices]
     assert payload["triangles"] == [int(t) for t in
                                     ref.selection.triangle_indices]
+    assert payload["separations"] == ref.separations >= 1
+    assert payload["pool_rows"] == ref.pool_rows > 2
 
 
 def test_solve_exit_codes(tmp_path, capsys):

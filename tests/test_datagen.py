@@ -215,3 +215,28 @@ def test_config_validation():
         SynthConfig(n0=5, edge_prior="flat")
     with pytest.raises(ValueError):
         SynthConfig(n0=5, seed=-1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_noise_sigma_is_rejected(bad):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        SynthConfig(n0=6, noise_sigma=bad)
+
+
+def test_noise_that_overflows_the_signals_is_rejected():
+    # a finite sigma whose product with a normal draw overflows; the
+    # suite turns the overflow warning numpy would give into an error
+    with pytest.raises(ValueError, match="noise_sigma"):
+        make_bundle(SynthConfig(n0=6, noise_sigma=1e308))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.25, 1e300])
+def test_valid_noise_keeps_the_bits_of_the_filter_formula(sigma):
+    bundle = make_bundle(SynthConfig(n0=6, seed=3, f0=4, f1=4,
+                                     noise_sigma=sigma))
+    rng = stage_rng(3, STAGE_NODE_SIGNALS)
+    W = rng.standard_normal((6, 4))
+    E = rng.standard_normal((6, 4))
+    L = laplacian_node(build_candidate_complex(6), bundle.truth.s1)
+    np.testing.assert_array_equal(
+        bundle.x0, np.linalg.solve(np.eye(6) + L, W) + sigma * E)

@@ -89,6 +89,16 @@ def test_report_json_holds_config_and_records(tmp_path):
     for rec in payload["records"]:
         assert rec["wall_time"] > 0.0, rec["method"]
         assert rec["wall_time"] == rec["diagnostics"]["wall_time"]
+    # the joint solver says how many rounds pooled rows and how many it has
+    cx = build_candidate_complex(8)
+    for rec in payload["records"]:
+        diag = rec["diagnostics"]
+        if rec["method"] == "joint":
+            assert 2 <= diag["pool_rows"] <= 2 + 3 * cx.n_triangles
+            # the two floor rows are there before any round
+            assert (diag["separations"] == 0) == (diag["pool_rows"] == 2)
+        else:
+            assert "separations" not in diag and "pool_rows" not in diag
 
 
 def test_real_mode_runs_on_fixture(tmp_path):
