@@ -15,8 +15,11 @@ its candidate complex, and those faces follow from ``n0``.
 
 ``solve`` runs best-first branch and bound on LP relaxations produced by
 :mod:`sctopo.simplex_lp`, generating violated inclusion rows lazily into
-one pool shared by the tree.  Of the 3 * n_triangles rows, pools at
-``n0 >= 10`` end with a few percent.  Small trees (``n0 = 6``) would
+one pool shared by the tree.  The pool stores each inclusion row as the
+index pair ``(n1 + t, e)`` of its two entries, and the floors as one
+``-1`` per variable, so no LP array grows as rows times variables; the LP
+forms its products from these entries.  Of the 3 * n_triangles rows,
+pools at ``n0 >= 10`` end with a few percent.  Small trees (``n0 = 6``) would
 pool most rows anyway, one round at a time, so once the triangles with
 a row are half of all triangles, the pool takes every row at once.
 ``BlpSolution`` reports the rounds that pooled rows and the rows pooled
@@ -47,14 +50,14 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb, inf
 
 import numpy as np
 
 from .complexes import Selection, build_candidate_complex, candidate_n0, cheapest
-from .simplex_lp import extend_binv_for_new_rows, solve_lp
+from .simplex_lp import SparseRows, extend_binv_for_new_rows, solve_lp
 
 DEFAULT_NODE_LIMIT = 10_000_000  # branch-and-bound nodes before "node_limit"
 _PRUNE_REL = 1e-9  # pruning slack, relative to the incumbent objective
@@ -114,36 +117,51 @@ def build_joint_instance(cx, costs, c1, c2):
 
 
 class _RowPool:
-    """Cardinality rows plus lazily generated inclusion rows, shared tree-wide."""
+    """Cardinality rows plus lazily generated inclusion rows, shared tree-wide.
+
+    ``A`` lists its entries in row order (:class:`SparseRows`): the two
+    floors' ``-1`` on every variable, then per inclusion row
+    ``s2[t] - s1[e] <= 0`` the index pair ``(n1 + t, e)`` of its ``+1``
+    and ``-1``.  Every array is allocated for all ``3 * n_triangles``
+    rows up front; a pooled row only writes its pair.
+    """
 
     def __init__(self, instance):
         n1, n2 = instance.n_edges, instance.n_triangles
         self.n1 = n1
-        self.n = n1 + n2
+        self.n = n = n1 + n2
         self.tri_edges = instance.triangle_edges
         self.pooled = np.zeros((n2, 3), dtype=bool)  # (t, slot) rows added
         self.full = 2 + 3 * n2  # m once every inclusion row is pooled
         self.rounds = 0  # add_violated calls that added rows
-        cap = 64
-        self.A = np.zeros((cap, self.n))
-        self.b = np.zeros(cap)
-        self.m = 0
-        rows = self._append(2, [-float(instance.c1), -float(instance.c2)])
-        rows[0, :n1] = -1.0
-        rows[1, n1:] = -1.0
+        self.m = 2
+        self.b = np.zeros(self.full)
+        self.b[:2] = -float(instance.c1), -float(instance.c2)
+        per_row = np.full(self.full, 2)
+        per_row[:2] = n1, n2
+        self._rows = np.repeat(np.arange(self.full), per_row)
+        self._cols = np.zeros(n + 6 * n2, dtype=np.int64)
+        self._cols[:n] = np.arange(n)
+        self._vals = np.full(n + 6 * n2, -1.0)
+        self._vals[n::2] = 1.0
+        self._pairs = self._cols[n:].reshape(-1, 2)  # (n1 + t, e) per row
+        self._A = None
 
-    def _append(self, k, rhs):
-        """Reserve ``k`` zero rows with right-hand side ``rhs``; return them."""
-        if self.m + k > self.b.size:
-            cap = max(2 * self.b.size, self.m + k)
-            A = np.zeros((cap, self.n))
-            A[: self.m] = self.A[: self.m]
-            b = np.zeros(cap)
-            b[: self.m] = self.b[: self.m]
-            self.A, self.b = A, b
-        self.b[self.m : self.m + k] = rhs
-        self.m += k
-        return self.A[self.m - k : self.m]
+    def _entries(self, first, stop):
+        """Rows ``first`` to ``stop`` of ``A``, renumbered from 0; ``first``
+        is 0 or a row past the floors."""
+        lo = 0 if first == 0 else self.n + 2 * (first - 2)
+        hi = self.n + 2 * (stop - 2)
+        return SparseRows(self._rows[lo:hi] - first, self._cols[lo:hi],
+                          self._vals[lo:hi], (stop - first, self.n))
+
+    @property
+    def A(self):
+        """The pooled rows; one object per size, so its column index is
+        built once for every LP that starts at that size."""
+        if self._A is None or self._A.shape[0] != self.m:
+            self._A = self._entries(0, self.m)
+        return self._A
 
     def add_violated(self, x):
         """Append inclusion rows s2[t] - s1[e] <= 0 violated at x; count added.
@@ -169,10 +187,10 @@ class _RowPool:
         if t.size:
             self.rounds += 1
             self.pooled[t, slot] = True
-            rows = self._append(t.size, 0.0)
-            k = np.arange(t.size)
-            rows[k, self.n1 + t] = 1.0
-            rows[k, self.tri_edges[t, slot]] = -1.0
+            pairs = self._pairs[self.m - 2 : self.m - 2 + t.size]
+            pairs[:, 0] = self.n1 + t
+            pairs[:, 1] = self.tri_edges[t, slot]
+            self.m += t.size
         return int(t.size)
 
     def extend(self, res):
@@ -182,14 +200,14 @@ class _RowPool:
         """
         if res is None or res.basis.size == self.m:
             return res
-        return extend_binv_for_new_rows(res, self.A[res.basis.size : self.m],
-                                        self.n)
+        return extend_binv_for_new_rows(
+            res, self._entries(res.basis.size, self.m), self.n)
 
     def separate(self, res):
         """Add the rows violated at ``res.x``; ``(A, b, res)`` grown, or None."""
         if self.add_violated(res.x) == 0:
             return None
-        return self.A[: self.m], self.b[: self.m], self.extend(res)
+        return self.A, self.b[: self.m], self.extend(res)
 
 
 def _feasible(instance, fixed):
@@ -214,7 +232,7 @@ def _solve_node(pool, c, fixed, warm, cutoff=inf):
     upper = np.ones(pool.n)
     lower[pool.n1 :] = fixed == 1
     upper[pool.n1 :] = fixed != 0
-    res = solve_lp(c, pool.A[: pool.m], pool.b[: pool.m], lower, upper,
+    res = solve_lp(c, pool.A, pool.b[: pool.m], lower, upper,
                    warm=pool.extend(warm), cutoff=cutoff,
                    separate=pool.separate)
     if res.status == "infeasible":
@@ -317,7 +335,7 @@ def solve(instance, node_limit=DEFAULT_NODE_LIMIT, warm_start=None):
             continue
 
         j = int(np.flatnonzero(cand >= best - 1e-12)[0])
-        res = replace(res, x=None)  # x is not read after branching
+        res.x = None  # not read after branching
         for fix_to in (0, 1):
             child = fixed.copy()
             child[j] = fix_to

@@ -25,7 +25,7 @@ With this convention ``b1 @ b2 == 0`` holds exactly in integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, isqrt
 
 import numpy as np
@@ -171,18 +171,26 @@ class CandidateComplex:
         return _triangle_rank(self.n0, i, j, k)
 
 
+# Only the read-only face array is cached, never a complex: a complex
+# keeps its dense incidence once read (970 MB at 60 nodes).  One entry is
+# 3 * C(n0, 3) indices, 0.8 MB at 60 nodes.
+@lru_cache(maxsize=8)
+def _triangle_edges(n0):
+    i, j, k = _triangle_vertices(n0, np.arange(comb(n0, 3)))
+    return _read_only(np.column_stack(
+        (_edge_rank(n0, i, j), _edge_rank(n0, i, k), _edge_rank(n0, j, k))))
+
+
 def build_candidate_complex(n0):
     """Build the full candidate complex on ``n0 >= 3`` nodes.
 
-    Only ``triangle_edges`` is computed here, from the closed-form ranks;
-    everything else is derived on first access.
+    Only ``triangle_edges`` is computed here, from the closed-form ranks,
+    and it is shared by every complex of the same ``n0``; everything else
+    is derived on first access, per complex.
     """
     if n0 < 3:
         raise ValueError(f"need n0 >= 3, got {n0}")
-    i, j, k = _triangle_vertices(n0, np.arange(comb(n0, 3)))
-    triangle_edges = np.column_stack(
-        (_edge_rank(n0, i, j), _edge_rank(n0, i, k), _edge_rank(n0, j, k)))
-    return CandidateComplex(n0=n0, triangle_edges=_read_only(triangle_edges))
+    return CandidateComplex(n0=n0, triangle_edges=_triangle_edges(n0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,11 @@
 """Self-contained bounded-variable dual simplex for LP relaxation bounds.
 
-Solves ``min c @ x  s.t.  A x <= b,  lower <= x <= upper`` with dense
-numpy linear algebra and an explicit basis inverse.  The solver is written
-for the branch-and-bound use case:
+Solves ``min c @ x  s.t.  A x <= b,  lower <= x <= upper`` with an
+explicit dense basis inverse.  ``A`` is held as its nonzero entries
+(:class:`SparseRows`; a dense ``A`` is converted once), so the pivot row,
+``A @ x`` and the entering column cost O(entries) instead of O(m n): the
+rows of :mod:`sctopo.blp` are two floors plus inclusion rows of two entries
+each.  The solver is written for the branch-and-bound use case:
 
 * the all-slack basis is dual feasible whenever each structural variable
   can sit at a bound with the right reduced-cost sign (always true here,
@@ -28,12 +31,12 @@ adds rows starts another, in place.  The call adopts copies of the basis,
 statuses and inverse that ``separate`` returned and appends an entry per
 new row to its per-variable arrays.  The new slacks enter basic with dual
 0, so every other reduced cost stays as it is, and the new ones are 0.
-``xB`` and the objective are recomputed from the grown inverse, reusing
-the ``b - A x_N`` that the stop test formed for the old rows, and the
-degenerate-run and reinversion counters restart.  So each round pivots as
-a new call warm-started from the returned state would, up to rounding: the
-reduced costs are carried rather than recomputed from the inverse, and
-``b - A x_N`` is not formed again for the old rows.
+``xB`` and the objective are recomputed from the grown inverse (each row
+of ``b - A x_N`` sums its entries in order, so the old rows get the values
+the stop test formed), and the degenerate-run and reinversion counters
+restart.  So each round pivots as a new call warm-started from the
+returned state would, up to rounding: the reduced costs are carried rather
+than recomputed from the inverse.
 ``_MAX_ITER`` caps the pivots of the whole call, one node of
 :mod:`sctopo.blp`.
 
@@ -54,8 +57,20 @@ is ``c @ x`` of the returned point and reaches the cutoff.  An inverse
 passed in is used as given, so an inverse carried from call to call is
 refreshed only by a round that runs ``_REFRESH_EVERY`` pivots.
 
+Hypersparse update: the entering column of the joint program is nonzero
+in a few rows (2-6 of 40-250 at ``n0 >= 15``), and the rank-one update
+changes only the rows of the inverse where it is nonzero.  So when fewer
+than a quarter of them are, only those rows are updated (Hall and
+McKinnon, *Hyper-sparsity in the revised simplex method and how to exploit
+it*, 2005); rows where the column is 0 would only subtract zeros, so the
+inverse holds the same values either way.  The density is read from each
+column; an inverse of fewer than ``_SPARSE_ROWS`` rows is always updated
+whole, since gathering and scattering rows costs more there than the whole
+update.
+
 The tolerances and limits are module constants (``_FEAS_TOL``,
-``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``), read at each call.
+``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``, ``_SPARSE_ROWS``),
+read at each call.
 ``cutoff`` and ``separate`` are part of the problem, not tuning knobs.
 
 Ratio test: the textbook dual ratio test picks the entering variable first.
@@ -93,6 +108,10 @@ _FEAS_TOL = 1e-9  # violation let pass: of a bound by xB, of a sign by d
 _MAX_ITER = 100_000  # pivots per call (all rounds) before "iteration_limit"
 _BLAND_AFTER = 1000  # degenerate pivots in a row before Bland's rule
 _REFRESH_EVERY = 200  # pivots between reinversions of the basis
+# an inverse with fewer rows is always updated whole: there, gathering and
+# scattering the rows of a hypersparse update costs as much as the whole
+# rank-one update (6-8 us against 7 us at 62 rows; numpy 2.4, 2.0 GHz Xeon)
+_SPARSE_ROWS = 64
 # direction a nonbasic variable moves off its bound, by status: +1 up from
 # its lower bound, -1 down from its upper bound, 0 when basic or fixed
 # (a box of zero width, whatever its status)
@@ -110,13 +129,73 @@ class LpResult:
     binv: np.ndarray
 
 
+class SparseRows:
+    """The constraint matrix ``A`` as its nonzero entries, in row order.
+
+    ``A[rows[i], cols[i]] = vals[i]``, each position at most once, with
+    ``rows`` nondecreasing.  Every product the dual simplex forms takes
+    O(entries): the pivot row by one ``np.bincount`` over the columns,
+    ``A @ x`` by one over the rows, and a column from an index of the
+    entries by column, built when a column is first asked for.  In
+    :mod:`sctopo.blp` the entries are the two floors' ``-1`` on every
+    variable and one index pair ``(n1 + t, e)`` per inclusion row, so no
+    array here has ``m x n`` entries.  ``of`` converts a dense ``A``.
+    """
+
+    __slots__ = ("rows", "cols", "vals", "shape", "_by_col")
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals = rows, cols, vals
+        self.shape = shape
+        self._by_col = None
+
+    @classmethod
+    def of(cls, A):
+        """``A`` itself if it is already a :class:`SparseRows`, else its
+        nonzero entries."""
+        if isinstance(A, cls):
+            return A
+        A = np.asarray(A, dtype=float)
+        rows, cols = np.nonzero(A)
+        return cls(rows, cols, A[rows, cols], A.shape)
+
+    def row_product(self, y):
+        """``y @ A``."""
+        return np.bincount(self.cols, y[self.rows] * self.vals, self.shape[1])
+
+    def matvec(self, x):
+        """``A @ x``."""
+        return np.bincount(self.rows, x[self.cols] * self.vals, self.shape[0])
+
+    def column(self, q):
+        """Rows and values of the nonzero entries of column ``q``."""
+        if self._by_col is None:
+            order = np.argsort(self.cols, kind="stable")
+            counts = np.bincount(self.cols, minlength=self.shape[1])
+            starts = [0, *np.add.accumulate(counts).tolist()]
+            self._by_col = starts, self.rows[order], self.vals[order]
+        starts, rows, vals = self._by_col
+        lo, hi = starts[q], starts[q + 1]
+        return rows[lo:hi], vals[lo:hi]
+
+    def basic(self, basis):
+        """The entries of ``A`` in the structural columns of ``basis``:
+        ``(rows, positions in basis, values)``."""
+        pos = np.full(self.shape[1] + basis.size, -1)
+        pos[basis] = np.arange(basis.size)
+        p = pos[self.cols]
+        keep = p >= 0
+        return self.rows[keep], p[keep], self.vals[keep]
+
+
 def build_basis_matrix(A, basis):
     """Dense basis matrix from structural columns of ``A`` and slack units."""
+    A = SparseRows.of(A)
     m, n = A.shape
     B = np.zeros((m, m))
-    struct = basis < n
-    B[:, struct] = A[:, basis[struct]]
-    slack = np.flatnonzero(~struct)
+    rows, at, vals = A.basic(basis)
+    B[rows, at] = vals
+    slack = np.flatnonzero(basis >= n)
     B[basis[slack] - n, slack] = 1.0
     return B
 
@@ -127,19 +206,21 @@ def extend_binv_for_new_rows(res, A_new_rows, n):
     The new basis is the old basic columns (now carrying entries in the
     appended rows) plus the new slack columns.  Block inversion gives
     ``[[binv, 0], [-C @ binv, I]]`` where ``C`` holds the appended-row
-    entries of the old basic columns.
+    entries of the old basic columns; only the rows of ``binv`` at the
+    positions those entries occupy take part in the product.
     """
     basis, binv = res.basis, res.binv
+    rows, at, vals = SparseRows.of(A_new_rows).basic(basis)
     k, m = A_new_rows.shape[0], binv.shape[0]
-    C = np.zeros((k, m))
-    struct = basis < n
-    C[:, struct] = A_new_rows[:, basis[struct]]
+    C = np.zeros((k, rows.size))  # one column per entry, over binv[at]
+    C[rows, np.arange(rows.size)] = vals
+    new = np.arange(m, m + k)
     out = np.zeros((m + k, m + k))
     out[:m, :m] = binv
-    out[m:, :m] = -C @ binv
-    out[m:, m:] = np.eye(k)
+    out[m:, :m] = -C @ binv[at]
+    out[new, new] = 1.0
     return LpResult(res.status, res.x, res.bound, res.iterations,
-                    np.concatenate([basis, np.arange(n + m, n + m + k)]),
+                    np.concatenate([basis, n + new]),
                     np.concatenate([res.vstat, np.full(k, BASIC, np.int8)]),
                     out)
 
@@ -165,7 +246,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     c = np.asarray(c, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    A = np.asarray(A, dtype=float)
+    A = SparseRows.of(A)
     b = np.asarray(b, dtype=float)
     n = c.size
     m = A.shape[0]
@@ -190,10 +271,8 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     toward[range_e == 0.0] = 0.0
     lower_b = lower_e[basis]
     upper_b = upper_e[basis]
-    alpha = np.empty(n + m)  # pivot row over structural and slack columns
 
-    x, xB, obj, rhs = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
-                                   upper_e)
+    x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e)
     d = _reduced_costs(binv, A, c_e, basis)
     if (toward * d < -_FEAS_TOL).any():
         raise ValueError("warm start is not dual feasible under these bounds; "
@@ -209,8 +288,8 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         if obj >= cutoff or viol[r] <= _FEAS_TOL:
             if not fresh:
                 # carried values drift; stop only on recomputed ones
-                x, xB, obj, rhs = _fresh_point(binv, A, b, c, vstat, basis,
-                                               lower_e, upper_e)
+                x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis,
+                                          lower_e, upper_e)
                 fresh = True
                 continue
             # x is the point the last recomputation gave: no pivot since
@@ -224,7 +303,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             # which keeps the basis dual feasible, and their duals are 0, so
             # no other reduced cost moves
             A, b, warm = grown
-            A = np.asarray(A, dtype=float)
+            A = SparseRows.of(A)
             b = np.asarray(b, dtype=float)
             added = A.shape[0] - m
             m = A.shape[0]
@@ -238,10 +317,8 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             lower_b = np.concatenate([lower_b, zeros])
             upper_b = np.concatenate([upper_b, infs])
             d = np.concatenate([d, zeros])
-            alpha = np.empty(n + m)
-            # no nonbasic value moved since rhs was formed for the old rows
-            x, xB, obj, rhs = _fresh_point(binv, A, b, c, vstat, basis,
-                                           lower_e, upper_e, rhs)
+            x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
+                                      upper_e)
             degen_run = 0
             start = it
             continue
@@ -251,8 +328,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
 
         s = 1.0 if above[r] > below[r] else -1.0
         rho = binv[r] if s > 0 else -binv[r]
-        np.dot(rho, A, out=alpha[:n])
-        alpha[n:] = rho
+        alpha = np.concatenate((A.row_product(rho), rho))
 
         cand = (toward * alpha > _PIV_TOL).nonzero()[0]
         if cand.size == 0:
@@ -262,7 +338,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
                             binv)
 
         ratios = np.maximum(d[cand] / alpha[cand], 0.0)
-        theta = ratios.min()
+        theta = np.minimum.reduce(ratios)
         entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
         # the dual objective rises by the step times the row's violation
         gain = theta * viol[r]
@@ -277,7 +353,8 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             # needs.
             order = ratios.argsort(kind="stable")
             srt = cand[order]
-            left = viol[r] - np.cumsum(np.abs(alpha[srt]) * range_e[srt])
+            left = viol[r] - np.add.accumulate(np.abs(alpha[srt])
+                                               * range_e[srt])
             stop = (left <= _FEAS_TOL).nonzero()[0]
             k = int(stop[0]) if stop.size else srt.size - 1
             entering = int(srt[k])
@@ -288,12 +365,18 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             gain = viol[r] * steps[0] + left[:k] @ (steps[1:] - steps[:-1])
             if k:
                 flips = srt[:k]  # structural: a slack's range is infinite
-                xB -= binv @ (A[:, flips] @ (toward[flips] * range_e[flips]))
+                moved = np.zeros(n)
+                moved[flips] = toward[flips] * range_e[flips]
+                xB -= binv @ A.matvec(moved)
                 vstat[flips] ^= 1  # NB_LOWER <-> NB_UPPER
                 toward[flips] = -toward[flips]
         obj += gain
 
-        col = binv @ A[:, entering] if entering < n else binv[:, entering - n].copy()
+        if entering < n:
+            at, vals = A.column(entering)
+            col = binv[:, at] @ vals
+        else:
+            col = binv[:, entering - n].copy()
         piv = col[r]
 
         # dual step along the pivot row; the entering reduced cost becomes 0
@@ -306,7 +389,12 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         xB[r] = x_entering + step
 
         binv_r = binv[r] / piv
-        binv -= col[:, None] * binv_r
+        if m >= _SPARSE_ROWS and 4 * np.count_nonzero(col) < m:
+            # hypersparse column: only the rows where it is nonzero change
+            nz = col.nonzero()[0]
+            binv[nz] -= col[nz, None] * binv_r
+        else:
+            binv -= col[:, None] * binv_r
         binv[r] = binv_r
 
         leaving = basis[r]
@@ -322,8 +410,8 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         it += 1
         if (it - start) % _REFRESH_EVERY == 0:
             binv = np.linalg.inv(build_basis_matrix(A, basis))
-            x, xB, obj, rhs = _fresh_point(binv, A, b, c, vstat, basis,
-                                           lower_e, upper_e)
+            x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
+                                      upper_e)
             d = _reduced_costs(binv, A, c_e, basis)
             fresh = True
         else:
@@ -331,8 +419,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
 
     # out of iterations: the basis is still dual feasible, so its objective
     # (weak duality) is a valid lower bound even though x may violate bounds
-    x, _, obj, _ = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
-                                upper_e)
+    x, _, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e)
     return LpResult("iteration_limit", x[:n], obj, it, basis, vstat, binv)
 
 
@@ -351,23 +438,14 @@ def _adopt(warm, n, m):
             np.array(warm.binv, dtype=float))
 
 
-def _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e, known=None):
+def _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e):
     """The basic point from the inverse: ``x`` over structural and slack
-    columns, its basic values ``xB``, the objective ``c @ x`` and
-    ``b - A x_N``.
-
-    ``known`` is ``b - A x_N`` of the leading rows, formed while the
-    nonbasic values were as now; only the rows after it are computed.
-    """
+    columns, its basic values ``xB`` and the objective ``c @ x``."""
     n = A.shape[1]
     x = _nonbasic_values(vstat, basis, lower_e, upper_e)
-    if known is None:
-        rhs = b - A @ x[:n]
-    else:
-        rhs = np.concatenate([known, b[known.size:] - A[known.size:] @ x[:n]])
-    xB = binv @ rhs
+    xB = binv @ (b - A.matvec(x[:n]))
     x[basis] = xB
-    return x, xB, float(c @ x[:n]), rhs
+    return x, xB, float(c @ x[:n])
 
 
 def _nonbasic_values(vstat, basis, lower_e, upper_e):
@@ -380,4 +458,4 @@ def _nonbasic_values(vstat, basis, lower_e, upper_e):
 def _reduced_costs(binv, A, c_e, basis):
     """``d = c - (c_B B^-1) [A I]`` over structural and slack columns."""
     y = c_e[basis] @ binv
-    return np.concatenate([c_e[: A.shape[1]] - y @ A, -y])
+    return np.concatenate([c_e[: A.shape[1]] - A.row_product(y), -y])

@@ -221,9 +221,9 @@ def test_separation_inside_the_lp_matches_the_explicit_loop():
         upper[cx.n_edges + fixed[0]] = 0.0
         lower[cx.n_edges + fixed[1]] = 1.0
         inside, outside = _RowPool(inst), _RowPool(inst)
-        got = simplex_lp.solve_lp(c, inside.A[:2], inside.b[:2], lower, upper,
+        got = simplex_lp.solve_lp(c, inside.A, inside.b[:2], lower, upper,
                                   separate=inside.separate)
-        want, pivots = _explicit_rounds(outside.separate, c, outside.A[:2],
+        want, pivots = _explicit_rounds(outside.separate, c, outside.A,
                                         outside.b[:2], lower, upper)
         assert got.status == want.status == "optimal"
         np.testing.assert_array_equal(got.x, want.x)
@@ -259,9 +259,9 @@ def test_many_separation_rounds_match_the_explicit_loop(monkeypatch,
     c /= c.max()
     lower, upper = np.zeros(c.size), np.ones(c.size)
     inside, outside = _RowPool(inst), _RowPool(inst)
-    got = simplex_lp.solve_lp(c, inside.A[:2], inside.b[:2], lower, upper,
+    got = simplex_lp.solve_lp(c, inside.A, inside.b[:2], lower, upper,
                               separate=inside.separate)
-    want, pivots = _explicit_rounds(outside.separate, c, outside.A[:2],
+    want, pivots = _explicit_rounds(outside.separate, c, outside.A,
                                     outside.b[:2], lower, upper)
     assert len(pivots) > 10  # the root separates rows at least 10 times
     assert got.status == want.status == "optimal"
@@ -304,7 +304,7 @@ def test_lp_work_on_branching_and_trend_instances_is_pinned(monkeypatch):
         totals["nodes"] += solve(build_joint_instance(
             big, costs, bundle.truth.n_selected_edges,
             bundle.truth.n_selected_triangles)).nodes_explored
-    assert totals == dict(calls=253, pivots=2607, separations=320, nodes=253)
+    assert totals == dict(calls=253, pivots=2602, separations=320, nodes=253)
 
 
 def test_cutoff_stops_each_node_lp_at_a_valid_bound():
@@ -667,9 +667,109 @@ def test_read_instance_rejects_malformed_files(tmp_path):
             assert "sctopo-blp 2" in str(err.value)
 
 
+def _dense(A):
+    """The dense matrix of a :class:`SparseRows`."""
+    out = np.zeros(A.shape)
+    out[A.rows, A.cols] = A.vals
+    return out
+
+
+def _basis_matrix(D, basis):
+    """Columns of the dense ``[D I]`` at ``basis``, one at a time."""
+    m, n = D.shape
+    B = np.zeros((m, m))
+    for p, j in enumerate(basis):
+        if j < n:
+            B[:, p] = D[:, j]
+        else:
+            B[j - n, p] = 1.0
+    return B
+
+
+def _assert_products_match_dense(A, D, rng):
+    # integer-valued operands keep every sum exact in any order
+    m, n = D.shape
+    y = rng.integers(-3, 4, size=m).astype(float)
+    x = rng.integers(-3, 4, size=n).astype(float)
+    np.testing.assert_array_equal(A.row_product(y), y @ D)
+    np.testing.assert_array_equal(A.matvec(x), D @ x)
+    for q in range(n):
+        rows, vals = A.column(q)
+        np.testing.assert_array_equal(rows, np.flatnonzero(D[:, q]))
+        np.testing.assert_array_equal(vals, D[rows, q])
+    basis = rng.choice(n + m, size=m, replace=False)
+    np.testing.assert_array_equal(simplex_lp.build_basis_matrix(A, basis),
+                                  _basis_matrix(D, basis))
+
+
+def test_pooled_rows_match_their_dense_form():
+    # every product the LP forms from the pooled index pairs equals the one
+    # from the dense rows, at every pool size; an A handed out before the
+    # pool grew keeps its own rows, and a result solved on it extends to
+    # the rows pooled since exactly as the dense block formula says
+    rng = np.random.default_rng(41)
+    grown = 0
+    for _ in range(30):
+        cx = build_candidate_complex(int(rng.integers(4, 8)))
+        inst = build_joint_instance(cx, _random_costs(rng, cx),
+                                    int(rng.integers(0, cx.n_edges)),
+                                    int(rng.integers(1, 4)))
+        pool = _RowPool(inst)
+        c = np.concatenate([inst.h1, inst.h2])
+        lower, upper = np.zeros(pool.n), np.ones(pool.n)
+        earlier = []  # (A, its dense rows, a result solved on them)
+        for _ in range(4):
+            A, D = pool.A, _dense(pool.A)
+            _assert_products_match_dense(A, D, rng)
+            res = simplex_lp.solve_lp(c, A, pool.b[:pool.m], lower, upper)
+            earlier.append((A, D, res))
+            pool.add_violated(rng.random(pool.n))
+        D_now = _dense(pool.A)
+        for A, D, res in earlier:
+            _assert_products_match_dense(A, D, rng)
+            np.testing.assert_array_equal(D, D_now[:D.shape[0]])
+            if res.status != "optimal" or D.shape[0] == pool.m:
+                continue
+            m = D.shape[0]
+            ext = pool.extend(res)
+            struct = res.basis < pool.n
+            C = np.zeros((pool.m - m, m))
+            C[:, struct] = D_now[m:, res.basis[struct]]
+            assert ext.basis.tolist() == res.basis.tolist() + list(
+                range(pool.n + m, pool.n + pool.m))
+            np.testing.assert_array_equal(ext.binv[:m, :m], res.binv)
+            np.testing.assert_array_equal(ext.binv[m:, :m], -C @ res.binv)
+            np.testing.assert_array_equal(ext.binv[m:, m:],
+                                          np.eye(pool.m - m))
+            np.testing.assert_allclose(
+                ext.binv @ _basis_matrix(D_now, ext.basis), np.eye(pool.m),
+                atol=1e-9)
+            grown += 1
+    assert grown > 20
+
+
+@pytest.mark.parametrize("sparse_rows", [0, 10**9])
+def test_hypersparse_update_changes_no_result(monkeypatch, sparse_rows):
+    # updating only the nonzero rows of the pivot column (every sparse
+    # column with 0, none with 10**9) pivots exactly as the default
+    inst = _coauthorship_instance(seed=3)
+    c = np.concatenate([inst.h1, inst.h2])
+    c /= c.max()
+    free = np.full(inst.n_triangles, -1, dtype=np.int8)
+    pool = _RowPool(inst)
+    want = blp._solve_node(pool, c, free, None)
+    assert pool.m > 2 * simplex_lp._SPARSE_ROWS  # the default takes both
+    monkeypatch.setattr(simplex_lp, "_SPARSE_ROWS", sparse_rows)
+    got = blp._solve_node(_RowPool(inst), c, free, None)
+    assert got.iterations == want.iterations
+    assert got.bound == want.bound
+    np.testing.assert_array_equal(got.x, want.x)
+    np.testing.assert_array_equal(got.binv, want.binv)
+
+
 def _inclusion_rows(pool):
     """(t, e) of each generated row s2[t] - s1[e] <= 0, in pool order."""
-    rows = pool.A[2:pool.m]
+    rows = _dense(pool.A)[2:]
     assert np.all((rows != 0).sum(axis=1) == 2)
     assert np.all(pool.b[2:pool.m] == 0.0)
     t = np.argmax(rows[:, pool.n1:] == 1.0, axis=1)
@@ -685,7 +785,7 @@ def test_row_pool_adds_each_violated_row_once_in_row_major_order():
                                 3, 2)
     pool = _RowPool(inst)
     n1 = cx.n_edges
-    np.testing.assert_array_equal(pool.A[:2], [
+    np.testing.assert_array_equal(_dense(pool.A)[:2], [
         np.r_[-np.ones(n1), np.zeros(cx.n_triangles)],
         np.r_[np.zeros(n1), -np.ones(cx.n_triangles)]])
     assert list(pool.b[:2]) == [-3.0, -2.0]
@@ -755,11 +855,11 @@ def test_row_pool_completes_once_half_the_triangles_have_a_row():
             if (t, e) not in lazy]
     assert _inclusion_rows(pool) == lazy + rest
 
-    A, b, m = pool.A.copy(), pool.b.copy(), pool.m
+    A, b, m = _dense(pool.A), pool.b.copy(), pool.m
     for x in (point(range(20)), np.zeros(pool.n), np.ones(pool.n)):
         assert pool.add_violated(x) == 0
         assert pool.m == m
-        np.testing.assert_array_equal(pool.A, A)
+        np.testing.assert_array_equal(_dense(pool.A), A)
         np.testing.assert_array_equal(pool.b, b)
 
 

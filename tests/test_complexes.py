@@ -88,6 +88,17 @@ def test_incidence_column_support():
             assert np.all(cx.b2[faces, t] == TRIANGLE_FACE_SIGNS)
 
 
+def test_complexes_of_one_size_share_their_face_array_only():
+    # the read-only faces are built once per n0; the dense views a complex
+    # derives stay its own, so no cache keeps them alive
+    a, b = build_candidate_complex(7), build_candidate_complex(7)
+    assert a is not b
+    assert a.triangle_edges is b.triangle_edges
+    assert not a.triangle_edges.flags.writeable
+    assert a.b1.shape == (7, 21)
+    assert "b1" in vars(a) and "b1" not in vars(b)
+
+
 def test_arrays_are_frozen():
     cx = build_candidate_complex(4)
     for arr in (cx.b1, cx.b2, cx.b2_plus, cx.triangle_edges):

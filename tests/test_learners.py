@@ -1,5 +1,7 @@
 """Learner behavior: staging, coupling, penalties, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,24 @@ def test_joint_matches_oracle_small():
         ref = oracle_enumerate(cx, costs, 6, 2)
         assert out.selection.same_as(ref.selection)
         assert out.objective == pytest.approx(ref.objective, rel=1e-9)
+
+
+def test_joint_at_n0_30_peaks_under_30_mb():
+    # the LP holds its rows as index pairs and no m x n array; the dense
+    # row pool it replaced peaked at 57 MB here (670 rows of 4,495 columns)
+    cx = build_candidate_complex(30)
+    bundle = make_bundle(SynthConfig(n0=30, seed=1, edge_prior="low_curl"))
+    costs = compute_costs(cx, bundle.x0, bundle.x1bar,
+                          PRIOR_TO_KIND["low_curl"])
+    tracemalloc.start()
+    try:
+        out = learn_joint(cx, costs, bundle.truth.n_selected_edges,
+                          bundle.truth.n_selected_triangles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.diagnostics["status"] == "optimal"
+    assert peak < 30e6
 
 
 def test_joint_raises_when_infeasible():

@@ -13,6 +13,7 @@ from sctopo.simplex_lp import (
     BASIC,
     NB_LOWER,
     NB_UPPER,
+    SparseRows,
     build_basis_matrix,
     extend_binv_for_new_rows,
     solve_lp,
@@ -332,11 +333,12 @@ def test_loosened_warm_start_is_rejected():
 
 def _assert_basic_values_from_basis(res, A, b):
     # an "optimal" x holds the basic values recomputed from the final basis
-    # inverse, not the ones carried (and rounded) across pivots
+    # inverse, not the ones carried (and rounded) across pivots; A @ x is
+    # summed over each row's entries in order, as the solver sums it
     n = A.shape[1]
     x_nb = np.concatenate([res.x, np.zeros(A.shape[0])])
     x_nb[res.basis] = 0.0
-    xB = res.binv @ (b - A @ x_nb[:n])
+    xB = res.binv @ (b - SparseRows.of(A).matvec(x_nb[:n]))
     struct = res.basis < n
     np.testing.assert_array_equal(res.x[res.basis[struct]], xB[struct])
 

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from sctopo.complexes import (
+    TRIANGLE_FACE_SIGNS,
     build_candidate_complex,
     laplacian_node,
     laplacian_upper_edge,
     similarity_laplacian,
 )
+from sctopo.datagen import SynthConfig, make_bundle
 from sctopo.smoothness import (
     CostVectors,
     compute_costs,
@@ -43,6 +45,22 @@ def test_h2_curl_hand_values():
     cx = build_candidate_complex(3)
     assert h2_curl(cx, np.array([[1.0], [2.0], [1.0]]))[0] == pytest.approx(0.0)
     assert h2_curl(cx, np.array([[1.0], [-1.0], [1.0]]))[0] == pytest.approx(9.0)
+
+
+def test_h2_curl_equals_the_boundary_sign_contraction_bitwise():
+    # the signed face sum is the contraction of the faces' signals with
+    # TRIANGLE_FACE_SIGNS, bit for bit, on the TREND low_curl realizations
+    for n0 in (10, 15, 20):
+        cx = build_candidate_complex(n0)
+        for seed in range(10):
+            for sigma in (0.0, 1.0):
+                x1bar = make_bundle(SynthConfig(n0=n0, seed=seed,
+                                                noise_sigma=sigma)).x1bar
+                faces = x1bar[cx.triangle_edges]
+                curl = np.tensordot(faces, TRIANGLE_FACE_SIGNS.astype(float),
+                                    axes=([1], [0]))
+                want = np.maximum(np.einsum("tf,tf->t", curl, curl), 0.0)
+                np.testing.assert_array_equal(h2_curl(cx, x1bar), want)
 
 
 def test_h2_similarity_hand_value():
