@@ -325,7 +325,7 @@ def solve(instance, node_limit=DEFAULT_NODE_LIMIT, warm_start=None):
         x2 = res.x[n1:]
         cand = np.where(fixed < 0, np.minimum(np.abs(x2), np.abs(1.0 - x2)),
                         -1.0)
-        best = cand.max(initial=-1.0)
+        best = np.maximum.reduce(cand, initial=-1.0)
         if best < 0 or (res.status == "optimal" and best <= _INT_TOL):
             # the triangles are decided, so the completion solves this node
             s2 = np.where(fixed < 0, x2 > 0.5, fixed).astype(np.int8)
@@ -334,7 +334,7 @@ def solve(instance, node_limit=DEFAULT_NODE_LIMIT, warm_start=None):
             offer(s2)
             continue
 
-        j = int(np.flatnonzero(cand >= best - 1e-12)[0])
+        j = int((cand >= best - 1e-12).argmax())
         res.x = None  # not read after branching
         for fix_to in (0, 1):
             child = fixed.copy()

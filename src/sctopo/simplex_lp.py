@@ -59,17 +59,18 @@ refreshed only by a round that runs ``_REFRESH_EVERY`` pivots.
 
 Hypersparse update: the entering column of the joint program is nonzero
 in a few rows (2-6 of 40-250 at ``n0 >= 15``), and the rank-one update
-changes only the rows of the inverse where it is nonzero.  So when fewer
-than a quarter of them are, only those rows are updated (Hall and
-McKinnon, *Hyper-sparsity in the revised simplex method and how to exploit
-it*, 2005); rows where the column is 0 would only subtract zeros, so the
-inverse holds the same values either way.  The density is read from each
-column; an inverse of fewer than ``_SPARSE_ROWS`` rows is always updated
-whole, since gathering and scattering rows costs more there than the whole
-update.
+changes only the rows of the inverse where it is nonzero, besides the
+pivot row, which is scaled in place.  So when fewer than a share
+``_SPARSE_SHARE`` (a quarter) of the other rows are nonzero, only those
+are updated (Hall and McKinnon, *Hyper-sparsity in the revised simplex
+method and how to exploit it*, 2005); rows where the column is 0 would
+only subtract zeros, so the inverse holds the same values either way.
+The density is read from each column, whatever the size of the inverse:
+the columns of the ``n0 = 6`` trees are mostly dense (44 of 62 rows) and
+keep the whole update.
 
 The tolerances and limits are module constants (``_FEAS_TOL``,
-``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``, ``_SPARSE_ROWS``),
+``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``, ``_SPARSE_SHARE``),
 read at each call.
 ``cutoff`` and ``separate`` are part of the problem, not tuning knobs.
 
@@ -108,10 +109,7 @@ _FEAS_TOL = 1e-9  # violation let pass: of a bound by xB, of a sign by d
 _MAX_ITER = 100_000  # pivots per call (all rounds) before "iteration_limit"
 _BLAND_AFTER = 1000  # degenerate pivots in a row before Bland's rule
 _REFRESH_EVERY = 200  # pivots between reinversions of the basis
-# an inverse with fewer rows is always updated whole: there, gathering and
-# scattering the rows of a hypersparse update costs as much as the whole
-# rank-one update (6-8 us against 7 us at 62 rows; numpy 2.4, 2.0 GHz Xeon)
-_SPARSE_ROWS = 64
+_SPARSE_SHARE = 0.25  # pivot columns nonzero in fewer rows update only those
 # direction a nonbasic variable moves off its bound, by status: +1 up from
 # its lower bound, -1 down from its upper bound, 0 when basic or fixed
 # (a box of zero width, whatever its status)
@@ -159,9 +157,13 @@ class SparseRows:
         rows, cols = np.nonzero(A)
         return cls(rows, cols, A[rows, cols], A.shape)
 
-    def row_product(self, y):
-        """``y @ A``."""
-        return np.bincount(self.cols, y[self.rows] * self.vals, self.shape[1])
+    def pivot_row(self, y):
+        """``y @ [A I]``: the row over the structural, then the slack
+        columns."""
+        n = self.shape[1]
+        row = np.bincount(self.cols, y[self.rows] * self.vals, n + y.size)
+        row[n:] = y
+        return row
 
     def matvec(self, x):
         """``A @ x``."""
@@ -250,7 +252,8 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     b = np.asarray(b, dtype=float)
     n = c.size
     m = A.shape[0]
-    if (lower > upper + _FEAS_TOL).any():
+    # count_nonzero: a C call, where .any() goes through Python
+    if np.count_nonzero(lower > upper + _FEAS_TOL):
         return LpResult("infeasible", np.zeros(n), inf, 0, None, None, None)
 
     if warm is None:
@@ -263,7 +266,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         basis, vstat, binv = _adopt(warm, n, m)
     lower_e = np.concatenate([lower, np.zeros(m)])
     upper_e = np.concatenate([upper, np.full(m, inf)])
-    if np.isinf(upper_e[vstat == NB_UPPER]).any():
+    if np.count_nonzero(np.isinf(upper_e[vstat == NB_UPPER])):
         raise ValueError("variable at an infinite upper bound")
     range_e = upper_e - lower_e
     c_e = np.concatenate([c, np.zeros(m)])
@@ -274,7 +277,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
 
     x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e)
     d = _reduced_costs(binv, A, c_e, basis)
-    if (toward * d < -_FEAS_TOL).any():
+    if np.count_nonzero(toward * d < -_FEAS_TOL):
         raise ValueError("warm start is not dual feasible under these bounds; "
                          "a warm start may only tighten them")
     fresh = True  # x, xB and obj computed from binv, not carried
@@ -285,7 +288,8 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         above = xB - upper_b
         viol = np.maximum(below, above)
         r = int(viol.argmax())
-        if obj >= cutoff or viol[r] <= _FEAS_TOL:
+        viol_r = float(viol[r])  # scalars as Python floats: cheaper arithmetic
+        if obj >= cutoff or viol_r <= _FEAS_TOL:
             if not fresh:
                 # carried values drift; stop only on recomputed ones
                 x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis,
@@ -325,10 +329,11 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         if degen_run > _BLAND_AFTER:
             rows = (viol > _FEAS_TOL).nonzero()[0]
             r = int(rows[basis[rows].argmin()])
+            viol_r = float(viol[r])
 
         s = 1.0 if above[r] > below[r] else -1.0
         rho = binv[r] if s > 0 else -binv[r]
-        alpha = np.concatenate((A.row_product(rho), rho))
+        alpha = A.pivot_row(rho)
 
         cand = (toward * alpha > _PIV_TOL).nonzero()[0]
         if cand.size == 0:
@@ -338,12 +343,12 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
                             binv)
 
         ratios = np.maximum(d[cand] / alpha[cand], 0.0)
-        theta = np.minimum.reduce(ratios)
+        theta = float(np.minimum.reduce(ratios))
         entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
         # the dual objective rises by the step times the row's violation
-        gain = theta * viol[r]
+        gain = theta * viol_r
         if (degen_run <= _BLAND_AFTER
-                and viol[r] - abs(alpha[entering]) * range_e[entering] > _FEAS_TOL):
+                and viol_r - abs(alpha[entering]) * range_e[entering] > _FEAS_TOL):
             # long step: the entering variable would cross its whole box
             # and still leave row r infeasible.  Pass the breakpoints in
             # (ratio, index) order, flipping each variable to its other
@@ -353,16 +358,17 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             # needs.
             order = ratios.argsort(kind="stable")
             srt = cand[order]
-            left = viol[r] - np.add.accumulate(np.abs(alpha[srt])
+            left = viol_r - np.add.accumulate(np.abs(alpha[srt])
                                                * range_e[srt])
             stop = (left <= _FEAS_TOL).nonzero()[0]
             k = int(stop[0]) if stop.size else srt.size - 1
             entering = int(srt[k])
             steps = ratios[order[: k + 1]]
-            theta = steps[-1]
+            theta = float(steps[-1])
             # piecewise linear: each passed breakpoint lowers the slope
-            # of the dual objective from viol[r] to left[i]
-            gain = viol[r] * steps[0] + left[:k] @ (steps[1:] - steps[:-1])
+            # of the dual objective from viol_r to left[i]
+            gain = float(viol_r * steps[0]
+                         + left[:k] @ (steps[1:] - steps[:-1]))
             if k:
                 flips = srt[:k]  # structural: a slack's range is infinite
                 moved = np.zeros(n)
@@ -374,7 +380,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
 
         if entering < n:
             at, vals = A.column(entering)
-            col = binv[:, at] @ vals
+            col = binv.take(at, 1) @ vals  # take: cheaper than binv[:, at]
         else:
             col = binv[:, entering - n].copy()
         piv = col[r]
@@ -388,14 +394,16 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         xB -= step * col
         xB[r] = x_entering + step
 
-        binv_r = binv[r] / piv
-        if m >= _SPARSE_ROWS and 4 * np.count_nonzero(col) < m:
+        binv[r] /= piv
+        binv_r = binv[r]
+        col[r] = 0.0  # row r is already the new one
+        nz = col.nonzero()[0]
+        if nz.size < _SPARSE_SHARE * m:
             # hypersparse column: only the rows where it is nonzero change
-            nz = col.nonzero()[0]
-            binv[nz] -= col[nz, None] * binv_r
+            if nz.size:
+                binv[nz] -= col[nz, None] * binv_r
         else:
             binv -= col[:, None] * binv_r
-        binv[r] = binv_r
 
         leaving = basis[r]
         vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
@@ -457,5 +465,4 @@ def _nonbasic_values(vstat, basis, lower_e, upper_e):
 
 def _reduced_costs(binv, A, c_e, basis):
     """``d = c - (c_B B^-1) [A I]`` over structural and slack columns."""
-    y = c_e[basis] @ binv
-    return np.concatenate([c_e[: A.shape[1]] - A.row_product(y), -y])
+    return c_e - A.pivot_row(c_e[basis] @ binv)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import _edge_vertices
+from .complexes import _edge_vertices, signed_face_sum
 
 # Rounding residue below this magnitude is clamped to zero so that cost
 # vectors stay nonnegative for the solver and the enumeration oracle.
@@ -62,14 +62,10 @@ def h1_node_smoothness(cx, x0):
 
 
 def h2_curl(cx, x1bar):
-    """Triangle costs from the signed edge-signal sum around each triangle.
-
-    The signs are the boundary signs ``(+1, -1, +1)`` of the faces
-    ``(i, j), (i, k), (j, k)`` (``complexes.TRIANGLE_FACE_SIGNS``).
-    """
+    """Triangle costs from the signed edge-signal sum around each triangle
+    (``complexes.signed_face_sum``, the boundary signs of its faces)."""
     x1bar = _check_rows(x1bar, cx.n_edges, "x1bar")
-    te = cx.triangle_edges
-    curl = x1bar[te[:, 0]] - x1bar[te[:, 1]] + x1bar[te[:, 2]]
+    curl = signed_face_sum(cx.triangle_edges, x1bar)
     return _clamped(np.einsum("tf,tf->t", curl, curl))
 
 

@@ -304,7 +304,7 @@ def test_lp_work_on_branching_and_trend_instances_is_pinned(monkeypatch):
         totals["nodes"] += solve(build_joint_instance(
             big, costs, bundle.truth.n_selected_edges,
             bundle.truth.n_selected_triangles)).nodes_explored
-    assert totals == dict(calls=253, pivots=2602, separations=320, nodes=253)
+    assert totals == dict(calls=253, pivots=2601, separations=320, nodes=253)
 
 
 def test_cutoff_stops_each_node_lp_at_a_valid_bound():
@@ -691,7 +691,7 @@ def _assert_products_match_dense(A, D, rng):
     m, n = D.shape
     y = rng.integers(-3, 4, size=m).astype(float)
     x = rng.integers(-3, 4, size=n).astype(float)
-    np.testing.assert_array_equal(A.row_product(y), y @ D)
+    np.testing.assert_array_equal(A.pivot_row(y), np.concatenate([y @ D, y]))
     np.testing.assert_array_equal(A.matvec(x), D @ x)
     for q in range(n):
         rows, vals = A.column(q)
@@ -748,18 +748,18 @@ def test_pooled_rows_match_their_dense_form():
     assert grown > 20
 
 
-@pytest.mark.parametrize("sparse_rows", [0, 10**9])
-def test_hypersparse_update_changes_no_result(monkeypatch, sparse_rows):
-    # updating only the nonzero rows of the pivot column (every sparse
-    # column with 0, none with 10**9) pivots exactly as the default
+@pytest.mark.parametrize("share", [0.0, 1.0])
+def test_hypersparse_update_changes_no_result(monkeypatch, share):
+    # updating only the nonzero rows of the pivot column (on no column with
+    # share 0, on every column with a zero row with share 1) pivots
+    # exactly as the default
     inst = _coauthorship_instance(seed=3)
     c = np.concatenate([inst.h1, inst.h2])
     c /= c.max()
     free = np.full(inst.n_triangles, -1, dtype=np.int8)
     pool = _RowPool(inst)
     want = blp._solve_node(pool, c, free, None)
-    assert pool.m > 2 * simplex_lp._SPARSE_ROWS  # the default takes both
-    monkeypatch.setattr(simplex_lp, "_SPARSE_ROWS", sparse_rows)
+    monkeypatch.setattr(simplex_lp, "_SPARSE_SHARE", share)
     got = blp._solve_node(_RowPool(inst), c, free, None)
     assert got.iterations == want.iterations
     assert got.bound == want.bound

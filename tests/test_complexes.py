@@ -15,6 +15,7 @@ from sctopo.complexes import (
     build_candidate_complex,
     laplacian_node,
     laplacian_upper_edge,
+    signed_face_sum,
     similarity_laplacian,
     validate_inclusion,
 )
@@ -86,6 +87,17 @@ def test_incidence_column_support():
             faces = cx.triangle_edges[t]
             assert tuple(faces) == (cx.edge_id(i, j), cx.edge_id(i, k), cx.edge_id(j, k))
             assert np.all(cx.b2[faces, t] == TRIANGLE_FACE_SIGNS)
+
+
+def test_signed_face_sum_is_the_transposed_boundary_product():
+    # the written-out sum carries the signs of TRIANGLE_FACE_SIGNS: exact
+    # against b2.T @ values on integer-valued rows
+    rng = np.random.default_rng(5)
+    for n0 in (3, 5, 8):
+        cx = build_candidate_complex(n0)
+        values = rng.integers(-9, 10, size=(cx.n_edges, 4)).astype(float)
+        np.testing.assert_array_equal(
+            signed_face_sum(cx.triangle_edges, values), cx.b2.T @ values)
 
 
 def test_complexes_of_one_size_share_their_face_array_only():

@@ -341,6 +341,10 @@ def _assert_basic_values_from_basis(res, A, b):
     xB = res.binv @ (b - SparseRows.of(A).matvec(x_nb[:n]))
     struct = res.basis < n
     np.testing.assert_array_equal(res.x[res.basis[struct]], xB[struct])
+    # and, summed by numpy's dense product, the same up to rounding
+    dense = res.binv @ (b - np.asarray(A) @ x_nb[:n])
+    np.testing.assert_allclose(res.x[res.basis[struct]], dense[struct],
+                               rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("refresh_every", [1, 7])
