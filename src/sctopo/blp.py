@@ -96,6 +96,14 @@ class BlpSolution:
     pool_rows: int = 0  # rows pooled at the end, the two floors included
 
 
+def check_count(value, what, stop=inf):
+    """``value`` as an int; ``ValueError`` unless an integer (not a bool) in [0, stop)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not 0 <= value < stop):
+        raise ValueError(f"{what} must be an integer in [0, {stop}); got {value!r}")
+    return int(value)
+
+
 def _check_floors(c1, c2):
     if c1 < 0 or c2 < 0:
         raise ValueError(f"cardinality floors must be nonnegative; "
@@ -145,7 +153,7 @@ class _RowPool:
         self._vals = np.full(n + 6 * n2, -1.0)
         self._vals[n::2] = 1.0
         self._pairs = self._cols[n:].reshape(-1, 2)  # (n1 + t, e) per row
-        self._A = None
+        self._A = self._entries(0, 2)
 
     def _entries(self, first, stop):
         """Rows ``first`` to ``stop`` of ``A``, renumbered from 0; ``first``
@@ -157,9 +165,8 @@ class _RowPool:
 
     @property
     def A(self):
-        """The pooled rows; one object per size, so its column index is
-        built once for every LP that starts at that size."""
-        if self._A is None or self._A.shape[0] != self.m:
+        """The rows pooled so far, one object per size."""
+        if self._A.shape[0] != self.m:
             self._A = self._entries(0, self.m)
         return self._A
 
@@ -168,21 +175,25 @@ class _RowPool:
 
         Rows go in row-major ``(t, slot)`` order and each at most once.
         Once at least half of the triangles have a pooled or newly violated
-        row, every row not yet pooled is added, in the same order.
+        row, every row not yet pooled is added, in the same order.  Only
+        triangles with ``x2[t] > min(x1)`` are scanned: ``fl(a - b) >
+        _ROW_TOL > 0`` implies ``a > b``, so no other triangle has one.
         """
         if self.m == self.full:
             return 0
         x1 = x[: self.n1]
         x2 = x[self.n1 :]
-        new = (x2[:, None] - x1[self.tri_edges] > _ROW_TOL) & ~self.pooled
-        t, slot = np.nonzero(new)
+        scan = (x2 > np.minimum.reduce(x1)).nonzero()[0]
+        i, slot = np.nonzero((x2[scan, None] - x1[self.tri_edges[scan]]
+                              > _ROW_TOL) & ~self.pooled[scan])
+        t = scan[i]
         # Complete at half of the triangles: n0 = 6 trees end holding 73% of
         # the rows on average, pools at n0 >= 10 never more than 10%.  A
         # triangle with a row holds at least one, so the triangles can reach
         # half only once the rows do; below that, they are not counted.
         n2 = self.pooled.shape[0]
-        if (t.size and 2 * (self.m - 2 + t.size) >= n2
-                and 2 * np.count_nonzero((self.pooled | new).any(axis=1)) >= n2):
+        if (t.size and 2 * (self.m - 2 + t.size) >= n2 and 2 * np.count_nonzero(
+                np.bincount(t, minlength=n2) + self.pooled.any(axis=1)) >= n2):
             t, slot = np.nonzero(~self.pooled)
         if t.size:
             self.rounds += 1
@@ -264,10 +275,10 @@ def solve(instance, node_limit=DEFAULT_NODE_LIMIT, warm_start=None):
     their completed edges (its own edges are not read), unless they miss
     the floor ``c2``.  When the node budget runs out, returns status
     ``"node_limit"`` with the incumbent and a still-valid lower bound, an
-    anytime answer.  A negative ``node_limit`` raises ``ValueError``.
+    anytime answer.  A ``node_limit`` that is not a nonnegative integer
+    raises ``ValueError``.
     """
-    if node_limit < 0:
-        raise ValueError(f"node_limit must be nonnegative; got {node_limit}")
+    check_count(node_limit, "node_limit")
     t0 = time.perf_counter()
     n1, n2 = instance.n_edges, instance.n_triangles
     root = np.full(n2, -1, dtype=np.int8)
@@ -351,7 +362,8 @@ def solve(instance, node_limit=DEFAULT_NODE_LIMIT, warm_start=None):
 def lp_bound(instance, fixed_triangles=None):
     """LP relaxation lower bound with some triangles fixed.
 
-    ``fixed_triangles`` maps triangle index -> 0 or 1.  Returns ``inf``
+    ``fixed_triangles`` maps triangle index -> 0 or 1, both integers and
+    not bools; any other key or value raises ``ValueError``.  Returns ``inf``
     when the fixed problem is infeasible, which, as in ``solve``, is
     decided by count; an infeasible LP raises ``AssertionError``.  As in
     ``solve``, the LP sees the costs divided by the largest one, and the
@@ -359,11 +371,8 @@ def lp_bound(instance, fixed_triangles=None):
     """
     fixed = np.full(instance.n_triangles, -1, dtype=np.int8)
     for idx, val in (fixed_triangles or {}).items():
-        if not 0 <= idx < instance.n_triangles:
-            raise ValueError(f"triangle index {idx} out of range")
-        if val not in (0, 1):
-            raise ValueError(f"triangle fixing must be 0 or 1; got {val}")
-        fixed[idx] = val
+        fixed[check_count(idx, "triangle index", instance.n_triangles)] = (
+            check_count(val, "triangle fixing", 2))
     if not _feasible(instance, fixed):
         return inf
     c = np.concatenate([instance.h1, instance.h2])

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blp import DEFAULT_NODE_LIMIT
+from .blp import DEFAULT_NODE_LIMIT, check_count
 from .complexes import build_candidate_complex, validate_inclusion
 from .datagen import SynthConfig, fields_from_json, make_bundle, stage_rng
 from .datasets import load_real_dataset, subsample_dataset
@@ -79,9 +79,8 @@ class ExperimentConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
-        if self.node_limit < 0:
-            raise ValueError(f"node_limit must be nonnegative; "
-                             f"got {self.node_limit}")
+        # a plain int, so that report.json can hold it
+        object.__setattr__(self, "node_limit", check_count(self.node_limit, "node_limit"))
         if self.gamma is not None and self.gamma < 0:
             raise ValueError(f"gamma must be nonnegative; got {self.gamma}")
         if self.greedy_init not in GREEDY_INITS:

@@ -27,16 +27,15 @@ each.  The solver is written for the branch-and-bound use case:
   incumbent's objective is pruned whatever its optimum.
 
 Rounds: the rows passed in make the first round, and each separation that
-adds rows starts another, in place.  The call adopts copies of the basis,
-statuses and inverse that ``separate`` returned and appends an entry per
-new row to its per-variable arrays.  The new slacks enter basic with dual
-0, so every other reduced cost stays as it is, and the new ones are 0.
-``xB`` and the objective are recomputed from the grown inverse (each row
-of ``b - A x_N`` sums its entries in order, so the old rows get the values
-the stop test formed), and the degenerate-run and reinversion counters
-restart.  So each round pivots as a new call warm-started from the
-returned state would, up to rounding: the reduced costs are carried rather
-than recomputed from the inverse.
+adds rows starts another, in place.  The call adopts the basis, statuses
+and inverse that ``separate`` returned as they are, without a copy, and
+appends an entry per new row to its per-variable arrays.  The new slacks
+enter basic with dual 0, so no reduced cost moves.  ``xB`` and the
+objective are recomputed from the grown inverse (each row of ``b - A x_N``
+sums its entries in order, so the old rows get the values the stop test
+formed), and the degenerate-run and reinversion counters restart.  So each
+round pivots as a new call warm-started from the returned state would, up
+to rounding: the reduced costs are carried rather than recomputed.
 ``_MAX_ITER`` caps the pivots of the whole call, one node of
 :mod:`sctopo.blp`.
 
@@ -133,19 +132,18 @@ class SparseRows:
     ``A[rows[i], cols[i]] = vals[i]``, each position at most once, with
     ``rows`` nondecreasing.  Every product the dual simplex forms takes
     O(entries): the pivot row by one ``np.bincount`` over the columns,
-    ``A @ x`` by one over the rows, and a column from an index of the
-    entries by column, built when a column is first asked for.  In
-    :mod:`sctopo.blp` the entries are the two floors' ``-1`` on every
-    variable and one index pair ``(n1 + t, e)`` per inclusion row, so no
-    array here has ``m x n`` entries.  ``of`` converts a dense ``A``.
+    ``A @ x`` by one over the rows, and a column by one comparison with
+    the column indices, with no index kept.  In :mod:`sctopo.blp` the
+    entries are the two floors' ``-1`` on every variable and one index
+    pair ``(n1 + t, e)`` per inclusion row, so no array here has
+    ``m x n`` entries.  ``of`` converts a dense ``A``.
     """
 
-    __slots__ = ("rows", "cols", "vals", "shape", "_by_col")
+    __slots__ = ("rows", "cols", "vals", "shape")
 
     def __init__(self, rows, cols, vals, shape):
         self.rows, self.cols, self.vals = rows, cols, vals
         self.shape = shape
-        self._by_col = None
 
     @classmethod
     def of(cls, A):
@@ -170,15 +168,10 @@ class SparseRows:
         return np.bincount(self.rows, x[self.cols] * self.vals, self.shape[0])
 
     def column(self, q):
-        """Rows and values of the nonzero entries of column ``q``."""
-        if self._by_col is None:
-            order = np.argsort(self.cols, kind="stable")
-            counts = np.bincount(self.cols, minlength=self.shape[1])
-            starts = [0, *np.add.accumulate(counts).tolist()]
-            self._by_col = starts, self.rows[order], self.vals[order]
-        starts, rows, vals = self._by_col
-        lo, hi = starts[q], starts[q + 1]
-        return rows[lo:hi], vals[lo:hi]
+        """Rows and values of the nonzero entries of column ``q``, in row
+        order."""
+        at = (self.cols == q).nonzero()[0]
+        return self.rows[at], self.vals[at]
 
     def basic(self, basis):
         """The entries of ``A`` in the structural columns of ``basis``:
@@ -232,18 +225,19 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
 
     ``warm`` is a (dual-feasible) :class:`LpResult` whose basis covers the
     rows of ``A``, or None for the all-slack basis; its arrays are copied,
-    never modified.  The bounds may only be tighter than those it was
-    solved under; a start that is not dual feasible under them raises
-    ``ValueError``.  Fixed variables (``lower == upper``) never enter the
-    basis.
+    never modified (heap siblings share one).  The bounds may only be
+    tighter than those it was solved under; a start that is not dual
+    feasible under them raises ``ValueError``.  Fixed variables
+    (``lower == upper``) never enter the basis.
 
     The solve stops with status ``"cutoff"`` once the dual objective, a
     lower bound on the optimum, reaches ``cutoff``.  At an optimum below
     it, ``separate(res)`` gets that ``"optimal"`` result and returns None
     when ``res.x`` violates no further row, or ``(A, b, warm)``: the rows
-    of ``A`` followed by new ones, and ``res`` extended to them.  A
-    ``warm`` whose basis, statuses or inverse do not match the rows of its
-    ``A`` raises ``ValueError``.
+    of ``A`` followed by new ones, and ``res`` extended to them into new
+    arrays (:func:`extend_binv_for_new_rows`), which the call pivots in
+    place.  A ``warm`` whose basis, statuses or inverse do not match the
+    rows of its ``A`` raises ``ValueError``.
     """
     c = np.asarray(c, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -307,20 +301,18 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             # which keeps the basis dual feasible, and their duals are 0, so
             # no other reduced cost moves
             A, b, warm = grown
+            del res, grown  # so the last round's inverse can go
             A = SparseRows.of(A)
             b = np.asarray(b, dtype=float)
             added = A.shape[0] - m
             m = A.shape[0]
-            basis, vstat, binv = _adopt(warm, n, m)
+            basis, vstat, binv = _adopt(warm, n, m, np.asarray)
             zeros, infs = np.zeros(added), np.full(added, inf)
-            lower_e = np.concatenate([lower_e, zeros])
-            upper_e = np.concatenate([upper_e, infs])
-            range_e = np.concatenate([range_e, infs])
-            c_e = np.concatenate([c_e, zeros])
-            toward = np.concatenate([toward, zeros])
-            lower_b = np.concatenate([lower_b, zeros])
-            upper_b = np.concatenate([upper_b, infs])
-            d = np.concatenate([d, zeros])
+            lower_e, c_e, toward, lower_b, d = (
+                np.concatenate([v, zeros])
+                for v in (lower_e, c_e, toward, lower_b, d))
+            upper_e, range_e, upper_b = (
+                np.concatenate([v, infs]) for v in (upper_e, range_e, upper_b))
             x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
                                       upper_e)
             degen_run = 0
@@ -431,19 +423,17 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     return LpResult("iteration_limit", x[:n], obj, it, basis, vstat, binv)
 
 
-def _adopt(warm, n, m):
-    """Copies of ``warm``'s basis, statuses and inverse, checked to cover
-    ``m`` rows and ``n`` structural columns."""
+def _adopt(warm, n, m, cast=np.array):
+    """``warm``'s basis, statuses and inverse through ``cast`` (``np.array``
+    copies), checked to cover ``m`` rows and ``n`` structural columns."""
     if (warm.basis.size != m or warm.vstat.size != n + m
             or warm.binv.shape != (m, m)):
         raise ValueError(
             f"warm state does not match the {m} rows of A: its basis has "
             f"{warm.basis.size} entries, its statuses {warm.vstat.size} "
-            f"(want {n + m}) and its inverse is "
-            f"{' x '.join(map(str, warm.binv.shape))}")
-    return (np.array(warm.basis, dtype=np.int64),
-            np.array(warm.vstat, dtype=np.int8),
-            np.array(warm.binv, dtype=float))
+            f"(want {n + m}) and its inverse is {' x '.join(map(str, warm.binv.shape))}")
+    return (cast(warm.basis, dtype=np.int64), cast(warm.vstat, dtype=np.int8),
+            cast(warm.binv, dtype=float))
 
 
 def _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e):

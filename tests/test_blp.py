@@ -121,11 +121,19 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
         grown = []
 
         def recording_separate(res):
-            grown.append(separate(res))
-            if grown[-1] is not None:
+            out = separate(res)
+            if out is not None:
                 # so does each round that a separation starts
-                assert_inverts(grown[-1][0], grown[-1][2])
-            return grown[-1]
+                assert_inverts(out[0], out[2])
+                # the LP pivots on the state it is handed, so the replay
+                # below gets a copy
+                A, b, ext = out
+                grown.append((A, b, replace(ext, basis=ext.basis.copy(),
+                                            vstat=ext.vstat.copy(),
+                                            binv=ext.binv.copy())))
+            else:
+                grown.append(None)
+            return out
 
         res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
                                   cutoff=cutoff, separate=recording_separate)
@@ -165,6 +173,52 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
     for down, up in zip(pushed[::2], pushed[1::2]):
         assert down[-1] is up[-1]
         assert down[-1].binv is not None
+
+
+def _state(res):
+    """The bytes of a result's basis, statuses and inverse."""
+    return [(v.dtype, v.tobytes()) for v in (res.basis, res.vstat, res.binv)]
+
+
+def test_warm_states_are_unchanged_by_calls_that_separate(monkeypatch):
+    # a separation round pivots in place on the state that separation
+    # grew, never on the warm state the call was given: neither the one
+    # passed in nor the parent result that both siblings share changes
+    entered = []  # (warm passed in, its state at entry), per call
+    pushed = []  # (parent result, its state at the push), per sibling
+    rounds = [0]
+
+    def checked(c, A, b, lower, upper, warm=None, cutoff=np.inf,
+                separate=None):
+        def counted(res):
+            grown = separate(res)
+            rounds[0] += grown is not None
+            return grown
+
+        if warm is not None:
+            entered.append((warm, _state(warm)))
+        return simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
+                                   cutoff=cutoff, separate=counted)
+
+    def recording_push(heap, item):
+        pushed.append((item[-1], _state(item[-1])))
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(blp, "solve_lp", checked)
+    monkeypatch.setattr(blp, "heapq", SimpleNamespace(
+        heappush=recording_push, heappop=heapq.heappop))
+    cx = build_candidate_complex(7)
+    for i in range(6):
+        costs = _near_uniform_costs(np.random.default_rng([7, i]), cx)
+        want = oracle_enumerate(cx, costs, 6, 3)
+        got = solve(build_joint_instance(cx, costs, 6, 3))
+        assert got.selection.same_as(want.selection)
+    assert rounds[0] > 20 and len(entered) > 20 and len(pushed) > 20
+    for warm, state in entered + pushed:
+        assert _state(warm) == state
+    # both siblings of each pair started from the one shared parent result
+    assert all(down is up for (down, _), (up, _) in zip(pushed[::2],
+                                                         pushed[1::2]))
 
 
 def test_each_node_makes_one_lp_call(monkeypatch):
@@ -458,6 +512,33 @@ def test_lp_bound_contracts():
         lp_bound(inst, fixed_triangles={cx.n_triangles: 0})
     with pytest.raises(ValueError):
         lp_bound(inst, fixed_triangles={0: 2})
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, True, np.True_, "1", None])
+def test_lp_bound_rejects_keys_and_values_that_are_not_integers(bad):
+    # a float index used to raise IndexError, True used to fix triangle 1,
+    # and a fixing of 1.0 or True was taken as 1
+    cx = build_candidate_complex(6)
+    inst = build_joint_instance(cx, _random_costs(np.random.default_rng(11),
+                                                  cx), 6, 2)
+    with pytest.raises(ValueError, match="triangle index"):
+        lp_bound(inst, fixed_triangles={bad: 1})
+    with pytest.raises(ValueError, match="triangle fixing"):
+        lp_bound(inst, fixed_triangles={1: bad})
+    # numpy integers are integers
+    assert lp_bound(inst, fixed_triangles={np.int64(1): np.int8(1)}) == (
+        lp_bound(inst, fixed_triangles={1: 1}))
+
+
+@pytest.mark.parametrize("limit", [float("nan"), 2.5, 3.0, True, "3", -1])
+def test_solve_rejects_a_node_limit_that_is_not_a_nonnegative_integer(limit):
+    # nan used to run without a limit, and 2.5 and True were accepted
+    cx = build_candidate_complex(6)
+    inst = build_joint_instance(cx, _near_uniform_costs(
+        np.random.default_rng(4), cx), 6, 3)
+    with pytest.raises(ValueError, match="node_limit"):
+        solve(inst, node_limit=limit)
+    assert solve(inst, node_limit=np.int64(0)).status == "node_limit"
 
 
 def test_lp_bound_decides_feasibility_by_count(monkeypatch):
@@ -804,6 +885,56 @@ def test_row_pool_adds_each_violated_row_once_in_row_major_order():
     assert pool.add_violated(x) == 4
     assert _inclusion_rows(pool) == first + [
         (0, tri[0, 0]), (0, tri[0, 1]), (0, tri[0, 2]), (4, tri[4, 1])]
+
+
+def _full_scan(pool, x):
+    """The ``(t, e)`` rows that scanning every face difference adds at
+    ``x``, completion at half of the triangles included."""
+    if pool.m == pool.full:
+        return []
+    x1, x2 = x[:pool.n1], x[pool.n1:]
+    new = (x2[:, None] - x1[pool.tri_edges] > blp._ROW_TOL) & ~pool.pooled
+    t, slot = np.nonzero(new)
+    n2 = pool.pooled.shape[0]
+    if (t.size and 2 * (pool.m - 2 + t.size) >= n2
+            and 2 * np.count_nonzero((pool.pooled | new).any(axis=1)) >= n2):
+        t, slot = np.nonzero(~pool.pooled)
+    return list(zip(t.tolist(), pool.tri_edges[t, slot].tolist()))
+
+
+def test_row_pool_adds_the_rows_of_the_full_face_scan():
+    # scanning only the triangles with x2[t] > min(x1) adds the same rows
+    # in the same order, on random points, with values a hair below 0, and
+    # with face differences exactly at the tolerance
+    rng = np.random.default_rng(43)
+    tol = blp._ROW_TOL
+    completed = at_tol = 0
+    for _ in range(60):
+        cx = build_candidate_complex(int(rng.integers(4, 9)))
+        inst = build_joint_instance(cx, _random_costs(rng, cx), 3, 2)
+        pool = _RowPool(inst)
+        n1, n2 = cx.n_edges, cx.n_triangles
+        for _ in range(5):
+            x = rng.random(pool.n) * (rng.random(pool.n)
+                                      < rng.choice([0.03, 0.3]))
+            # basic values a hair below 0; the second violates rows of
+            # triangles at 0
+            x[rng.random(pool.n) < 0.1] = rng.choice([-1e-10, -5e-9])
+            # faces of some triangles sit exactly at the tolerance
+            for t in rng.choice(n2, size=min(n2, 3), replace=False):
+                x[n1 + t] = tol
+                x[cx.triangle_edges[t]] = 0.0
+            if rng.random() < 0.3:  # a point with all edges raised
+                x[:n1] += 0.5
+            at_tol += np.count_nonzero(
+                x[n1:, None] - x[:n1][pool.tri_edges] == tol)
+            want = _full_scan(pool, x)
+            before = pool._pairs[:pool.m - 2].tolist()
+            assert pool.add_violated(x) == len(want)
+            assert pool._pairs[:pool.m - 2].tolist() == before + [
+                [n1 + t, e] for t, e in want]
+        completed += pool.m == pool.full
+    assert completed >= 10 and at_tol > 100
 
 
 def test_row_pool_grows_past_its_initial_capacity():

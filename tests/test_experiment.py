@@ -145,6 +145,13 @@ def test_config_validation_and_json_loading(tmp_path):
         ExperimentConfig(methods=("joint", "annealing"))
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
+    # a node_limit built directly is an integer too, as the JSON and CLI
+    # paths require; nan used to run without a limit
+    for limit in (float("nan"), 2.5, 3.0, True, -1):
+        with pytest.raises(ValueError, match="node_limit"):
+            ExperimentConfig(node_limit=limit)
+    # a numpy integer is kept as an int, which report.json can hold
+    assert type(ExperimentConfig(node_limit=np.int64(3)).node_limit) is int
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n0_values": [8], "seeds": [0, 1],

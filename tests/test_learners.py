@@ -134,12 +134,39 @@ def test_joint_at_n0_30_peaks_under_30_mb():
     assert peak < 30e6
 
 
+def test_joint_at_n0_35_peaks_under_40_mb():
+    # a separation round adopts the inverse it grew without copying it, so
+    # the LP holds about two m x m inverses at a time (15.6 MB each at
+    # m = 1,397 here), not three; with the copy it peaked at 49.8 MB
+    cx = build_candidate_complex(35)
+    bundle = make_bundle(SynthConfig(n0=35, seed=1, edge_prior="low_curl"))
+    costs = compute_costs(cx, bundle.x0, bundle.x1bar,
+                          PRIOR_TO_KIND["low_curl"])
+    tracemalloc.start()
+    try:
+        out = learn_joint(cx, costs, bundle.truth.n_selected_edges,
+                          bundle.truth.n_selected_triangles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.diagnostics["status"] == "optimal"
+    assert peak < 40e6
+
+
 def test_joint_raises_when_infeasible():
     cx = build_candidate_complex(4)
     costs = CostVectors(h1=np.ones(cx.n_edges), h2=np.ones(cx.n_triangles),
                         h2_kind="curl")
     with pytest.raises(ValueError):
         learn_joint(cx, costs, cx.n_edges + 1, 0)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), 2.5, True])
+def test_joint_rejects_a_node_limit_that_is_not_an_integer(limit):
+    cx = build_candidate_complex(5)
+    costs = _random_costs(np.random.default_rng(3), cx)
+    with pytest.raises(ValueError, match="node_limit"):
+        learn_joint(cx, costs, 4, 2, node_limit=limit)
 
 
 def test_joint_rejects_negative_costs():

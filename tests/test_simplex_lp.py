@@ -405,6 +405,25 @@ def _basis_matrix_loop(A, basis):
     return B
 
 
+def test_column_is_the_dense_column_in_row_order():
+    # read from the entries at each call, with no index by column; the
+    # entering column sums binv.take(rows, 1) @ vals in row order
+    rng = np.random.default_rng(17)
+    empty = 0
+    for _ in range(40):
+        m, n = (int(v) for v in rng.integers(1, 12, size=2))
+        D = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4)
+        D[:, rng.random(n) < 0.2] = 0.0
+        A = SparseRows.of(D)
+        for q in range(n):
+            rows, vals = A.column(q)
+            want = D[:, q].nonzero()[0]
+            assert rows.tolist() == want.tolist()
+            np.testing.assert_array_equal(vals, D[want, q])
+            empty += want.size == 0
+    assert empty > 20
+
+
 def test_build_basis_matrix_matches_loop_reference():
     rng = np.random.default_rng(29)
     for _ in range(40):
