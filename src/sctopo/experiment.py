@@ -61,6 +61,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "real" and not self.dataset_path:
             raise ValueError("real mode needs dataset_path")
+        # plain ints, so that report.json can hold them
+        for key in ("n0_values", "seeds"):
+            object.__setattr__(self, key, tuple(
+                check_count(v, f"{key} entry") for v in getattr(self, key)))
+        object.__setattr__(self, "node_limit", check_count(self.node_limit, "node_limit"))
         for key in ("n0_values", "seeds", "priors", "methods"):
             values = getattr(self, key)
             if not values:
@@ -71,16 +76,12 @@ class ExperimentConfig:
         if min(self.n0_values) < 3:
             raise ValueError(f"n0_values must be at least 3; "
                              f"got {min(self.n0_values)}")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be nonnegative; got {min(self.seeds)}")
         for prior in self.priors:
             if prior not in PRIOR_TO_KIND:
                 raise ValueError(f"unknown prior {prior!r}")
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
-        # a plain int, so that report.json can hold it
-        object.__setattr__(self, "node_limit", check_count(self.node_limit, "node_limit"))
         if self.gamma is not None and self.gamma < 0:
             raise ValueError(f"gamma must be nonnegative; got {self.gamma}")
         if self.greedy_init not in GREEDY_INITS:

@@ -358,7 +358,7 @@ def test_lp_work_on_branching_and_trend_instances_is_pinned(monkeypatch):
         totals["nodes"] += solve(build_joint_instance(
             big, costs, bundle.truth.n_selected_edges,
             bundle.truth.n_selected_triangles)).nodes_explored
-    assert totals == dict(calls=253, pivots=2601, separations=320, nodes=253)
+    assert totals == dict(calls=201, pivots=2402, separations=293, nodes=201)
 
 
 def test_cutoff_stops_each_node_lp_at_a_valid_bound():
@@ -384,23 +384,99 @@ def test_cutoff_stops_each_node_lp_at_a_valid_bound():
     assert stopped > 30
 
 
+def _frac(x2):
+    return np.minimum(np.abs(x2), np.abs(1.0 - x2))
+
+
 @pytest.mark.parametrize("max_iter", [0, 1, 2])
 def test_node_lps_stopped_early_still_give_the_optimum(monkeypatch, max_iter):
     # a node LP cut short still gives a valid bound but may leave every
     # triangle fractional, so branching alone must keep each child feasible:
     # with c2 near n_triangles, fixing to 0 soon leaves too few triangles
     monkeypatch.setattr(simplex_lp, "_MAX_ITER", max_iter)
+    # such a node may have no free triangle far from integral; the choice
+    # falls back to the most fractional one, and must still be free
+    fallbacks = []
+    choose = blp._branch_triangle
+
+    def checked(x2, fixed, cost, finished):
+        j = choose(x2, fixed, cost, finished)
+        if j is not None:
+            assert fixed[j] < 0
+            fallbacks.append(_frac(x2[j]) <= blp._INT_TOL)
+        return j
+
+    monkeypatch.setattr(blp, "_branch_triangle", checked)
     rng = np.random.default_rng(max_iter)
     for _ in range(20):
         cx = build_candidate_complex(int(rng.integers(4, 6)))
         costs = _random_costs(rng, cx)
         c1 = int(rng.integers(0, cx.n_edges + 1))
         c2 = int(rng.integers(cx.n_triangles - 3, cx.n_triangles + 1))
-        got = solve(build_joint_instance(cx, costs, c1, c2))
+        # each branch fixes a free triangle, so no tree has more nodes than
+        # this; a branch on a fixed one repeats its node and hits the limit
+        got = solve(build_joint_instance(cx, costs, c1, c2),
+                    node_limit=2 ** (cx.n_triangles + 1))
         want = oracle_enumerate(cx, costs, c1, c2)
         assert got.status == "optimal"
         assert got.objective == pytest.approx(want.objective, rel=1e-9)
         assert got.lower_bound <= got.objective
+    assert any(fallbacks)
+
+
+def test_branching_picks_the_cheapest_fractional_free_triangle():
+    tol = blp._INT_TOL
+    x2 = np.array([0.5, 0.4, 1 - tol / 2, tol / 2, 0.3, 0.2, 0.0, 1.0])
+    fixed = np.array([0, -1, -1, -1, -1, -1, -1, -1], dtype=np.int8)
+    cost = np.array([0.1, 0.9, 0.2, 0.2, 0.5, 0.5, 0.1, 0.1])
+    # triangle 0 is fixed and 2, 3, 6, 7 are within _INT_TOL of integral,
+    # though all are cheaper; 4 and 5 tie on cost and 4 has the lower index
+    assert blp._branch_triangle(x2, fixed, cost, True) == 4
+    assert blp._branch_triangle(x2, fixed, cost, False) == 4
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        n = int(rng.integers(1, 12))
+        x2 = rng.choice([0.0, 1.0, tol / 2, 1 - tol / 2, 2 * tol, 0.5,
+                         rng.random()], size=n)
+        fixed = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=n)
+        cost = rng.choice([0.1, 0.2, 0.3], size=n)  # many equal costs
+        far = [t for t in range(n) if fixed[t] < 0 and _frac(x2[t]) > tol]
+        got = blp._branch_triangle(x2, fixed, cost, bool(rng.integers(2)))
+        if far:
+            assert got == min(far, key=lambda t: (cost[t], t))
+        else:
+            assert got is None or fixed[got] < 0
+
+
+def test_branching_without_a_fractional_triangle_picks_a_free_one():
+    tol = blp._INT_TOL
+    cost = np.array([0.1, 0.2, 0.3, 0.4])
+    # all free triangles near integral: decided once the LP has finished,
+    # else the most fractional free triangle, lowest index first
+    x2 = np.array([0.5, tol / 4, tol / 2, tol / 2])
+    fixed = np.array([1, -1, -1, -1], dtype=np.int8)
+    assert blp._branch_triangle(x2, fixed, cost, True) is None
+    assert blp._branch_triangle(x2, fixed, cost, False) == 2
+    x2 = np.zeros(4)  # every free triangle exactly integral
+    assert blp._branch_triangle(x2, fixed, cost, False) in (1, 2, 3)
+    fixed[:] = 0  # nothing free: decided whatever the LP did
+    assert blp._branch_triangle(x2, fixed, cost, False) is None
+
+
+def test_node_total_on_near_uniform_instances_is_pinned():
+    # 64 instances of the branch benchmark's family at a seed it does not
+    # use; branching on the most fractional triangle took 566 nodes
+    cx = build_candidate_complex(6)
+    nodes = 0
+    for i in range(64):
+        costs = _near_uniform_costs(np.random.default_rng([2, i]), cx)
+        got = solve(build_joint_instance(cx, costs, 6, 4))
+        want = oracle_enumerate(cx, costs, 6, 4)
+        assert got.status == "optimal"
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        assert got.selection.same_as(want.selection)
+        nodes += got.nodes_explored
+    assert nodes == 374
 
 
 def test_infeasible_warm_node_lp_raises(monkeypatch):
@@ -746,6 +822,64 @@ def test_read_instance_rejects_malformed_files(tmp_path):
             read_instance(bad)
         if name in ("magic", "version 1"):
             assert "sctopo-blp 2" in str(err.value)
+
+
+def test_read_instance_names_the_first_bad_line(tmp_path):
+    cx = build_candidate_complex(4)
+    inst = build_joint_instance(cx, _random_costs(np.random.default_rng(3), cx),
+                                2, 1)
+    good = tmp_path / "good.txt"
+    write_instance(inst, good)
+    lines = good.read_text().splitlines()
+    h1_0, h1_1, h2_0 = lines[5], lines[6], lines[5 + cx.n_edges]
+
+    def message(*edits):
+        mangled = list(lines)
+        for at, line in edits:
+            mangled[at] = line
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(mangled) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_instance(path)
+        return str(err.value)
+
+    # each cost line fault, and with two faults the earlier line wins
+    assert message((6, "wat 0 0")) == "unrecognized line: 'wat 0 0'"
+    assert message((6, "h1 1")) == \
+        "expected 2 number(s) after the tag: 'h1 1'"
+    assert message((6, "h1 1 x")) == \
+        "expected 2 number(s) after the tag: 'h1 1 x'"
+    assert message((6, "h1 1 0.5 7")) == \
+        "expected 2 number(s) after the tag: 'h1 1 0.5 7'"
+    assert message((6, "h1 6 0.5")) == "index out of range: 'h1 6 0.5'"
+    assert message((6, "h1 -1 0.5")) == "index out of range: 'h1 -1 0.5'"
+    assert message((6, "h2 4 0.5")) == "index out of range: 'h2 4 0.5'"
+    assert message((6, "h1 0 0.5")) == "index given twice: 'h1 0 0.5'"
+    assert message((6, "h1 1 nan")) == \
+        "costs must be finite and nonnegative: 'h1 1 nan'"
+    assert message((6, "h1 1 -0.5")) == \
+        "costs must be finite and nonnegative: 'h1 1 -0.5'"
+    assert message((5, "h1 0 inf"), (6, "wat")) == \
+        "costs must be finite and nonnegative: 'h1 0 inf'"
+    assert message((5, "h1 9 1"), (6, "h1 0")) == "index out of range: 'h1 9 1'"
+    assert message((6, "h1 0 1"), (7, "h1 2 -1")) == \
+        "index given twice: 'h1 0 1'"
+    # an h1 line in place of an h2 line leaves an h2 entry unset
+    assert message((5 + cx.n_edges, h1_0)) == f"index given twice: {h1_0!r}"
+    assert message((5 + cx.n_edges, "h1 1 0.5")) == \
+        "index given twice: 'h1 1 0.5'"
+    assert message((1, "n_edges 6.0")) == \
+        "expected 1 number(s) after the tag: 'n_edges 6.0'"
+    assert message((2, "n_edges 6")) == "unknown or repeated line: 'n_edges 6'"
+    # lines may come in any order and with extra blanks
+    path = tmp_path / "shuffled.txt"
+    path.write_text("\n\n".join(lines[:5] + [h2_0, f"  {h1_1}\t"]
+                                 + lines[7:5 + cx.n_edges] + [h1_0]
+                                 + lines[6 + cx.n_edges:]) + "\n")
+    back = read_instance(path)
+    assert np.array_equal(back.h1, inst.h1)
+    assert np.array_equal(back.h2, inst.h2)
+    assert back.h1.dtype == back.h2.dtype == np.float64
 
 
 def _dense(A):

@@ -168,6 +168,28 @@ def test_config_validation_and_json_loading(tmp_path):
         ExperimentConfig.from_json(path)
 
 
+def test_config_stores_sizes_and_seeds_as_plain_ints(tmp_path):
+    # numpy integers used to run the whole experiment and then fail in
+    # write_report, since json cannot write them
+    cfg = ExperimentConfig(n0_values=(np.int64(5),), seeds=(np.int64(0),),
+                           methods=("joint",))
+    assert cfg.n0_values == (5,) and cfg.seeds == (0,)
+    assert all(type(v) is int for v in cfg.n0_values + cfg.seeds)
+    write_report(run_experiment(cfg), tmp_path)
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["config"]["n0_values"] == [5] and saved["seeds"] == [0]
+    # a list is stored as a tuple, as from_json does
+    assert ExperimentConfig(n0_values=[5, 6], seeds=[1]).n0_values == (5, 6)
+    for key, bad in (("n0_values", 5.0), ("n0_values", True),
+                     ("n0_values", -5), ("n0_values", "5"),
+                     ("seeds", True), ("seeds", 0.0), ("seeds", -1),
+                     ("seeds", np.float64(1.0))):
+        with pytest.raises(ValueError, match=f"{key} entry"):
+            ExperimentConfig(**{key: (bad,)})
+    with pytest.raises(ValueError, match="at least 3"):
+        ExperimentConfig(n0_values=(np.int64(2),))
+
+
 def test_config_json_round_trips_every_field(tmp_path):
     path = tmp_path / "cfg.json"
     for cfg in (ExperimentConfig(),
