@@ -273,16 +273,15 @@ def _branch_triangle(x2, fixed, cost, finished):
     cheapest free triangle more than ``_INT_TOL`` from integral, the lowest
     index among equal costs.  With none, the node is decided when its LP
     ``finished`` or no triangle is free; an LP stopped at ``_MAX_ITER``
-    branches on the most fractional free triangle, lowest index first.
+    branches on the cheapest free triangle instead.
     """
-    frac = np.where(fixed < 0, np.minimum(np.abs(x2), np.abs(1.0 - x2)), -1.0)
-    far = frac > _INT_TOL
-    if far.any():
-        return int(np.where(far, cost, inf).argmin())
-    best = np.maximum.reduce(frac, initial=-1.0)
-    if finished or best < 0:
-        return None
-    return int((frac >= best - 1e-12).argmax())
+    free = fixed < 0
+    pick = free & (np.minimum(np.abs(x2), np.abs(1.0 - x2)) > _INT_TOL)
+    if not pick.any():
+        if finished or not free.any():
+            return None
+        pick = free
+    return int(np.where(pick, cost, inf).argmin())
 
 
 def solve(instance, node_limit=DEFAULT_NODE_LIMIT, warm_start=None):
@@ -484,51 +483,6 @@ def _numbers(ln, fields, *kinds):
                          f"{ln!r}") from None
 
 
-def _bulk_costs(body, n1, n2):
-    """``h1`` and ``h2`` parsed at once from the cost lines ``body``, each
-    ``(line, fields)``; None unless each index of each vector has exactly
-    one line, ``tag index cost``, with a finite nonnegative cost."""
-    if len(body) != n1 + n2:
-        return None
-    offset, size = {"h1": 0, "h2": n1}, {"h1": n1, "h2": n2}
-    try:
-        tags, idx, vals = zip(*(fields for _, fields in body), strict=True)
-        # each line's place in h1 then h2, -1 for an index out of range
-        slots = [offset[tag] + i if 0 <= i < size[tag] else -1
-                 for tag, i in zip(tags, map(int, idx))]
-        vals = np.array(list(map(float, vals)))
-    except (KeyError, ValueError):
-        return None
-    if (-1 in slots or len(set(slots)) < n1 + n2
-            or not (np.isfinite(vals).all() and (vals >= 0).all())):
-        return None
-    costs = np.empty(n1 + n2)
-    costs[slots] = vals
-    return costs[:n1], costs[n1:]
-
-
-def _costs_by_line(body, n1, n2):
-    """``h1`` and ``h2`` read one cost line at a time; ``ValueError`` names
-    the first line that is malformed, out of range or repeated."""
-    # line tag -> its costs by index, None until the index has a line
-    costs = {"h1": [None] * n1, "h2": [None] * n2}
-    for ln, (tag, *fields) in body:
-        target = costs.get(tag)
-        if target is None:
-            raise ValueError(f"unrecognized line: {ln!r}")
-        i, value = _numbers(ln, fields, int, float)
-        if not 0 <= i < len(target):
-            raise ValueError(f"index out of range: {ln!r}")
-        if target[i] is not None:
-            raise ValueError(f"index given twice: {ln!r}")
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"costs must be finite and nonnegative: {ln!r}")
-        target[i] = value
-    if any(None in target for target in costs.values()):
-        raise ValueError("instance file is missing entries")
-    return [np.array(costs[tag], dtype=float) for tag in ("h1", "h2")]
-
-
 def read_instance(path):
     """The instance a file from ``write_instance`` holds; ``ValueError``
     names the first line that is malformed, out of range or repeated."""
@@ -554,8 +508,27 @@ def read_instance(path):
     if len(lines) - idx < n1 + n2:  # checked before anything is allocated
         raise ValueError(f"instance file is missing entries: {n1 + n2} costs "
                          f"but {len(lines) - idx} lines after the scalars")
-    body = lines[idx:]
-    costs = _bulk_costs(body, n1, n2)
-    h1, h2 = _costs_by_line(body, n1, n2) if costs is None else costs
+    # line tag -> its costs by index, None until the index has a line
+    costs = {"h1": [None] * n1, "h2": [None] * n2}
+    for ln, (tag, *fields) in lines[idx:]:
+        target = costs.get(tag)
+        if target is None:
+            raise ValueError(f"unrecognized line: {ln!r}")
+        try:  # inline, not _numbers: this loop runs once per cost
+            i, value = fields
+            i, value = int(i), float(value)
+        except ValueError:
+            raise ValueError(f"expected 2 number(s) after the tag: "
+                             f"{ln!r}") from None
+        if not 0 <= i < len(target):
+            raise ValueError(f"index out of range: {ln!r}")
+        if target[i] is not None:
+            raise ValueError(f"index given twice: {ln!r}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"costs must be finite and nonnegative: {ln!r}")
+        target[i] = value
+    if any(None in target for target in costs.values()):
+        raise ValueError("instance file is missing entries")
+    h1, h2 = (np.array(costs[tag], dtype=float) for tag in ("h1", "h2"))
     return BlpInstance(h1=h1, h2=h2, c1=c1, c2=c2,
                        triangle_edges=build_candidate_complex(n0).triangle_edges)

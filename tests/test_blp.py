@@ -395,7 +395,7 @@ def test_node_lps_stopped_early_still_give_the_optimum(monkeypatch, max_iter):
     # with c2 near n_triangles, fixing to 0 soon leaves too few triangles
     monkeypatch.setattr(simplex_lp, "_MAX_ITER", max_iter)
     # such a node may have no free triangle far from integral; the choice
-    # falls back to the most fractional one, and must still be free
+    # falls back to the cheapest free one, and must still be free
     fallbacks = []
     choose = blp._branch_triangle
 
@@ -450,15 +450,16 @@ def test_branching_picks_the_cheapest_fractional_free_triangle():
 
 def test_branching_without_a_fractional_triangle_picks_a_free_one():
     tol = blp._INT_TOL
-    cost = np.array([0.1, 0.2, 0.3, 0.4])
+    cost = np.array([0.1, 0.3, 0.2, 0.2])
     # all free triangles near integral: decided once the LP has finished,
-    # else the most fractional free triangle, lowest index first
-    x2 = np.array([0.5, tol / 4, tol / 2, tol / 2])
+    # else the cheapest free triangle, lowest index among equal costs;
+    # triangle 0 is cheaper still but fixed
+    x2 = np.array([0.5, tol / 4, tol / 2, 1 - tol / 2])
     fixed = np.array([1, -1, -1, -1], dtype=np.int8)
     assert blp._branch_triangle(x2, fixed, cost, True) is None
     assert blp._branch_triangle(x2, fixed, cost, False) == 2
     x2 = np.zeros(4)  # every free triangle exactly integral
-    assert blp._branch_triangle(x2, fixed, cost, False) in (1, 2, 3)
+    assert blp._branch_triangle(x2, fixed, cost, False) == 2
     fixed[:] = 0  # nothing free: decided whatever the LP did
     assert blp._branch_triangle(x2, fixed, cost, False) is None
 
