@@ -26,9 +26,11 @@ a row are half of all triangles, the pool takes every row at once.
 at the end.  Each node
 is one ``solve_lp`` call: it starts from the parent's final basis,
 extended to the rows pooled since then (``_RowPool.extend``); the LP adds
-the rows its optimum violates through the pool's ``separate``, which
-extends that round's result the same way, and goes on pivoting from it in
-place, with no per-round rebuild of its dual-simplex state; and it stops
+the rows violated at the point it carries, once that point looks optimal,
+through the pool's ``separate`` (passed only while the pool lacks rows),
+which extends that round's result the same way, and goes on pivoting from
+it in place, with no per-round rebuild or recomputation of its
+dual-simplex state; and it stops
 with status ``"cutoff"`` as soon as its dual objective reaches the
 incumbent's, which prunes the node.  ``_MAX_ITER`` of
 :mod:`sctopo.simplex_lp` caps the pivots of one node.  It branches on
@@ -238,8 +240,9 @@ def _solve_node(pool, c, fixed, warm, cutoff=inf):
     keep ``[0, 1]``.  ``warm`` is an earlier :class:`LpResult`, solved
     under looser or equal bounds, or None for a cold start; ``pool.extend``
     brings it to the rows pooled since.  ``pool.separate`` adds the rows
-    violated at each optimum below ``cutoff``.  An ``"infeasible"`` LP is a
-    numerical failure and raises ``AssertionError``.
+    violated where the LP looks optimal below ``cutoff``; a complete pool
+    passes none, so its LPs stop with no call to it.  An ``"infeasible"``
+    LP is a numerical failure and raises ``AssertionError``.
     """
     lower = np.zeros(pool.n)
     upper = np.ones(pool.n)
@@ -247,7 +250,7 @@ def _solve_node(pool, c, fixed, warm, cutoff=inf):
     upper[pool.n1 :] = fixed != 0
     res = solve_lp(c, pool.A, pool.b[: pool.m], lower, upper,
                    warm=pool.extend(warm), cutoff=cutoff,
-                   separate=pool.separate)
+                   separate=pool.separate if pool.m < pool.full else None)
     if res.status == "infeasible":
         raise AssertionError("LP infeasible at a node feasible by count")
     return res

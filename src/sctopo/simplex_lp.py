@@ -17,9 +17,10 @@ each.  The solver is written for the branch-and-bound use case:
   So a warm start may only tighten the bounds it was solved under; one
   that loosens them can be dual infeasible and raises ``ValueError``;
 * appending rows with their slacks basic is also dual feasible, which is
-  what lazy constraint generation needs: at an optimum, the ``separate``
-  callback may return the rows grown with the result extended to them
-  (:func:`extend_binv_for_new_rows`), and the solve goes on from there;
+  what lazy constraint generation needs: at a point that looks optimal,
+  the ``separate`` callback may return the rows grown with the result
+  extended to them (:func:`extend_binv_for_new_rows`), and the solve goes
+  on from there;
 * every iterate of the dual simplex is a valid lower bound on the LP
   optimum, so the solve can stop early and still return a usable bound.
   It stops with status ``"cutoff"`` as soon as that bound reaches the
@@ -27,17 +28,23 @@ each.  The solver is written for the branch-and-bound use case:
   incumbent's objective is pruned whatever its optimum.
 
 Rounds: the rows passed in make the first round, and each separation that
-adds rows starts another, in place.  The call adopts the basis, statuses
-and inverse that ``separate`` returned as they are, without a copy, and
-appends an entry per new row to its per-variable arrays.  The new slacks
-enter basic with dual 0, so no reduced cost moves.  ``xB`` and the
-objective are recomputed from the grown inverse (each row of ``b - A x_N``
-sums its entries in order, so the old rows get the values the stop test
-formed), and the degenerate-run and reinversion counters restart.  So each
-round pivots as a new call warm-started from the returned state would, up
-to rounding: the reduced costs are carried rather than recomputed.
-``_MAX_ITER`` caps the pivots of the whole call, one node of
-:mod:`sctopo.blp`.
+adds rows starts another, in place.  ``separate`` sees the point the
+carried values give as soon as they look optimal, so a round that adds
+rows recomputes nothing from the inverse.  The call adopts the basis,
+statuses and inverse that ``separate`` returned as they are, without a
+copy, and appends an entry per new row to its per-variable and per-row
+arrays.  The new slacks enter basic with dual 0, so no reduced cost moves,
+and neither does an old row's basic value or the objective; each new slack
+takes ``b_i - A_i x`` at the carried point, from its row's own entries.
+The degenerate-run and reinversion counters restart.  So each round
+pivots as a new call warm-started from the returned state would, up to
+rounding: that call would recompute ``xB``, the objective and the reduced
+costs from the inverse, where the round carries them.  Only when
+``separate`` returns None are ``x``, ``xB`` and the objective recomputed
+from the inverse ("fresh" values); the stop test runs again on them, and
+``separate`` once more on the fresh point, before the call returns
+``"optimal"``.  ``_MAX_ITER`` caps the pivots of the whole call, one node
+of :mod:`sctopo.blp`.
 
 State carried across pivots: the basis inverse (a rank-one update in
 place), the basic values ``xB`` (moved along the entering column), the
@@ -46,12 +53,12 @@ reduced costs ``d`` (moved along the pivot row) and the dual objective
 the dual step times the leaving row's violation, and for a long step by
 the piecewise sum over the passed breakpoints, whose slopes drop from the
 violation by each flipped box (Koberstein, *The dual simplex method,
-techniques for a fast and stable implementation*, 2005, ch. 3).  ``xB``
-and the objective are computed from the inverse at the start of each
-round, and ``d`` at the start of the call; all four are recomputed from
-the basis every ``_REFRESH_EVERY`` pivots of a round, which bounds their
-drift; ``xB`` and the objective once more, with the test repeated, before
-a solve reports ``"optimal"`` or ``"cutoff"``.  So a ``"cutoff"`` bound
+techniques for a fast and stable implementation*, 2005, ch. 3).  ``xB``,
+the objective and ``d`` are computed from the inverse at the start of the
+call; all four are recomputed from the basis every ``_REFRESH_EVERY``
+pivots of a round, which bounds their drift; ``xB`` and the objective once
+more, with the test repeated, before a solve reports ``"optimal"`` or
+``"cutoff"``.  So a ``"cutoff"`` bound
 is ``c @ x`` of the returned point and reaches the cutoff.  An inverse
 passed in is used as given, so an inverse carried from call to call is
 refreshed only by a round that runs ``_REFRESH_EVERY`` pivots.
@@ -163,9 +170,14 @@ class SparseRows:
         row[n:] = y
         return row
 
-    def matvec(self, x):
-        """``A @ x``."""
-        return np.bincount(self.rows, x[self.cols] * self.vals, self.shape[0])
+    def matvec(self, x, first=0):
+        """``A @ x``, or its rows from ``first`` on from their entries
+        alone."""
+        rows, cols, vals = self.rows, self.cols, self.vals
+        if first:
+            lo = rows.searchsorted(first)
+            rows, cols, vals = rows[lo:] - first, cols[lo:], vals[lo:]
+        return np.bincount(rows, x[cols] * vals, self.shape[0] - first)
 
     def column(self, q):
         """Rows and values of the nonzero entries of column ``q``, in row
@@ -231,13 +243,18 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     (``lower == upper``) never enter the basis.
 
     The solve stops with status ``"cutoff"`` once the dual objective, a
-    lower bound on the optimum, reaches ``cutoff``.  At an optimum below
-    it, ``separate(res)`` gets that ``"optimal"`` result and returns None
-    when ``res.x`` violates no further row, or ``(A, b, warm)``: the rows
-    of ``A`` followed by new ones, and ``res`` extended to them into new
-    arrays (:func:`extend_binv_for_new_rows`), which the call pivots in
-    place.  A ``warm`` whose basis, statuses or inverse do not match the
-    rows of its ``A`` raises ``ValueError``.
+    lower bound on the optimum, reaches ``cutoff``.  Where the carried
+    values look optimal below it, ``separate(res)`` gets them as an
+    ``"optimal"`` result and returns None when ``res.x`` violates no
+    further row, or ``(A, b, warm)``: the rows of ``A`` followed by new
+    ones, and ``res`` extended to them into new arrays
+    (:func:`extend_binv_for_new_rows`), which the call pivots in place,
+    each new slack at ``b_i - A_i x``.  ``separate=None`` adds no rows.
+    Either status is returned only on values recomputed from the inverse
+    ("fresh") that pass the stop test again, and ``"optimal"`` only once
+    ``separate`` returned None on them as well.  A ``warm`` whose basis,
+    statuses or inverse do not match the rows of its ``A`` raises
+    ``ValueError``.
     """
     c = np.asarray(c, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -284,37 +301,42 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         r = int(viol.argmax())
         viol_r = float(viol[r])  # scalars as Python floats: cheaper arithmetic
         if obj >= cutoff or viol_r <= _FEAS_TOL:
-            if not fresh:
-                # carried values drift; stop only on recomputed ones
-                x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis,
-                                          lower_e, upper_e)
-                fresh = True
-                continue
-            # x is the point the last recomputation gave: no pivot since
-            if obj >= cutoff:
-                return LpResult("cutoff", x[:n], obj, it, basis, vstat, binv)
-            res = LpResult("optimal", x[:n], obj, it, basis, vstat, binv)
-            grown = None if separate is None else separate(res)
+            grown = None
+            if obj < cutoff and separate is not None:
+                # separate at the point the values give, carried or not:
+                # a round that adds rows never recomputes them
+                if not fresh:
+                    x = _nonbasic_values(vstat, basis, lower_e, upper_e)
+                    x[basis] = xB
+                grown = separate(LpResult("optimal", x[:n], obj, it, basis,
+                                          vstat, binv))
             if grown is None:
-                return res
+                if not fresh:
+                    # carried values drift; stop only on recomputed ones
+                    x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis,
+                                              lower_e, upper_e)
+                    fresh = True
+                    continue
+                # x is the point the last recomputation gave: no pivot since
+                status = "cutoff" if obj >= cutoff else "optimal"
+                return LpResult(status, x[:n], obj, it, basis, vstat, binv)
             # continue on the grown rows in place: their slacks enter basic,
             # which keeps the basis dual feasible, and their duals are 0, so
-            # no other reduced cost moves
+            # no reduced cost, other basic value or the objective moves
             A, b, warm = grown
-            del res, grown  # so the last round's inverse can go
             A = SparseRows.of(A)
             b = np.asarray(b, dtype=float)
-            added = A.shape[0] - m
-            m = A.shape[0]
+            old, m = m, A.shape[0]
             basis, vstat, binv = _adopt(warm, n, m, np.asarray)
-            zeros, infs = np.zeros(added), np.full(added, inf)
+            # each new slack is b_i - A_i x, from its row's own entries
+            xB = np.concatenate([xB, b[old:] - A.matvec(x[:n], old)])
+            zeros, infs = np.zeros(m - old), np.full(m - old, inf)
             lower_e, c_e, toward, lower_b, d = (
                 np.concatenate([v, zeros])
                 for v in (lower_e, c_e, toward, lower_b, d))
             upper_e, range_e, upper_b = (
                 np.concatenate([v, infs]) for v in (upper_e, range_e, upper_b))
-            x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
-                                      upper_e)
+            fresh = False
             degen_run = 0
             start = it
             continue

@@ -131,17 +131,16 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
                 grown.append((A, b, replace(ext, basis=ext.basis.copy(),
                                             vstat=ext.vstat.copy(),
                                             binv=ext.binv.copy())))
-            else:
-                grown.append(None)
             return out
 
-        res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
-                                  cutoff=cutoff, separate=recording_separate)
+        res = simplex_lp.solve_lp(
+            c, A, b, lower, upper, warm=warm, cutoff=cutoff,
+            separate=separate and recording_separate)
         # replaying the call one round at a time gives each round's pivots
         counting[0] = False
         replay = iter(grown)
-        again, rounds = _explicit_rounds(lambda res: next(replay), c, A, b,
-                                         lower, upper, warm, cutoff)
+        again, rounds = _explicit_rounds(lambda res: next(replay, None), c, A,
+                                         b, lower, upper, warm, cutoff)
         counting[0] = True
         assert sum(rounds) == res.iterations
         np.testing.assert_array_equal(again.x, res.x)
@@ -198,7 +197,7 @@ def test_warm_states_are_unchanged_by_calls_that_separate(monkeypatch):
         if warm is not None:
             entered.append((warm, _state(warm)))
         return simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
-                                   cutoff=cutoff, separate=counted)
+                                   cutoff=cutoff, separate=separate and counted)
 
     def recording_push(heap, item):
         pushed.append((item[-1], _state(item[-1])))
@@ -263,7 +262,7 @@ def test_rows_are_extended_by_the_pool_alone(monkeypatch):
 
 def test_separation_inside_the_lp_matches_the_explicit_loop():
     rng = np.random.default_rng(23)
-    rounds = 0
+    rounds = other_paths = pivots_in = pivots_out = 0
     for _ in range(30):
         cx = build_candidate_complex(int(rng.integers(5, 8)))
         costs = _random_costs(rng, cx)
@@ -279,13 +278,32 @@ def test_separation_inside_the_lp_matches_the_explicit_loop():
                                   separate=inside.separate)
         want, pivots = _explicit_rounds(outside.separate, c, outside.A,
                                         outside.b[:2], lower, upper)
-        assert got.status == want.status == "optimal"
-        np.testing.assert_array_equal(got.x, want.x)
-        assert got.bound == pytest.approx(want.bound, rel=1e-12, abs=1e-12)
-        assert got.iterations == sum(pivots)
-        assert inside.m == outside.m
+        _assert_same_rounds(got, inside, want, outside)
+        pivots_in += got.iterations
+        pivots_out += sum(pivots)
+        other_paths += got.iterations != sum(pivots)
         rounds += len(pivots)
     assert rounds > 60  # most LPs separate rows more than once
+    # these LPs are degenerate: rows violated by 1 or 0.5 can tie up to
+    # rounding, and the carried values then pick another leaving row than
+    # recomputed ones.  Three of the 30 take another path, 1-2 pivots
+    # shorter.
+    assert other_paths <= 3
+    assert pivots_in == pytest.approx(pivots_out, rel=0.01)
+
+
+def _assert_same_rounds(got, inside, want, outside):
+    """One LP that separates in place against a new warm call per round.
+
+    The in-place LP separates at its carried point and keeps the old
+    rows' carried values across a round, where each new call recomputes
+    them from the inverse, so the two agree up to rounding: the same rows
+    in the same order, the same status and the same point.
+    """
+    assert _inclusion_rows(inside) == _inclusion_rows(outside)
+    assert got.status == want.status == "optimal"
+    np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-12)
+    assert got.bound == pytest.approx(want.bound, rel=1e-12, abs=1e-12)
 
 
 def _coauthorship_instance(seed):
@@ -305,8 +323,8 @@ def _coauthorship_instance(seed):
 @pytest.mark.parametrize("refresh_every", [200, 7])  # 200: the default
 def test_many_separation_rounds_match_the_explicit_loop(monkeypatch,
                                                         refresh_every):
-    # one LP that goes on in place across many separations pivots exactly
-    # as a new warm call per round
+    # one LP that goes on in place across many separations pivots as a new
+    # warm call per round does
     monkeypatch.setattr(simplex_lp, "_REFRESH_EVERY", refresh_every)
     inst = _coauthorship_instance(seed=3)
     c = np.concatenate([inst.h1, inst.h2])
@@ -318,13 +336,82 @@ def test_many_separation_rounds_match_the_explicit_loop(monkeypatch,
     want, pivots = _explicit_rounds(outside.separate, c, outside.A,
                                     outside.b[:2], lower, upper)
     assert len(pivots) > 10  # the root separates rows at least 10 times
-    assert got.status == want.status == "optimal"
-    np.testing.assert_array_equal(got.x, want.x)
-    assert got.bound == want.bound
+    _assert_same_rounds(got, inside, want, outside)
     assert got.iterations == sum(pivots)
-    assert inside.m == outside.m
     if refresh_every == 7:
         assert max(pivots) > 7  # a round reinverts
+
+
+def test_each_round_continues_from_the_basic_point_of_its_grown_basis(
+        monkeypatch):
+    # a round that adds rows recomputes nothing: the LP keeps its carried
+    # values on the old rows and gives each new slack b_i - A_i x at the
+    # carried point.  That is sound when the grown inverse inverts the
+    # grown basis and its basic point, from the carried nonbasic values,
+    # is that state again
+    seen = dict(rounds=0, warm_rounds=0, warm_calls_with_rounds=0)
+
+    def assert_continues(res, A, b, warm, lower, upper):
+        D = _dense(A)
+        m, n = D.shape
+        old = res.basis.size
+        np.testing.assert_allclose(warm.binv @ _basis_matrix(D, warm.basis),
+                                   np.eye(m), atol=1e-8)
+        x_nb = np.where(warm.vstat == simplex_lp.NB_UPPER,
+                        np.concatenate([upper, np.full(m, np.inf)]),
+                        np.concatenate([lower, np.zeros(m)]))
+        x_nb[warm.basis] = 0.0
+        xB = warm.binv @ (b - D @ x_nb[:n] - x_nb[n:])
+        structural = res.basis < n
+        np.testing.assert_allclose(xB[:old][structural],
+                                   res.x[res.basis[structural]], atol=1e-8)
+        np.testing.assert_allclose(xB[old:], b[old:] - D[old:] @ res.x,
+                                   atol=1e-8)
+
+    def checked(c, A, b, lower, upper, warm=None, cutoff=np.inf,
+                separate=None):
+        rounds = [0]
+        grown_at = [-1]
+
+        def checked_separate(res):
+            # a round's new rows include violated ones, and the LP sees
+            # them in the values it carries: it pivots before it separates
+            # again, with no recomputation to find them
+            assert res.iterations > grown_at[0]
+            out = separate(res)
+            if out is not None:
+                assert_continues(res, *out, lower, upper)
+                rounds[0] += 1
+                grown_at[0] = res.iterations
+            return out
+
+        res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
+                                  cutoff=cutoff,
+                                  separate=separate and checked_separate)
+        seen["rounds"] += rounds[0]
+        if warm is not None:
+            seen["warm_rounds"] += rounds[0]
+            seen["warm_calls_with_rounds"] += rounds[0] > 1
+        return res
+
+    monkeypatch.setattr(blp, "solve_lp", checked)
+    solve(_coauthorship_instance(seed=3))  # a real-mode root
+    assert seen["rounds"] > 10
+    cx = build_candidate_complex(6)
+    for i in range(16):  # branch benchmark roots; their pools complete
+        costs = _near_uniform_costs(np.random.default_rng([0, i]), cx)
+        assert solve(build_joint_instance(cx, costs, 6, 4)).status == "optimal"
+    assert seen["warm_rounds"] == 0
+    # noisy trees whose children separate rows over several rounds
+    for prior, seed in (("similarity", 6), ("low_curl", 8)):
+        bundle = make_bundle(SynthConfig(n0=15, seed=seed, edge_prior=prior,
+                                         noise_sigma=0.5))
+        big = build_candidate_complex(15)
+        costs = compute_costs(big, bundle.x0, bundle.x1bar,
+                              PRIOR_TO_KIND[prior])
+        solve(build_joint_instance(big, costs, bundle.truth.n_selected_edges,
+                                   bundle.truth.n_selected_triangles))
+    assert seen["warm_rounds"] >= 5 and seen["warm_calls_with_rounds"] >= 2
 
 
 def test_lp_work_on_branching_and_trend_instances_is_pinned(monkeypatch):
@@ -340,7 +427,8 @@ def test_lp_work_on_branching_and_trend_instances_is_pinned(monkeypatch):
 
         totals["calls"] += 1
         res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
-                                  cutoff=cutoff, separate=counted_separate)
+                                  cutoff=cutoff,
+                                  separate=separate and counted_separate)
         totals["pivots"] += res.iterations
         return res
 
@@ -358,7 +446,13 @@ def test_lp_work_on_branching_and_trend_instances_is_pinned(monkeypatch):
         totals["nodes"] += solve(build_joint_instance(
             big, costs, bundle.truth.n_selected_edges,
             bundle.truth.n_selected_triangles)).nodes_explored
-    assert totals == dict(calls=201, pivots=2402, separations=293, nodes=201)
+    # separations counts calls of separate: none once the pool is complete
+    # (most children), else one at the carried optimum of each round and a
+    # last one at the recomputed point.  Pivots moved 2402 -> 2433 when a
+    # round stopped recomputing its basic values: rounding-level ties in
+    # the leaving row break the other way on a few of the 32 trees (over
+    # all 256 branch instances at seed 0, pivots went 18,583 -> 18,523)
+    assert totals == dict(calls=201, pivots=2433, separations=203, nodes=201)
 
 
 def test_cutoff_stops_each_node_lp_at_a_valid_bound():
