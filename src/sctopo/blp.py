@@ -30,9 +30,8 @@ the rows violated at the point it carries, once that point looks optimal,
 through the pool's ``separate`` (passed only while the pool lacks rows),
 which extends that round's result the same way, and goes on pivoting from
 it in place, with no per-round rebuild or recomputation of its
-dual-simplex state; and it stops
-with status ``"cutoff"`` as soon as its dual objective reaches the
-incumbent's, which prunes the node.  ``_MAX_ITER`` of
+dual-simplex state; and it stops with status ``"cutoff"`` as soon as its
+dual objective reaches the incumbent's, which prunes the node.  ``_MAX_ITER`` of
 :mod:`sctopo.simplex_lp` caps the pivots of one node.  It branches on
 the cheapest free triangle that the node's LP leaves fractional, the
 lowest index among equal costs (``_branch_triangle``), and on triangles

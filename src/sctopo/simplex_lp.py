@@ -58,10 +58,10 @@ the objective and ``d`` are computed from the inverse at the start of the
 call; all four are recomputed from the basis every ``_REFRESH_EVERY``
 pivots of a round, which bounds their drift; ``xB`` and the objective once
 more, with the test repeated, before a solve reports ``"optimal"`` or
-``"cutoff"``.  So a ``"cutoff"`` bound
-is ``c @ x`` of the returned point and reaches the cutoff.  An inverse
-passed in is used as given, so an inverse carried from call to call is
-refreshed only by a round that runs ``_REFRESH_EVERY`` pivots.
+``"cutoff"``.  So a ``"cutoff"`` bound is ``c @ x`` of the returned point
+and reaches the cutoff.  An inverse passed in is used as given, so an
+inverse carried from call to call is refreshed only by a round that runs
+``_REFRESH_EVERY`` pivots.
 
 Hypersparse update: the entering column of the joint program is nonzero
 in a few rows (2-6 of 40-250 at ``n0 >= 15``), and the rank-one update
@@ -336,7 +336,7 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
                 for v in (lower_e, c_e, toward, lower_b, d))
             upper_e, range_e, upper_b = (
                 np.concatenate([v, infs]) for v in (upper_e, range_e, upper_b))
-            fresh = False
+            fresh = False  # the new rows' values come from x, not binv
             degen_run = 0
             start = it
             continue

@@ -1003,6 +1003,8 @@ def _assert_products_match_dense(A, D, rng):
     x = rng.integers(-3, 4, size=n).astype(float)
     np.testing.assert_array_equal(A.pivot_row(y), np.concatenate([y @ D, y]))
     np.testing.assert_array_equal(A.matvec(x), D @ x)
+    for first in range(m + 1):  # the last rows alone, as a round sets them
+        np.testing.assert_array_equal(A.matvec(x, first), D[first:] @ x)
     for q in range(n):
         rows, vals = A.column(q)
         np.testing.assert_array_equal(rows, np.flatnonzero(D[:, q]))

@@ -3,10 +3,10 @@
 The oracle enumerates only up to ``n0 = 7``, and noise-free synthetic
 realizations are decided at the root.  Noise makes trees: these are the
 realizations of ``n0`` 10/15/20, noise 0.5/1, both priors and seeds 0-9
-whose ``solve`` branches (3 to 11 nodes), minus the ``n0 = 20`` ones
-that HiGHS takes longest on.  Each objective is checked against scipy's
-HiGHS ``milp`` on the full row set, a solver that shares no code with
-``solve``.
+whose ``solve`` branches (3 to 11 nodes), with only one of the six at
+``n0 = 20``, where HiGHS takes 0.3-0.5 s each, to keep the test near 2 s.
+Each objective is checked against scipy's HiGHS ``milp`` on the full row
+set, a solver that shares no code with ``solve``.
 """
 
 import numpy as np
