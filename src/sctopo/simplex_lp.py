@@ -170,14 +170,9 @@ class SparseRows:
         row[n:] = y
         return row
 
-    def matvec(self, x, first=0):
-        """``A @ x``, or its rows from ``first`` on from their entries
-        alone."""
-        rows, cols, vals = self.rows, self.cols, self.vals
-        if first:
-            lo = rows.searchsorted(first)
-            rows, cols, vals = rows[lo:] - first, cols[lo:], vals[lo:]
-        return np.bincount(rows, x[cols] * vals, self.shape[0] - first)
+    def matvec(self, x):
+        """``A @ x``."""
+        return np.bincount(self.rows, x[self.cols] * self.vals, self.shape[0])
 
     def column(self, q):
         """Rows and values of the nonzero entries of column ``q``, in row
@@ -328,8 +323,8 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             b = np.asarray(b, dtype=float)
             old, m = m, A.shape[0]
             basis, vstat, binv = _adopt(warm, n, m, np.asarray)
-            # each new slack is b_i - A_i x, from its row's own entries
-            xB = np.concatenate([xB, b[old:] - A.matvec(x[:n], old)])
+            # each new slack is b_i - A_i x at the carried point
+            xB = np.concatenate([xB, b[old:] - A.matvec(x[:n])[old:]])
             zeros, infs = np.zeros(m - old), np.full(m - old, inf)
             lower_e, c_e, toward, lower_b, d = (
                 np.concatenate([v, zeros])
