@@ -23,13 +23,13 @@ pools at ``n0 >= 10`` end with a few percent.  Small trees (``n0 = 6``) would
 pool most rows anyway, one round at a time, so once the triangles with
 a row are half of all triangles, the pool takes every row at once.
 ``BlpSolution`` reports the rounds that pooled rows and the rows pooled
-at the end.  Each node
-is one ``solve_lp`` call: it starts from the parent's final basis,
-extended to the rows pooled since then (``_RowPool.extend``); the LP adds
-the rows violated at the point it carries, once that point looks optimal,
-through the pool's ``separate`` (passed only while the pool lacks rows),
-which extends that round's result the same way, and goes on pivoting from
-it in place, with no per-round rebuild or recomputation of its
+at the end.  Each node is one ``solve_lp`` call, made by ``_solve_node``,
+the one door between the search and the LP engine: it starts from the
+parent's final basis, extended to the rows pooled since then
+(``_RowPool.extend``); the LP adds the rows violated at the point it
+carries, once that point looks optimal, through the pool's ``separate``,
+which extends that round's result the same way, and goes on pivoting
+from it in place, with no per-round rebuild or recomputation of its
 dual-simplex state; and it stops with status ``"cutoff"`` as soon as its
 dual objective reaches the incumbent's, which prunes the node.  ``_MAX_ITER`` of
 :mod:`sctopo.simplex_lp` caps the pivots of one node.  It branches on
@@ -59,7 +59,8 @@ from math import comb, inf
 
 import numpy as np
 
-from .complexes import Selection, build_candidate_complex, candidate_n0, cheapest
+from .complexes import (Selection, build_candidate_complex, candidate_n0,
+                        check_count, cheapest)
 from .simplex_lp import SparseRows, extend_binv_for_new_rows, solve_lp
 
 DEFAULT_NODE_LIMIT = 10_000_000  # branch-and-bound nodes before "node_limit"
@@ -97,14 +98,6 @@ class BlpSolution:
     wall_time: float
     separations: int = 0  # rounds that pooled inclusion rows
     pool_rows: int = 0  # rows pooled at the end, the two floors included
-
-
-def check_count(value, what, stop=inf):
-    """``value`` as an int; ``ValueError`` unless an integer (not a bool) in [0, stop)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or not 0 <= value < stop):
-        raise ValueError(f"{what} must be an integer in [0, {stop}); got {value!r}")
-    return int(value)
 
 
 def _check_floors(c1, c2):
@@ -235,13 +228,14 @@ def _feasible(instance, fixed):
 def _solve_node(pool, c, fixed, warm, cutoff=inf):
     """The LP of a node feasible by count; the pool grows by its violated rows.
 
-    ``fixed`` is int8 over the triangles (-1 free, else 0 or 1); edges
-    keep ``[0, 1]``.  ``warm`` is an earlier :class:`LpResult`, solved
-    under looser or equal bounds, or None for a cold start; ``pool.extend``
-    brings it to the rows pooled since.  ``pool.separate`` adds the rows
-    violated where the LP looks optimal below ``cutoff``; a complete pool
-    passes none, so its LPs stop with no call to it.  An ``"infeasible"``
-    LP is a numerical failure and raises ``AssertionError``.
+    The one door between the search and the LP engine.  ``fixed`` is int8
+    over the triangles (-1 free, else 0 or 1); edges keep ``[0, 1]``.
+    ``warm`` is an earlier :class:`LpResult`, solved under looser or equal
+    bounds, or None for a cold start; ``pool.extend`` brings it to the rows
+    pooled since.  ``pool.separate`` adds the rows violated where the LP
+    looks optimal below ``cutoff``; a complete pool returns None at once.
+    An ``"infeasible"`` LP is a numerical failure and raises
+    ``AssertionError``.
     """
     lower = np.zeros(pool.n)
     upper = np.ones(pool.n)
@@ -249,7 +243,7 @@ def _solve_node(pool, c, fixed, warm, cutoff=inf):
     upper[pool.n1 :] = fixed != 0
     res = solve_lp(c, pool.A, pool.b[: pool.m], lower, upper,
                    warm=pool.extend(warm), cutoff=cutoff,
-                   separate=pool.separate if pool.m < pool.full else None)
+                   separate=pool.separate)
     if res.status == "infeasible":
         raise AssertionError("LP infeasible at a node feasible by count")
     return res

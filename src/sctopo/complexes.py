@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, isqrt
+from math import comb, inf, isqrt
 
 import numpy as np
 
@@ -237,6 +237,14 @@ class Selection:
 
     def same_as(self, other):
         return np.array_equal(self.s1, other.s1) and np.array_equal(self.s2, other.s2)
+
+
+def check_count(value, what, stop=inf):
+    """``value`` as an int; ``ValueError`` unless an integer (not a bool) in [0, stop)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not 0 <= value < stop):
+        raise ValueError(f"{what} must be an integer in [0, {stop}); got {value!r}")
+    return int(value)
 
 
 def cheapest(count, values, exclude=None):

@@ -26,6 +26,7 @@ import numpy as np
 from .complexes import (
     Selection,
     build_candidate_complex,
+    check_count,
     feasible_triangles,
     laplacian_node,
     laplacian_upper_edge,
@@ -55,6 +56,9 @@ class SynthConfig:
     edge_prior: str = "low_curl"
 
     def __post_init__(self):
+        # plain ints: a float or bool seed would draw another seed's truth
+        for key in ("n0", "f0", "f1", "seed"):
+            object.__setattr__(self, key, check_count(getattr(self, key), key))
         if self.n0 < 3:
             raise ValueError("n0 must be at least 3")
         if not 0.0 < self.er_p <= 1.0:
@@ -68,8 +72,6 @@ class SynthConfig:
         if not (isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and nonnegative; "
                              f"got {self.noise_sigma}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
         if self.edge_prior not in EDGE_PRIORS:
             raise ValueError(f"edge_prior must be one of {EDGE_PRIORS}")
 

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .blp import DEFAULT_NODE_LIMIT, check_count
-from .complexes import build_candidate_complex, validate_inclusion
+from .blp import DEFAULT_NODE_LIMIT
+from .complexes import build_candidate_complex, check_count, validate_inclusion
 from .datagen import SynthConfig, fields_from_json, make_bundle, stage_rng
 from .datasets import load_real_dataset, subsample_dataset
 from .learners import (GREEDY_INITS, learn_greedy, learn_hierarchical,
@@ -82,8 +82,9 @@ class ExperimentConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative; got {self.gamma}")
+        if self.gamma is not None and not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and nonnegative; "
+                             f"got {self.gamma}")
         if self.greedy_init not in GREEDY_INITS:
             raise ValueError(f"unknown greedy_init {self.greedy_init!r}")
 

@@ -130,8 +130,8 @@ def learn_greedy(cx, costs, c1, c2, gamma=None, max_iter=20, init="ones"):
     if gamma is None:
         gamma = default_gamma(costs)
     gamma = float(gamma)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < np.inf:  # also false for nan
+        raise ValueError(f"gamma must be finite and nonnegative; got {gamma}")
 
     h1, h2 = costs.h1, costs.h2
     n1, n2 = cx.n_edges, cx.n_triangles

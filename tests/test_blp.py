@@ -1,6 +1,5 @@
 """Branch-and-bound solver vs. the enumeration oracle, plus instance I/O."""
 
-import heapq
 import itertools
 from dataclasses import replace
 from types import SimpleNamespace
@@ -87,6 +86,68 @@ def _explicit_rounds(separate, c, A, b, lower, upper, warm=None,
         A, b, warm = grown
 
 
+def _state(res):
+    """The bytes of a result's basis, statuses and inverse."""
+    return [(v.dtype, v.tobytes()) for v in (res.basis, res.vstat, res.binv)]
+
+
+def _watch_door(monkeypatch):
+    """Record each call of ``blp._solve_node``, the one door between the
+    search and the LP, and the ``pool.separate`` calls made during it.
+
+    Per call: the door's arguments, what it hands ``solve_lp`` (``start``
+    is ``warm`` extended to the rows), ``rounds`` (per separate call, its
+    argument and what it returned, with the grown state copied before the
+    LP pivots on it), and ``res`` with its ``x`` and ``state`` at return.
+    """
+    calls = []
+    door = blp._solve_node
+
+    def watched(pool, c, fixed, warm, cutoff=np.inf):
+        call = SimpleNamespace(
+            c=c, fixed=fixed.copy(), warm=warm, cutoff=cutoff, A=pool.A,
+            b=pool.b[:pool.m], lower=np.r_[np.zeros(pool.n1), fixed == 1],
+            upper=np.r_[np.ones(pool.n1), fixed != 0],
+            start=pool.extend(warm), rounds=[])
+        calls.append(call)
+        separate = pool.separate
+
+        def recorded(res):
+            out = kept = separate(res)
+            if out is not None:
+                A, b, ext = out
+                kept = A, b, replace(ext, basis=ext.basis.copy(),
+                                     vstat=ext.vstat.copy(),
+                                     binv=ext.binv.copy())
+            call.rounds.append((res, kept))
+            return out
+
+        pool.separate = recorded
+        try:
+            call.res = door(pool, c, fixed, warm, cutoff)
+        finally:
+            del pool.separate
+        call.x, call.state = call.res.x, _state(call.res)
+        return call.res
+
+    monkeypatch.setattr(blp, "_solve_node", watched)
+    return calls
+
+
+def _assert_children_start_from_their_parents_result(calls):
+    """Each warm node LP gets an earlier node LP's own result, not a copy,
+    one fixing of a free triangle away; both children of some parent ran,
+    from that one object."""
+    parents = {id(call.res): call for call in calls}
+    warm = [id(call.warm) for call in calls if call.warm is not None]
+    for call in calls:
+        if call.warm is not None:
+            parent = parents[id(call.warm)]
+            (j,) = np.flatnonzero(call.fixed != parent.fixed)
+            assert parent.fixed[j] < 0 and call.warm.binv is not None
+    assert max(map(warm.count, warm)) == 2
+
+
 @pytest.mark.parametrize("refresh_every", [7, 200])  # 200: the default
 def test_children_start_from_the_parents_basis_inverse(monkeypatch,
                                                        refresh_every):
@@ -95,70 +156,41 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
     inst = build_joint_instance(cx, _near_uniform_costs(rng, cx), 6, 3)
     want = solve(inst)
     monkeypatch.setattr(simplex_lp, "_REFRESH_EVERY", refresh_every)
-
     build_basis = simplex_lp.build_basis_matrix
     built = []
-    counting = [True]
-    pivots = []  # of each separation round
-    pushed = []
 
     def counting_build(A, basis):
-        if counting[0]:
-            built.append(basis.size)
+        built.append(basis.size)
         return build_basis(A, basis)
 
     def assert_inverts(A, warm):
         np.testing.assert_allclose(warm.binv @ build_basis(A, warm.basis),
                                    np.eye(A.shape[0]), atol=1e-8)
 
-    def checked_solve_lp(c, A, b, lower, upper, warm=None, cutoff=np.inf,
-                         separate=None):
-        if warm is not None:
-            # a warm LP gets the inverse of its basis, carried rather than
-            # rebuilt, with the rows pooled since the parent's LP folded in
-            assert warm.binv is not None
-            assert_inverts(A, warm)
-        grown = []
-
-        def recording_separate(res):
-            out = separate(res)
-            if out is not None:
-                # so does each round that a separation starts
-                assert_inverts(out[0], out[2])
-                # the LP pivots on the state it is handed, so the replay
-                # below gets a copy
-                A, b, ext = out
-                grown.append((A, b, replace(ext, basis=ext.basis.copy(),
-                                            vstat=ext.vstat.copy(),
-                                            binv=ext.binv.copy())))
-            return out
-
-        res = simplex_lp.solve_lp(
-            c, A, b, lower, upper, warm=warm, cutoff=cutoff,
-            separate=separate and recording_separate)
-        # replaying the call one round at a time gives each round's pivots
-        counting[0] = False
-        replay = iter(grown)
-        again, rounds = _explicit_rounds(lambda res: next(replay, None), c, A,
-                                         b, lower, upper, warm, cutoff)
-        counting[0] = True
-        assert sum(rounds) == res.iterations
-        np.testing.assert_array_equal(again.x, res.x)
-        pivots.extend(rounds)
-        return res
-
-    def recording_push(heap, item):
-        pushed.append(item)
-        heapq.heappush(heap, item)
-
+    calls = _watch_door(monkeypatch)
     monkeypatch.setattr(simplex_lp, "build_basis_matrix", counting_build)
-    monkeypatch.setattr(blp, "solve_lp", checked_solve_lp)
-    monkeypatch.setattr(blp, "heapq", SimpleNamespace(
-        heappush=recording_push, heappop=heapq.heappop))
     got = solve(inst)
+    monkeypatch.setattr(simplex_lp, "build_basis_matrix", build_basis)
 
     assert got.objective == pytest.approx(want.objective, rel=1e-12)
     assert got.selection.same_as(want.selection)
+    pivots = []  # of each separation round
+    for call in calls:
+        if call.warm is not None:
+            # a warm LP gets the inverse of its basis, carried rather than
+            # rebuilt, with the rows pooled since the parent's LP folded in
+            assert_inverts(call.A, call.start)
+        grown = [out for _, out in call.rounds if out is not None]
+        for A, _, ext in grown:  # so does each round a separation starts
+            assert_inverts(A, ext)
+        # replaying the call one round at a time gives each round's pivots
+        replay = iter(grown)
+        again, rounds = _explicit_rounds(
+            lambda res: next(replay, None), call.c, call.A, call.b,
+            call.lower, call.upper, call.start, call.cutoff)
+        assert sum(rounds) == call.res.iterations
+        np.testing.assert_array_equal(again.x, call.x)
+        pivots.extend(rounds)
     # the basis is rebuilt only at the periodic reinversions, counted from
     # the start of each separation round
     assert len(built) == sum(it // refresh_every for it in pivots)
@@ -167,67 +199,30 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
         assert built == []
     else:
         assert built  # the reinversion path ran
-    # siblings are pushed in pairs and share their parent's one LP result
-    assert pushed and len(pushed) % 2 == 0
-    for down, up in zip(pushed[::2], pushed[1::2]):
-        assert down[-1] is up[-1]
-        assert down[-1].binv is not None
-
-
-def _state(res):
-    """The bytes of a result's basis, statuses and inverse."""
-    return [(v.dtype, v.tobytes()) for v in (res.basis, res.vstat, res.binv)]
+    _assert_children_start_from_their_parents_result(calls)
 
 
 def test_warm_states_are_unchanged_by_calls_that_separate(monkeypatch):
     # a separation round pivots in place on the state that separation
-    # grew, never on the warm state the call was given: neither the one
-    # passed in nor the parent result that both siblings share changes
-    entered = []  # (warm passed in, its state at entry), per call
-    pushed = []  # (parent result, its state at the push), per sibling
-    rounds = [0]
-
-    def checked(c, A, b, lower, upper, warm=None, cutoff=np.inf,
-                separate=None):
-        def counted(res):
-            grown = separate(res)
-            rounds[0] += grown is not None
-            return grown
-
-        if warm is not None:
-            entered.append((warm, _state(warm)))
-        return simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
-                                   cutoff=cutoff, separate=separate and counted)
-
-    def recording_push(heap, item):
-        pushed.append((item[-1], _state(item[-1])))
-        heapq.heappush(heap, item)
-
-    monkeypatch.setattr(blp, "solve_lp", checked)
-    monkeypatch.setattr(blp, "heapq", SimpleNamespace(
-        heappush=recording_push, heappop=heapq.heappop))
+    # grew, never on the warm state the call was given: the parent result
+    # that both siblings share is unchanged through their LPs
+    calls = _watch_door(monkeypatch)
     cx = build_candidate_complex(7)
     for i in range(6):
         costs = _near_uniform_costs(np.random.default_rng([7, i]), cx)
         want = oracle_enumerate(cx, costs, 6, 3)
         got = solve(build_joint_instance(cx, costs, 6, 3))
         assert got.selection.same_as(want.selection)
-    assert rounds[0] > 20 and len(entered) > 20 and len(pushed) > 20
-    for warm, state in entered + pushed:
-        assert _state(warm) == state
-    # both siblings of each pair started from the one shared parent result
-    assert all(down is up for (down, _), (up, _) in zip(pushed[::2],
-                                                         pushed[1::2]))
+    rounds = sum(out is not None for call in calls for _, out in call.rounds)
+    warm = [call for call in calls if call.warm is not None]
+    assert rounds > 20 and len(warm) > 20
+    for call in calls:
+        assert _state(call.res) == call.state
+    _assert_children_start_from_their_parents_result(calls)
 
 
 def test_each_node_makes_one_lp_call(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["cutoff"])
-        return simplex_lp.solve_lp(*args, **kwargs)
-
-    monkeypatch.setattr(blp, "solve_lp", counted)
+    calls = _watch_door(monkeypatch)
     rng = np.random.default_rng(12)
     cx = build_candidate_complex(6)
     for c1, c2 in ((6, 3), (6, 4), (9, 5)):
@@ -237,8 +232,9 @@ def test_each_node_makes_one_lp_call(monkeypatch):
         assert got.status == "optimal"
         assert got.nodes_explored > 1
         assert len(calls) == got.nodes_explored
-        assert calls[0] == np.inf  # no incumbent before the root
-        assert min(calls) < np.inf  # later nodes stop at the incumbent
+        assert calls[0].cutoff == np.inf  # no incumbent before the root
+        # later nodes stop at the incumbent
+        assert min(call.cutoff for call in calls) < np.inf
 
 
 def test_rows_are_extended_by_the_pool_alone(monkeypatch):
@@ -351,8 +347,6 @@ def test_each_round_continues_from_the_basic_point_of_its_grown_basis(
     # carried point.  That is sound when the grown inverse inverts the
     # grown basis and its basic point, from the carried nonbasic values,
     # is that state again
-    seen = dict(rounds=0, warm_rounds=0, warm_calls_with_rounds=0)
-
     def assert_continues(res, A, b, warm, lower, upper):
         D = _dense(A)
         m, n = D.shape
@@ -370,40 +364,17 @@ def test_each_round_continues_from_the_basic_point_of_its_grown_basis(
         np.testing.assert_allclose(xB[old:], b[old:] - D[old:] @ res.x,
                                    atol=1e-8)
 
-    def checked(c, A, b, lower, upper, warm=None, cutoff=np.inf,
-                separate=None):
-        rounds = [0]
-        grown_at = [-1]
+    def grown(call):
+        return sum(out is not None for _, out in call.rounds)
 
-        def checked_separate(res):
-            # a round's new rows include violated ones, and the LP sees
-            # them in the values it carries: it pivots before it separates
-            # again, with no recomputation to find them
-            assert res.iterations > grown_at[0]
-            out = separate(res)
-            if out is not None:
-                assert_continues(res, *out, lower, upper)
-                rounds[0] += 1
-                grown_at[0] = res.iterations
-            return out
-
-        res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
-                                  cutoff=cutoff,
-                                  separate=separate and checked_separate)
-        seen["rounds"] += rounds[0]
-        if warm is not None:
-            seen["warm_rounds"] += rounds[0]
-            seen["warm_calls_with_rounds"] += rounds[0] > 1
-        return res
-
-    monkeypatch.setattr(blp, "solve_lp", checked)
+    calls = _watch_door(monkeypatch)
     solve(_coauthorship_instance(seed=3))  # a real-mode root
-    assert seen["rounds"] > 10
+    assert sum(map(grown, calls)) > 10
     cx = build_candidate_complex(6)
     for i in range(16):  # branch benchmark roots; their pools complete
         costs = _near_uniform_costs(np.random.default_rng([0, i]), cx)
         assert solve(build_joint_instance(cx, costs, 6, 4)).status == "optimal"
-    assert seen["warm_rounds"] == 0
+    assert not any(grown(call) for call in calls if call.warm is not None)
     # noisy trees whose children separate rows over several rounds
     for prior, seed in (("similarity", 6), ("low_curl", 8)):
         bundle = make_bundle(SynthConfig(n0=15, seed=seed, edge_prior=prior,
@@ -413,48 +384,49 @@ def test_each_round_continues_from_the_basic_point_of_its_grown_basis(
                               PRIOR_TO_KIND[prior])
         solve(build_joint_instance(big, costs, bundle.truth.n_selected_edges,
                                    bundle.truth.n_selected_triangles))
-    assert seen["warm_rounds"] >= 5 and seen["warm_calls_with_rounds"] >= 2
+    warm = [grown(call) for call in calls if call.warm is not None]
+    assert sum(warm) >= 5 and sum(n > 1 for n in warm) >= 2
+    for call in calls:
+        grown_at = -1
+        for res, out in call.rounds:
+            # a round's new rows include violated ones, and the LP sees
+            # them in the values it carries: it pivots before it separates
+            # again, with no recomputation to find them
+            assert res.iterations > grown_at
+            if out is not None:
+                assert_continues(res, *out, call.lower, call.upper)
+                grown_at = res.iterations
 
 
 def test_lp_work_on_branching_and_trend_instances_is_pinned(monkeypatch):
     # totals of LP calls, pivots, separations and nodes; a change to the
     # pivot path shows up here and has to say so
-    totals = dict(calls=0, pivots=0, separations=0, nodes=0)
-
-    def counted(c, A, b, lower, upper, warm=None, cutoff=np.inf,
-                separate=None):
-        def counted_separate(res):
-            totals["separations"] += 1
-            return separate(res)
-
-        totals["calls"] += 1
-        res = simplex_lp.solve_lp(c, A, b, lower, upper, warm=warm,
-                                  cutoff=cutoff,
-                                  separate=separate and counted_separate)
-        totals["pivots"] += res.iterations
-        return res
-
-    monkeypatch.setattr(blp, "solve_lp", counted)
+    calls = _watch_door(monkeypatch)
+    nodes = 0
     cx = build_candidate_complex(6)
     for i in range(32):  # the branch benchmark's first instances
         costs = _near_uniform_costs(np.random.default_rng([0, i]), cx)
-        totals["nodes"] += solve(build_joint_instance(cx, costs, 6,
-                                                      4)).nodes_explored
+        nodes += solve(build_joint_instance(cx, costs, 6, 4)).nodes_explored
     for n0 in (10, 15, 20):  # one realization per TREND size
         bundle = make_bundle(SynthConfig(n0=n0, seed=0, edge_prior="low_curl"))
         big = build_candidate_complex(n0)
         costs = compute_costs(big, bundle.x0, bundle.x1bar,
                               PRIOR_TO_KIND["low_curl"])
-        totals["nodes"] += solve(build_joint_instance(
+        nodes += solve(build_joint_instance(
             big, costs, bundle.truth.n_selected_edges,
             bundle.truth.n_selected_triangles)).nodes_explored
-    # separations counts calls of separate: none once the pool is complete
-    # (most children), else one at the carried optimum of each round and a
-    # last one at the recomputed point.  Pivots moved 2402 -> 2433 when a
-    # round stopped recomputing its basic values: rounding-level ties in
-    # the leaving row break the other way on a few of the 32 trees (over
-    # all 256 branch instances at seed 0, pivots went 18,583 -> 18,523)
-    assert totals == dict(calls=201, pivots=2433, separations=203, nodes=201)
+    # separations counts calls of separate: one at the carried optimum of
+    # each round and a last one at the recomputed point, also once the pool
+    # is complete (most children), where it returns None at once.  Pivots
+    # moved 2402 -> 2433 when a round stopped recomputing its basic values:
+    # rounding-level ties in the leaving row break the other way on a few
+    # of the 32 trees (over all 256 branch instances at seed 0, pivots went
+    # 18,583 -> 18,523)
+    totals = dict(calls=len(calls),
+                  pivots=sum(call.res.iterations for call in calls),
+                  separations=sum(len(call.rounds) for call in calls),
+                  nodes=nodes)
+    assert totals == dict(calls=201, pivots=2433, separations=453, nodes=201)
 
 
 def test_cutoff_stops_each_node_lp_at_a_valid_bound():
@@ -518,6 +490,29 @@ def test_node_lps_stopped_early_still_give_the_optimum(monkeypatch, max_iter):
         assert got.objective == pytest.approx(want.objective, rel=1e-9)
         assert got.lower_bound <= got.objective
     assert any(fallbacks)
+
+
+def test_blands_rule_after_degenerate_pivots_keeps_the_optimum(monkeypatch):
+    # with _BLAND_AFTER = 0 each pivot after a degenerate one leaves by the
+    # smallest-index rule.  Partly zero costs make degenerate dual steps:
+    # the rule chooses 633 times here, 182 times another row than the most
+    # violated one, and without it these LPs take 1,101 pivots
+    monkeypatch.setattr(simplex_lp, "_BLAND_AFTER", 0)
+    calls = _watch_door(monkeypatch)
+    rng = np.random.default_rng(1)
+    for _ in range(60):
+        cx = build_candidate_complex(int(rng.integers(5, 8)))
+        h1, h2 = (rng.random(n) * (rng.random(n) < 0.5)
+                  for n in (cx.n_edges, cx.n_triangles))
+        costs = CostVectors(h1=h1, h2=h2, h2_kind="curl")
+        c1, c2 = int(rng.integers(0, cx.n_edges + 1)), int(rng.integers(1, 4))
+        got = solve(build_joint_instance(cx, costs, c1, c2))
+        want = oracle_enumerate(cx, costs, c1, c2)
+        assert got.status == "optimal"
+        assert got.objective == pytest.approx(want.objective, rel=1e-9,
+                                              abs=1e-12)
+    assert (len(calls), sum(call.res.iterations for call in calls)) == (91,
+                                                                         1225)
 
 
 def test_branching_picks_the_cheapest_fractional_free_triangle():
@@ -721,13 +716,11 @@ def test_lp_bound_decides_feasibility_by_count(monkeypatch):
     cx = build_candidate_complex(5)
     inst = build_joint_instance(cx, _random_costs(rng, cx), 4, 3)
 
-    def no_lp(*args, **kwargs):
-        raise RuntimeError("the LP was asked")
-
-    monkeypatch.setattr(blp, "solve_lp", no_lp)
+    calls = _watch_door(monkeypatch)
     assert lp_bound(inst, fixed_triangles={
         t: 0 for t in range(cx.n_triangles - 2)}) == np.inf
     assert lp_bound(replace(inst, c1=cx.n_edges + 1)) == np.inf
+    assert calls == []  # the LP was not asked
 
     def infeasible(*args, **kwargs):
         return replace(simplex_lp.solve_lp(*args, **kwargs),

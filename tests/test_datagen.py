@@ -201,20 +201,15 @@ def test_load_rejects_bad_files_naming_the_bundle(tmp_path, corrupt):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SynthConfig(n0=2)
-    with pytest.raises(ValueError):
-        SynthConfig(n0=5, er_p=0.0)
-    with pytest.raises(ValueError):
-        SynthConfig(n0=5, triangle_fraction=1.5)
-    with pytest.raises(ValueError):
-        SynthConfig(n0=5, filter_kind="bandpass")
-    with pytest.raises(ValueError):
-        SynthConfig(n0=5, noise_sigma=-0.1)
-    with pytest.raises(ValueError):
-        SynthConfig(n0=5, edge_prior="flat")
-    with pytest.raises(ValueError):
-        SynthConfig(n0=5, seed=-1)
+    for key, bad in (("n0", 2), ("er_p", 0.0), ("triangle_fraction", 1.5),
+                     ("filter_kind", "bandpass"), ("noise_sigma", -0.1),
+                     ("edge_prior", "flat"), ("seed", -1), ("seed", 1.5),
+                     ("seed", True), ("f0", 2.5), ("f1", np.float64(3.0)),
+                     ("n0", 8.0)):
+        with pytest.raises(ValueError, match=key):
+            SynthConfig(**{"n0": 5, key: bad})
+    # numpy integers are stored as the plain ints that save_bundle writes
+    assert type(SynthConfig(n0=np.int64(8), seed=np.int32(1)).seed) is int
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -150,6 +150,9 @@ def test_config_validation_and_json_loading(tmp_path):
     for limit in (float("nan"), 2.5, 3.0, True, -1):
         with pytest.raises(ValueError, match="node_limit"):
             ExperimentConfig(node_limit=limit)
+    for gamma in (float("nan"), float("inf"), -float("inf"), -0.5):
+        with pytest.raises(ValueError, match="gamma"):
+            ExperimentConfig(gamma=gamma)
     # a numpy integer is kept as an int, which report.json can hold
     assert type(ExperimentConfig(node_limit=np.int64(3)).node_limit) is int
 

@@ -268,8 +268,9 @@ def test_greedy_rejects_bad_arguments():
     cx = build_candidate_complex(4)
     costs = CostVectors(h1=np.ones(cx.n_edges), h2=np.ones(cx.n_triangles),
                         h2_kind="curl")
-    with pytest.raises(ValueError):
-        learn_greedy(cx, costs, 2, 1, gamma=-1.0)
+    for gamma in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            learn_greedy(cx, costs, 2, 1, gamma=gamma)
     with pytest.raises(ValueError):
         learn_greedy(cx, costs, 2, 1, max_iter=0)
     with pytest.raises(ValueError):
