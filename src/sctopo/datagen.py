@@ -66,7 +66,8 @@ class SynthConfig:
         if not 0.0 <= self.triangle_fraction <= 1.0:
             raise ValueError("triangle_fraction must lie in [0, 1]")
         if self.f0 < 1 or self.f1 < 1:
-            raise ValueError("feature counts must be positive")
+            raise ValueError(f"feature counts must be positive; got f0 "
+                             f"{self.f0}, f1 {self.f1}")
         if self.filter_kind != "inv_one_plus_lambda":
             raise ValueError(f"unknown filter_kind {self.filter_kind!r}")
         if not (isfinite(self.noise_sigma) and self.noise_sigma >= 0):

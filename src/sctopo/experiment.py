@@ -82,9 +82,19 @@ class ExperimentConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
-        if self.gamma is not None and not 0 <= self.gamma < np.inf:
+        # the synthetic fields, checked by SynthConfig itself in either
+        # mode, so that no run fails at its first realization; f0 and f1
+        # kept as the plain ints it makes them
+        synth = SynthConfig(n0=min(self.n0_values), er_p=self.er_p,
+                            triangle_fraction=self.triangle_fraction,
+                            f0=self.f0, f1=self.f1,
+                            noise_sigma=self.noise_sigma)
+        object.__setattr__(self, "f0", synth.f0)
+        object.__setattr__(self, "f1", synth.f1)
+        if self.gamma is not None and (isinstance(self.gamma, bool)
+                                       or not 0 <= self.gamma < np.inf):
             raise ValueError(f"gamma must be finite and nonnegative; "
-                             f"got {self.gamma}")
+                             f"got {self.gamma!r}")
         if self.greedy_init not in GREEDY_INITS:
             raise ValueError(f"unknown greedy_init {self.greedy_init!r}")
 

@@ -134,6 +134,26 @@ def test_node_limit_propagates_to_joint_records():
     assert joint["selection"] == by_method["hierarchical"]["selection"]
 
 
+@pytest.mark.parametrize("mode", ["synthetic", "real"])
+@pytest.mark.parametrize("key, value", [
+    ("f0", 2.5), ("f0", 0), ("f1", 0), ("f1", True), ("er_p", float("nan")),
+    ("er_p", 0.0), ("er_p", 1.5), ("triangle_fraction", 2.0),
+    ("triangle_fraction", -0.1), ("noise_sigma", -1.0),
+    ("noise_sigma", float("inf")), ("gamma", True), ("gamma", -0.5),
+])
+def test_config_checks_its_synthetic_fields_when_built(mode, key, value):
+    # checked at construction in both modes, not at the first realization
+    # (and never in real mode, where they go unused)
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(mode=mode, dataset_path="unused", **{key: value})
+
+
+def test_config_keeps_feature_counts_as_plain_ints():
+    cfg = ExperimentConfig(f0=np.int64(7), f1=np.int64(9))
+    assert (cfg.f0, cfg.f1) == (7, 9)
+    assert type(cfg.f0) is int and type(cfg.f1) is int
+
+
 def test_config_validation_and_json_loading(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(mode="imagined")
