@@ -25,14 +25,13 @@ a row are half of all triangles, the pool takes every row at once.
 ``BlpSolution`` reports the rounds that pooled rows and the rows pooled
 at the end.  Each node is one ``solve_lp`` call, made by ``_solve_node``,
 the one door between the search and the LP engine: it starts from the
-parent's final basis and basis core, extended to the rows pooled since
-then (``_RowPool.extend``: their slacks are basic, so the core does not
-change); the LP adds the rows violated at the point it carries, once
-that point looks optimal, through the pool's ``separate``, which extends
-that round's result the same way, and goes on pivoting from it in
-place, with no inverse work and no recomputation of its dual-simplex
-state; and it stops with status ``"cutoff"`` as soon as its dual
-objective reaches the incumbent's, which prunes the node.  ``_MAX_ITER`` of
+parent's final basis, extended to the rows pooled since then
+(``_RowPool.extend``); the LP adds the rows violated at the point it
+carries, once that point looks optimal, through the pool's ``separate``,
+which extends that round's result the same way, and goes on pivoting
+from it in place, with no per-round rebuild or recomputation of its
+dual-simplex state; and it stops with status ``"cutoff"`` as soon as its
+dual objective reaches the incumbent's, which prunes the node.  ``_MAX_ITER`` of
 :mod:`sctopo.simplex_lp` caps the pivots of one node.  It branches on
 the cheapest free triangle that the node's LP leaves fractional, the
 lowest index among equal costs (``_branch_triangle``), and on triangles
@@ -150,21 +149,21 @@ class _RowPool:
         self._vals = np.full(n + 6 * n2, -1.0)
         self._vals[n::2] = 1.0
         self._pairs = self._cols[n:].reshape(-1, 2)  # (n1 + t, e) per row
-        # where each row's entries start: the floors, then two per row
-        self._starts = np.r_[0, n1, n + 2 * np.arange(self.full - 1)]
-        self._A = self._entries(2)
+        self._A = self._entries(0, 2)
 
-    def _entries(self, m):
-        """The first ``m`` rows of ``A``."""
-        hi = self._starts[m]
-        return SparseRows(self._rows[:hi], self._cols[:hi], self._vals[:hi],
-                          (m, self.n), self._starts[: m + 1])
+    def _entries(self, first, stop):
+        """Rows ``first`` to ``stop`` of ``A``, renumbered from 0; ``first``
+        is 0 or a row past the floors."""
+        lo = 0 if first == 0 else self.n + 2 * (first - 2)
+        hi = self.n + 2 * (stop - 2)
+        return SparseRows(self._rows[lo:hi] - first, self._cols[lo:hi],
+                          self._vals[lo:hi], (stop - first, self.n))
 
     @property
     def A(self):
         """The rows pooled so far, one object per size."""
         if self._A.shape[0] != self.m:
-            self._A = self._entries(self.m)
+            self._A = self._entries(0, self.m)
         return self._A
 
     def add_violated(self, x):
@@ -204,12 +203,12 @@ class _RowPool:
     def extend(self, res):
         """``res`` extended to the rows pooled since it was solved, if any.
 
-        The one place a result grows; its new rows' slacks enter basic, so
-        it keeps its core and only its basis and statuses grow.
+        The one place a result grows; its new rows' slacks enter basic.
         """
         if res is None or res.basis.size == self.m:
             return res
-        return extend_binv_for_new_rows(res, self.m)
+        return extend_binv_for_new_rows(
+            res, self._entries(res.basis.size, self.m), self.n)
 
     def separate(self, res):
         """Add the rows violated at ``res.x``; ``(A, b, res)`` grown, or None."""
@@ -331,8 +330,8 @@ def solve(instance, node_limit=DEFAULT_NODE_LIMIT, warm_start=None):
 
     # heap of (bound, seq, fixed, parent LP result); fixed is int8 over the
     # triangles (-1 free, else 0 or 1), and every node in it is feasible by
-    # count.  Siblings share the parent's LpResult without x, one k x k
-    # basis core per parent.
+    # count.  Siblings share the parent's LpResult without x, one O(m^2)
+    # basis inverse per parent.
     seq = 0
     heap = [(0.0, seq, root, None)]
     explored = 0

@@ -1,23 +1,21 @@
 """Self-contained bounded-variable dual simplex for LP relaxation bounds.
 
-Solves ``min c @ x  s.t.  A x <= b,  lower <= x <= upper``, keeping only
-the core of the basis inverse.  ``A`` is held as its nonzero entries
-(:class:`SparseRows`; a dense ``A`` is converted once), so the pivot row
-and ``A @ x`` cost O(entries) instead of O(m n): the rows of
-:mod:`sctopo.blp` are two floors plus inclusion rows of two entries each.
-A matrix of at most ``_DENSE_MAX`` positions also keeps its dense form,
-where one BLAS call costs less than the three gathers a sparse product
-takes.  The solver is written for the branch-and-bound use case:
+Solves ``min c @ x  s.t.  A x <= b,  lower <= x <= upper`` with an
+explicit dense basis inverse.  ``A`` is held as its nonzero entries
+(:class:`SparseRows`; a dense ``A`` is converted once), so the pivot row,
+``A @ x`` and the entering column cost O(entries) instead of O(m n): the
+rows of :mod:`sctopo.blp` are two floors plus inclusion rows of two entries
+each.  The solver is written for the branch-and-bound use case:
 
 * the all-slack basis is dual feasible whenever each structural variable
   can sit at a bound with the right reduced-cost sign (always true here,
   where costs are nonnegative and variables live in ``[0, 1]``);
 * tightening variable bounds never destroys dual feasibility of a basis,
-  so a parent node's final basis and core warm-start both children (the
-  heap of :mod:`sctopo.blp` holds the parent's :class:`LpResult`, one
-  ``k x k`` core per branched node that still has an open child).  So a
-  warm start may only tighten the bounds it was solved under; one that
-  loosens them can be dual infeasible and raises ``ValueError``;
+  so a parent node's final basis and its inverse warm-start both children
+  (the heap of :mod:`sctopo.blp` holds the parent's :class:`LpResult`,
+  one O(m^2) inverse per branched node that still has an open child).
+  So a warm start may only tighten the bounds it was solved under; one
+  that loosens them can be dual infeasible and raises ``ValueError``;
 * appending rows with their slacks basic is also dual feasible, which is
   what lazy constraint generation needs: at a point that looks optimal,
   the ``separate`` callback may return the rows grown with the result
@@ -29,72 +27,67 @@ takes.  The solver is written for the branch-and-bound use case:
   ``cutoff`` passed in: a branch-and-bound node whose bound reaches the
   incumbent's objective is pruned whatever its optimum.
 
-The core (:class:`BasisCore`; Bisschop and Meeraus, *Math. Programming*
-13, 1977; Suhl and Suhl, *ORSA J. Computing* 2(4), 1990): the rows whose
-slack is nonbasic, ``R``, are as many as the basic structurals ``S``, so
-the basis is block triangular, ``B = [[A_RS, 0], [A_QS, I]]`` over ``R``
-and the other rows ``Q``, and ``B^-1 = [[K^-1, 0], [-A_QS K^-1, I]]``.
-Only ``K^-1``, of the ``k x k`` core ``K = A_RS``, is kept, in a buffer
-with room to grow:
-
-* FTRAN, the entering column: ``w = K^-1 a_R`` for the basic structurals;
-  the slack of a row ``i`` in ``Q`` takes ``a_i - A_iS w``, read from one
-  product ``A z`` over the rows from the first row in ``Q`` on;
-* BTRAN, the pivot row's multipliers: a row of ``K^-1`` when a structural
-  leaves, else ``-A_iS K^-1`` and ``1`` at its row ``i``: a gather of at
-  most two rows of ``K^-1`` for an inclusion row;
-* the update, by who leaves and who enters: structural for structural is
-  a rank-one update of ``K^-1``; a slack leaving for a structural borders
-  ``K`` by its row and the column; a structural leaving for a slack drops
-  one row and column of ``K`` (a Schur complement, the last row and
-  column moving into the freed places); slack for slack swaps one row of
-  ``K``.  The rank-one update touches only the rows of ``K^-1`` where
-  ``w`` is nonzero when they are under a share ``_SPARSE_SHARE`` of a
-  core of more than ``_SPARSE_FROM`` rows; smaller cores update in full,
-  which costs fewer numpy calls.  Every ``_REFRESH_EVERY`` pivots ``K``
-  is rebuilt from ``A`` and inverted.
-
 Rounds: the rows passed in make the first round, and each separation that
 adds rows starts another, in place.  ``separate`` sees the point the
-carried values give as soon as they look optimal.  A new row's slack is
-basic, so its row joins ``Q``: the core, and so ``K^-1``, do not change,
-and a round does no inverse work.  The call adopts the basis and statuses
-that ``separate`` returned (its core must be the call's own) and writes
-only the new rows' entries into its per-variable and per-row state, kept
-in buffers that grow geometrically.  The new slacks enter basic with
-dual 0, so no reduced cost moves, and neither does an old row's basic
-value or the objective; each new slack takes ``b_i - A_i x`` at the
-carried point, from its row's own entries.  The degenerate-run and
-reinversion counters restart.  So each round pivots as a new call
-warm-started from the returned state would, up to rounding: that call
-would recompute ``xB``, the objective and the reduced costs from the
-core, where the round carries them.  Only when ``separate`` returns None
-are ``x``, ``xB`` and the objective recomputed from the core ("fresh"
-values); the stop test runs again on them, and ``separate`` once more on
-the fresh point, before the call returns ``"optimal"``.  ``_MAX_ITER``
-caps the pivots of the whole call, one node of :mod:`sctopo.blp`.
+carried values give as soon as they look optimal, so a round that adds
+rows recomputes nothing from the inverse.  The call adopts the basis,
+statuses and inverse that ``separate`` returned as they are, without a
+copy.  Its per-variable and per-row state (bounds, costs, directions,
+reduced costs, basic values) moves at the first round into buffers with
+room for twice the rows, doubled whenever a round outgrows them, so a
+round writes only the new rows' entries there; a call without rounds
+keeps plain arrays.  The inverse itself stays a contiguous ``m x m``
+array, which the extension copies.  Grown in place instead, as the
+corner of a larger buffer, it costs more than it saves at the sizes of
+:mod:`sctopo.blp`: ``take`` copies a non-contiguous array whole, the
+full rank-one update runs slower on one, and at ``m`` near 50 the copy
+is a small part of an extension's cost.  The new slacks enter basic
+with dual 0, so no reduced cost moves, and neither does an old row's
+basic value or the objective; each new slack takes ``b_i - A_i x`` at
+the carried point, from its row's own entries.
+The degenerate-run and reinversion counters restart.  So each round
+pivots as a new call warm-started from the returned state would, up to
+rounding: that call would recompute ``xB``, the objective and the reduced
+costs from the inverse, where the round carries them.  Only when
+``separate`` returns None are ``x``, ``xB`` and the objective recomputed
+from the inverse ("fresh" values); the stop test runs again on them, and
+``separate`` once more on the fresh point, before the call returns
+``"optimal"``.  ``_MAX_ITER`` caps the pivots of the whole call, one node
+of :mod:`sctopo.blp`.
 
-State carried across pivots: the core inverse (updated in place), the
-basic values ``xB`` (moved along the entering column), the reduced costs
-``d`` (moved along the pivot row) and the dual objective ``c @ x`` of the
-basic point.  The objective moves in O(1) per pivot: by the dual step
-times the leaving row's violation, and for a long step by the piecewise
-sum over the passed breakpoints, whose slopes drop from the violation by
-each flipped box (Koberstein, *The dual simplex method, techniques for a
-fast and stable implementation*, 2005, ch. 3).  ``xB``, the objective and
-``d`` are computed from the core at the start of the call; all four are
-recomputed every ``_REFRESH_EVERY`` pivots of a round, which bounds their
-drift; ``xB`` and the objective once more, with the test repeated, before
-a solve reports ``"optimal"`` or ``"cutoff"``.  So a ``"cutoff"`` bound
-is ``c @ x`` of the returned point and reaches the cutoff.  A core passed
-in is used as given, so a core carried from call to call is refreshed
-only by a round that runs ``_REFRESH_EVERY`` pivots.
+State carried across pivots: the basis inverse (a rank-one update in
+place), the basic values ``xB`` (moved along the entering column), the
+reduced costs ``d`` (moved along the pivot row) and the dual objective
+``c @ x`` of the basic point.  The objective moves in O(1) per pivot: by
+the dual step times the leaving row's violation, and for a long step by
+the piecewise sum over the passed breakpoints, whose slopes drop from the
+violation by each flipped box (Koberstein, *The dual simplex method,
+techniques for a fast and stable implementation*, 2005, ch. 3).  ``xB``,
+the objective and ``d`` are computed from the inverse at the start of the
+call; all four are recomputed from the basis every ``_REFRESH_EVERY``
+pivots of a round, which bounds their drift; ``xB`` and the objective once
+more, with the test repeated, before a solve reports ``"optimal"`` or
+``"cutoff"``.  So a ``"cutoff"`` bound is ``c @ x`` of the returned point
+and reaches the cutoff.  An inverse passed in is used as given, so an
+inverse carried from call to call is refreshed only by a round that runs
+``_REFRESH_EVERY`` pivots.
+
+Hypersparse update: the entering column of the joint program is nonzero
+in a few rows (2-6 of 40-250 at ``n0 >= 15``), and the rank-one update
+changes only the rows of the inverse where it is nonzero, besides the
+pivot row, which is scaled in place.  So when fewer than a share
+``_SPARSE_SHARE`` (a quarter) of the other rows are nonzero, only those
+are updated (Hall and McKinnon, *Hyper-sparsity in the revised simplex
+method and how to exploit it*, 2005); rows where the column is 0 would
+only subtract zeros, so the inverse holds the same values either way.
+The density is read from each column, whatever the size of the inverse:
+the columns of the ``n0 = 6`` trees are mostly dense (44 of 62 rows) and
+keep the whole update.
 
 The tolerances and limits are module constants (``_FEAS_TOL``,
-``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``, ``_SPARSE_SHARE``,
-``_SPARSE_FROM``, ``_SORTED_FIRST``, ``_DENSE_MAX``, ``_ROOM``), read at
-each call.  ``cutoff`` and ``separate`` are part of the problem, not
-tuning knobs.
+``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``, ``_SPARSE_SHARE``),
+read at each call.
+``cutoff`` and ``separate`` are part of the problem, not tuning knobs.
 
 Ratio test: the textbook dual ratio test picks the entering variable first.
 When that variable has a finite box and moving it across the whole box
@@ -106,9 +99,8 @@ and the first one whose flip would make the row feasible enters (Fourer,
 the binary boxes of :mod:`sctopo.blp`, a cardinality row short by ``k``
 items takes one pivot and ``k - 1`` flips instead of ``k`` pivots.  The
 plain test runs first, so a pivot that cannot flip pays two scalar reads
-and no sort; with many candidates only the ``_SORTED_FIRST`` smallest
-ratios and their ties are sorted first, which is the full order's prefix.
-Every iterate stays dual feasible, so early stops still give valid bounds.
+and no sort.  Every iterate stays dual feasible, so early stops still give
+valid bounds.
 
 Determinism: entering ties are broken by lowest column index; after a long
 degenerate stall the leaving choice switches to Bland's smallest-index
@@ -131,12 +123,8 @@ _RATIO_TIE = 1e-12
 _FEAS_TOL = 1e-9  # violation let pass: of a bound by xB, of a sign by d
 _MAX_ITER = 100_000  # pivots per call (all rounds) before "iteration_limit"
 _BLAND_AFTER = 1000  # degenerate pivots in a row before Bland's rule
-_REFRESH_EVERY = 200  # pivots between reinversions of the core
+_REFRESH_EVERY = 200  # pivots between reinversions of the basis
 _SPARSE_SHARE = 0.25  # pivot columns nonzero in fewer rows update only those
-_SPARSE_FROM = 64  # cores of at most this many rows always update in full
-_SORTED_FIRST = 32  # long steps sort this many breakpoints first
-_DENSE_MAX = 4096  # SparseRows with at most this many positions keep A dense
-_ROOM = 64  # rows the per-row state of a call has room for at least
 # direction a nonbasic variable moves off its bound, by status: +1 up from
 # its lower bound, -1 down from its upper bound, 0 when basic or fixed
 # (a box of zero width, whatever its status)
@@ -144,72 +132,43 @@ _TOWARD = np.array([1.0, -1.0, 0.0])
 
 
 @dataclass
-class BasisCore:
-    """The inverse of the core of a basis, and where the core sits in it.
-
-    The rows whose slack is nonbasic (``R``) are as many as the basic
-    structural columns (``S``), so over the rows ``R`` and the others
-    (``Q``) the basis is block triangular, ``B = [[A_RS, 0], [A_QS, I]]``,
-    and ``B^-1 = [[K^-1, 0], [-A_QS K^-1, I]]`` with the core ``K = A_RS``.
-    ``rows[i]`` is the row of core row ``i``, ``positions[j]`` the basis
-    position of core column ``j``, and ``kinv`` is ``K^-1``: its row ``j``
-    belongs to core column ``j``, its column ``i`` to core row ``i``.
-    """
-
-    kinv: np.ndarray  # (k, k)
-    rows: np.ndarray  # (k,)
-    positions: np.ndarray  # (k,)
-
-
-@dataclass
 class LpResult:
     """What a solve returns: the point, its bound, and the warm state that
-    :func:`solve_lp` can start from (the basis, the statuses of the
-    structural then the slack columns, and the core).
+    :func:`solve_lp` can start from: the variable at each basis position,
+    the statuses of the structural then the slack columns, and the dense
+    basis inverse.  A result handed to ``separate`` holds the solve's live
+    state, which the solve goes on changing.
 
     Contradictory bounds give ``"infeasible"`` with no warm state:
-    ``basis``, ``vstat`` and ``core`` are None."""
+    ``basis``, ``vstat`` and ``binv`` are None."""
 
     status: str  # "optimal" | "infeasible" | "iteration_limit" | "cutoff"
     x: np.ndarray
     bound: float  # c @ x, a lower bound on the LP optimum; inf when infeasible
     iterations: int
-    basis: np.ndarray  # the variable at each basis position
+    basis: np.ndarray
     vstat: np.ndarray
-    core: BasisCore
+    binv: np.ndarray
 
 
 class SparseRows:
     """The constraint matrix ``A`` as its nonzero entries, in row order.
 
     ``A[rows[i], cols[i]] = vals[i]``, each position at most once, with
-    ``rows`` nondecreasing and row ``i``'s entries at
-    ``starts[i]:starts[i + 1]``.  Every product the dual simplex forms
-    takes O(entries): the pivot row by one ``np.bincount`` over the
-    columns, ``A @ x`` by one ``np.add.reduceat`` over the rows, and a
-    column by one comparison with the column indices, with no index kept.
-    In :mod:`sctopo.blp` the entries are the two floors' ``-1`` on every
-    variable and one index pair ``(n1 + t, e)`` per inclusion row.  Only
-    a matrix of at most ``_DENSE_MAX`` positions (``m * n``) also keeps
-    ``dense``, its dense form, which the products use instead.  ``of``
-    converts a dense ``A``.
+    ``rows`` nondecreasing.  Every product the dual simplex forms takes
+    O(entries): the pivot row by one ``np.bincount`` over the columns,
+    ``A @ x`` by one over the rows, and a column by one comparison with
+    the column indices, with no index kept.  In :mod:`sctopo.blp` the
+    entries are the two floors' ``-1`` on every variable and one index
+    pair ``(n1 + t, e)`` per inclusion row, so no array here has
+    ``m x n`` entries.  ``of`` converts a dense ``A``.
     """
 
-    __slots__ = ("rows", "cols", "vals", "shape", "starts", "dense", "_gaps",
-                 "_prod")
+    __slots__ = ("rows", "cols", "vals", "shape")
 
-    def __init__(self, rows, cols, vals, shape, starts=None):
+    def __init__(self, rows, cols, vals, shape):
         self.rows, self.cols, self.vals = rows, cols, vals
         self.shape = shape
-        if starts is None:
-            starts = rows.searchsorted(np.arange(shape[0] + 1))
-        self.starts = starts  # each row's first entry, then the count
-        self._gaps = np.count_nonzero(starts[:-1] == starts[1:])  # empty rows
-        self._prod = None
-        self.dense = None  # A itself, kept when it has few positions
-        if shape[0] * shape[1] <= _DENSE_MAX:
-            self.dense = np.zeros(shape)
-            self.dense[rows, cols] = vals
 
     @classmethod
     def of(cls, A):
@@ -225,40 +184,18 @@ class SparseRows:
         """``y @ [A I]``: the row over the structural, then the slack
         columns."""
         n = self.shape[1]
-        if self.dense is None:
-            row = np.bincount(self.cols, y.take(self.rows) * self.vals,
-                              n + y.size)
-        else:
-            row = np.empty(n + y.size)
-            y.dot(self.dense, out=row[:n])
+        row = np.bincount(self.cols, y[self.rows] * self.vals, n + y.size)
         row[n:] = y
         return row
 
-    def matvec(self, x, first=0, out=None):
-        """``(A @ x)[first:]``, written to ``out`` when given.  Each row is
-        summed by ``np.add.reduceat``, which sums long rows pairwise."""
-        m = self.shape[0]
-        if self.dense is not None:
-            return self.dense[first:].dot(x, out=out)
-        if out is None:
-            out = np.empty(m - first)
-        starts = self.starts
-        lo = starts[first]
-        if lo == self.vals.size:  # no entries from row first on
-            out.fill(0.0)
-            return out
-        if self._prod is None:
-            self._prod = np.empty(self.vals.size)
-        prod = self._prod
-        np.multiply(x.take(self.cols[lo:]), self.vals[lo:], out=prod[lo:])
-        heads = starts[first:m]
-        if not self._gaps:
-            return np.add.reduceat(prod, heads, out=out)
-        # reduceat reads an empty row as the next entry
-        out.fill(0.0)
-        full = heads < starts[first + 1 :]
-        out[full] = np.add.reduceat(prod, heads[full])
-        return out
+    def matvec(self, x, first=0):
+        """``A @ x``, or its rows from ``first`` on from their entries
+        alone."""
+        rows, cols, vals = self.rows, self.cols, self.vals
+        if first:
+            lo = rows.searchsorted(first)
+            rows, cols, vals = rows[lo:] - first, cols[lo:], vals[lo:]
+        return np.bincount(rows, x[cols] * vals, self.shape[0] - first)
 
     def column(self, q):
         """Rows and values of the nonzero entries of column ``q``, in row
@@ -266,22 +203,54 @@ class SparseRows:
         at = (self.cols == q).nonzero()[0]
         return self.rows[at], self.vals[at]
 
+    def basic(self, basis):
+        """The entries of ``A`` in the structural columns of ``basis``:
+        ``(rows, positions in basis, values)``."""
+        pos = np.empty(self.shape[1] + basis.size, np.int64)
+        pos.fill(-1)
+        pos[basis] = np.arange(basis.size)
+        p = pos[self.cols]
+        keep = p >= 0
+        return self.rows[keep], p[keep], self.vals[keep]
 
-def extend_binv_for_new_rows(res, m):
-    """A new :class:`LpResult`: ``res`` extended to ``m`` rows, the slacks
-    of the appended rows basic.
 
-    Each slack takes the basis position of its row, after the old ones.
-    A basic slack puts its row in ``Q``, so the core is unchanged and
-    shared with ``res``; only the basis and the statuses are copied.
+def build_basis_matrix(A, basis):
+    """Dense basis matrix from structural columns of ``A`` and slack units."""
+    A = SparseRows.of(A)
+    m, n = A.shape
+    B = np.zeros((m, m))
+    rows, at, vals = A.basic(basis)
+    B[rows, at] = vals
+    slack = np.flatnonzero(basis >= n)
+    B[basis[slack] - n, slack] = 1.0
+    return B
+
+
+def extend_binv_for_new_rows(res, A_new_rows, n):
+    """A new :class:`LpResult`: ``res`` with appended rows' slacks basic.
+
+    The new basis is the old basic columns (now carrying entries in the
+    appended rows) plus the new slack columns.  Block inversion gives
+    ``[[binv, 0], [-C @ binv, I]]`` where ``C`` holds the appended-row
+    entries of the old basic columns; only the rows of ``binv`` at the
+    positions those entries occupy take part in the product.
     """
-    old = res.basis.size
-    n = res.vstat.size - old
+    basis, binv = res.basis, res.binv
+    rows, at, vals = SparseRows.of(A_new_rows).basic(basis)
+    k, m = A_new_rows.shape[0], binv.shape[0]
+    size = m + k
+    C = np.zeros((k, rows.size))  # one column per entry, over binv[at]
+    C[rows, np.arange(rows.size)] = -vals
+    out = np.zeros((size, size))
+    out[:m, :m] = binv
+    out[m:, :m] = C @ binv[at]
+    out.ravel()[m * size + m :: size + 1] = 1.0  # the new slacks' unit block
+    vstat = np.empty(res.vstat.size + k, np.int8)
+    vstat[: res.vstat.size] = res.vstat
+    vstat[res.vstat.size :] = BASIC
     return LpResult(res.status, res.x, res.bound, res.iterations,
-                    np.concatenate([res.basis, np.arange(n + old, n + m)]),
-                    np.concatenate([res.vstat,
-                                    np.full(m - old, BASIC, np.int8)]),
-                    res.core)
+                    np.concatenate([basis, np.arange(n + m, n + size)]),
+                    vstat, out)
 
 
 def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
@@ -299,14 +268,15 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
     values look optimal below it, ``separate(res)`` gets them as an
     ``"optimal"`` result and returns None when ``res.x`` violates no
     further row, or ``(A, b, warm)``: the rows of ``A`` followed by new
-    ones, and ``res`` extended to them (:func:`extend_binv_for_new_rows`),
-    which the call pivots on in place, each new slack at ``b_i - A_i x``.
-    ``separate=None`` adds no rows.  Either status is returned only on
-    values recomputed from the core ("fresh") that pass the stop test
-    again, and ``"optimal"`` only once ``separate`` returned None on them
-    as well.  A ``warm`` whose basis or statuses do not match the rows of
-    its ``A``, or whose core is not that of the result ``separate`` got,
-    raises ``ValueError``.
+    ones, and ``res`` extended to them into new arrays
+    (:func:`extend_binv_for_new_rows`), which the call pivots in place,
+    each new slack at ``b_i - A_i x``; only the new rows' entries are
+    written into its other state.  ``separate=None`` adds no rows.
+    Either status is returned only on values recomputed from the inverse
+    ("fresh") that pass the stop test again, and ``"optimal"`` only once
+    ``separate`` returned None on them as well.  A ``warm`` whose basis,
+    statuses or inverse do not match the rows of its ``A`` raises
+    ``ValueError``.
     """
     c = np.asarray(c, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -324,49 +294,29 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         vstat = np.empty(n + m, dtype=np.int8)
         vstat[:n] = np.where(c >= 0.0, NB_LOWER, NB_UPPER)
         vstat[n:] = BASIC
-        core = None
+        binv = np.eye(m)
     else:
-        basis, vstat, core = _adopt(warm, n, m)
-    # state by variable (V: the structural columns, then the slacks) and by
-    # basis position (P), in buffers that a round grows geometrically
-    cap = max(m, _ROOM)
-    V = np.empty((6, n + cap))
-    V[0, :n] = lower
-    V[1, :n] = upper
-    np.subtract(upper, lower, out=V[2, :n])
-    V[3, :n] = c
-    V[:, n:] = _SLACK_STATE
-    lower_e, upper_e, range_e, c_e, toward, d = V[:, : n + m]
-    _TOWARD.take(vstat, out=toward)
-    toward[range_e == 0.0] = 0.0
+        basis, vstat, binv = _adopt(warm, n, m)
+    lower_e = np.concatenate([lower, np.zeros(m)])
+    upper_e = np.concatenate([upper, np.full(m, inf)])
     if np.count_nonzero(np.isinf(upper_e[vstat == NB_UPPER])):
         raise ValueError("variable at an infinite upper bound")
-    P = np.empty((3, cap))
-    lower_b, upper_b, xB = P[:, :m]
-    lower_e.take(basis, out=lower_b)
-    upper_e.take(basis, out=upper_b)
-    # the core (see BasisCore): K^-1 in Kb[:nc, :nc], the rest of Kb zero;
-    # per core index its row, basis position and variable (C); the core
-    # index of each row, basis position and structural, -1 off the core,
-    # and the row of the slack at each basis position (I, varcore)
-    Kb, C, I, varcore = _core_state(core, basis, n, cap)
-    nc = 0 if core is None else core.rows.size
-    crow_b, cpos_b, cvar_b = C
-    Kv = Kb[:nc, :nc]
-    crow, cpos, cvar = crow_b[:nc], cpos_b[:nc], cvar_b[:nc]
-    rowcore, poscore, prow = I[:, :m]
-    # rows before qfirst are all in R, so no product needs their A z
-    qfirst = _first_q(rowcore, 0)
-    vbuf = np.empty(cap)
-    Acols, Avals, starts, D = A.cols, A.vals, A.starts, A.dense
+    range_e = upper_e - lower_e
+    c_e = np.concatenate([c, np.zeros(m)])
+    toward = _TOWARD[vstat]
+    toward[range_e == 0.0] = 0.0
+    lower_b = lower_e[basis]
+    upper_b = upper_e[basis]
 
-    x, obj = _fresh_point(A, b, c, vstat, basis, lower_e, upper_e, xB, Kv,
-                          crow, cpos, cvar, prow, qfirst)
-    d[:] = _reduced_costs(A, c_e, Kv, crow, cvar)
+    x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e)
+    d = _reduced_costs(binv, A, c_e, basis)
+    # the per-variable (V) and per-row (P) state moves into buffers with
+    # room at the first round, which only writes into it from then on
+    cap = m
     if np.count_nonzero(toward * d < -_FEAS_TOL):
         raise ValueError("warm start is not dual feasible under these bounds; "
                          "a warm start may only tighten them")
-    fresh = True  # x, xB and obj computed from the core, not carried
+    fresh = True  # x, xB and obj computed from binv, not carried
     degen_run = 0
     it = start = 0  # reinversions fall every _REFRESH_EVERY pivots from start
     while it < _MAX_ITER:
@@ -383,51 +333,40 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
                 if not fresh:
                     x = _nonbasic_values(vstat, basis, lower_e, upper_e)
                     x[basis] = xB
-                live = BasisCore(Kv, crow, cpos)
                 grown = separate(LpResult("optimal", x[:n], obj, it, basis,
-                                          vstat, live))
+                                          vstat, binv))
             if grown is None:
                 if not fresh:
                     # carried values drift; stop only on recomputed ones
-                    x, obj = _fresh_point(A, b, c, vstat, basis, lower_e,
-                                          upper_e, xB, Kv, crow, cpos, cvar,
-                                          prow, qfirst)
+                    x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis,
+                                              lower_e, upper_e, xB)
                     fresh = True
                     continue
                 # x is the point the last recomputation gave: no pivot since
                 status = "cutoff" if obj >= cutoff else "optimal"
-                return LpResult(status, x[:n], obj, it, basis, vstat,
-                                _kept(Kv, crow, cpos))
+                return LpResult(status, x[:n], obj, it, basis, vstat, binv)
             # continue on the grown rows in place: their slacks enter basic,
-            # which keeps the basis dual feasible and the core as it is, and
-            # their duals are 0, so no reduced cost, other basic value or
-            # the objective moves
+            # which keeps the basis dual feasible, and their duals are 0, so
+            # no reduced cost, other basic value or the objective moves
             A, b, warm = grown
             A = SparseRows.of(A)
             b = np.asarray(b, dtype=float)
             old, m = m, A.shape[0]
-            basis, vstat, core = _adopt(warm, n, m, np.asarray)
-            if core is not live:
-                raise ValueError("separate must return the result it was "
-                                 "given, extended to the new rows")
+            basis, vstat, binv = _adopt(warm, n, m, np.asarray)
             if m > cap:
                 cap = max(2 * cap, m)
-                V = _grown(V, n + cap, n + old)
-                P = _grown(P, cap, old)
-                I = _grown(I, cap, old)
-                vbuf = np.empty(cap)
+                V = np.empty((6, n + cap))
+                V[:, : n + old] = lower_e, upper_e, range_e, c_e, toward, d
+                P = np.empty((3, cap))
+                P[:, :old] = lower_b, upper_b, xB
+            # only the new rows' entries are written
             V[:, n + old : n + m] = _SLACK_STATE
             lower_e, upper_e, range_e, c_e, toward, d = V[:, : n + m]
-            # each new slack is b_i - A_i x at the carried point
             P[:2, old:m] = _SLACK_STATE[:2]
+            # each new slack is b_i - A_i x at the carried point
             P[2, old:m] = b[old:] - A.matvec(x[:n], old)
             lower_b, upper_b, xB = P[:, :m]
-            I[:2, old:m] = -1
-            I[2, old:m] = np.arange(old, m)
-            rowcore, poscore, prow = I[:, :m]
-            qfirst = min(qfirst, old)
-            Acols, Avals, starts, D = A.cols, A.vals, A.starts, A.dense
-            fresh = False  # the new rows' values come from x, not the core
+            fresh = False  # the new rows' values come from x, not binv
             degen_run = 0
             start = it
             continue
@@ -436,45 +375,18 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             r = int(rows[basis[rows].argmin()])
             viol_r = float(viol[r])
 
-        # BTRAN: row r of B^-1 over the rows, times the sign s of the move
-        # that makes the leaving variable feasible.  Its core part is row j
-        # of K^-1 when a structural sits at r; for the slack of row i it is
-        # -g = -A_iS K^-1, with 1 at row i, so y holds the negated row
         s = 1.0 if above[r] > below[r] else -1.0
-        j = int(poscore[r])
-        y = np.zeros(m)
-        if j >= 0:
-            rho = Kv[j]
-            y[crow] = rho
-            sign = s
-        else:
-            i = int(prow[r])
-            if D is not None:
-                rho = D[i].take(cvar).dot(Kv)
-            else:
-                lo, hi = starts[i], starts[i + 1]
-                at = varcore.take(Acols[lo:hi])
-                vals = Avals[lo:hi]
-                if hi - lo > 2:  # a long row: only its basic columns
-                    keep = at >= 0
-                    at, vals = at[keep], vals[keep]
-                rho = vals.dot(Kb.take(at, 0))[:nc]  # at -1: the zero row
-            y[crow] = rho
-            y[i] = -1.0
-            sign = -s
-        if sign < 0:
-            y = -y
-        alpha = A.pivot_row(y)
+        rho = binv[r] if s > 0 else -binv[r]
+        alpha = A.pivot_row(rho)
 
         cand = (toward * alpha > _PIV_TOL).nonzero()[0]
         if cand.size == 0:
             # dual ray: the primal subproblem has no feasible point
             x_nb = _nonbasic_values(vstat, basis, lower_e, upper_e)
             return LpResult("infeasible", x_nb[:n], inf, it, basis, vstat,
-                            _kept(Kv, crow, cpos))
+                            binv)
 
-        ratios = d.take(cand) / alpha.take(cand)
-        np.maximum(ratios, 0.0, out=ratios)
+        ratios = np.maximum(d[cand] / alpha[cand], 0.0)
         theta = float(np.minimum.reduce(ratios))
         entering = int(cand[(ratios <= theta + _RATIO_TIE * (1.0 + theta)).argmax()])
         # the dual objective rises by the step times the row's violation
@@ -488,8 +400,11 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             # fix it enters.  The dual step to its ratio turns the reduced
             # costs of the flipped variables to the sign their new bound
             # needs.
-            order, srt, left, stop = _breakpoints(ratios, cand, alpha,
-                                                  range_e, viol_r)
+            order = ratios.argsort(kind="stable")
+            srt = cand[order]
+            left = viol_r - np.add.accumulate(np.abs(alpha[srt])
+                                               * range_e[srt])
+            stop = (left <= _FEAS_TOL).nonzero()[0]
             k = int(stop[0]) if stop.size else srt.size - 1
             entering = int(srt[k])
             steps = ratios[order[: k + 1]]
@@ -502,37 +417,17 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
                 flips = srt[:k]  # structural: a slack's range is infinite
                 moved = np.zeros(n)
                 moved[flips] = toward[flips] * range_e[flips]
-                xB -= _ftran(A, A.matvec(moved), Kv, crow, cpos, cvar, prow,
-                             qfirst)
+                xB -= binv @ A.matvec(moved)
                 vstat[flips] ^= 1  # NB_LOWER <-> NB_UPPER
                 toward[flips] = -toward[flips]
         obj += gain
 
-        # FTRAN: the entering column over the basis positions.  Its core
-        # part is w = K^-1 a_R; the slack of a row i in Q takes a_i - A_iS w,
-        # read from A z with z = w on S and -1 at a structural q
         if entering < n:
-            if D is not None:
-                w = Kv.dot(D[crow, entering])
-            else:
-                rq, vq = A.column(entering)
-                # rows in Q map to the zero column
-                w = Kb[:nc].take(rowcore.take(rq), 1).dot(vq)
-            z = np.zeros(n)
-            z[cvar] = w
-            z[entering] = -1.0
+            at, vals = A.column(entering)
+            col = binv.take(at, 1) @ vals  # take: cheaper than binv[:, at]
         else:
-            w = Kb[:nc].take(rowcore[entering - n], 1)
-            z = np.zeros(n)
-            z[cvar] = w
-        if D is None:
-            A.matvec(z, qfirst, vbuf[qfirst:m])
-        else:
-            D[qfirst:m].dot(z, out=vbuf[qfirst:m])
-        col = vbuf.take(prow)
-        np.negative(col, out=col)
-        col[cpos] = w
-        piv = float(col[r])
+            col = binv[:, entering - n].copy()
+        piv = col[r]
 
         # dual step along the pivot row; the entering reduced cost becomes 0
         d -= (d[entering] / alpha[entering]) * alpha
@@ -543,76 +438,18 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         xB -= step * col
         xB[r] = x_entering + step
 
-        # the core update, by who leaves and who enters.  Kb stays zero
-        # outside Kb[:nc, :nc], which the bordering reads
-        leaving = int(basis[r])
-        if j >= 0:
-            # a structural leaves: row j of K^-1 is the pivot row
-            rho /= piv
-            w[j] = 0.0
-            _rank_one(Kv, w, rho)
-            varcore[leaving] = -1
-            if entering < n:  # structural for structural
-                cvar[j] = entering
-                varcore[entering] = j
-            else:
-                # a slack enters: its row leaves R and column j leaves S
-                # (Schur complement); the last core row and column move
-                # into the freed places
-                i = entering - n
-                ci = int(rowcore[i])
-                nc -= 1
-                Kv[j] = Kv[nc]
-                Kv[:, ci] = Kv[:, nc]
-                Kv[nc] = 0.0
-                Kv[:, nc] = 0.0
-                rowcore[i] = poscore[r] = -1
-                prow[r] = i
-                qfirst = min(qfirst, i)
-                if j != nc:
-                    cpos[j] = cpos[nc]
-                    cvar[j] = cvar[nc]
-                    varcore[cvar[j]] = poscore[cpos[j]] = j
-                if ci != nc:
-                    crow[ci] = crow[nc]
-                    rowcore[crow[ci]] = ci
-                Kv = Kb[:nc, :nc]
-                crow, cpos, cvar = crow_b[:nc], cpos_b[:nc], cvar_b[:nc]
-        elif entering < n:
-            # the slack of row i leaves and a structural enters: K grows by
-            # row i and column q (bordering).  Its new row of K^-1 is row r
-            # of B^-1 over R and row i, over the pivot
-            if nc == Kb.shape[0] - 1:
-                Kb, C = _grown_core(Kb, C, nc)
-                crow_b, cpos_b, cvar_b = C
-            np.divide(rho, -piv, out=Kb[nc, :nc])
-            Kb[nc, nc] = 1.0 / piv
-            _rank_one(Kb[:nc, : nc + 1], w, Kb[nc, : nc + 1])
-            crow_b[nc] = i
-            cpos_b[nc] = r
-            cvar_b[nc] = entering
-            rowcore[i] = poscore[r] = varcore[entering] = nc
-            if i == qfirst:
-                qfirst = _first_q(rowcore, i + 1)
-            nc += 1
-            Kv = Kb[:nc, :nc]
-            crow, cpos, cvar = crow_b[:nc], cpos_b[:nc], cvar_b[:nc]
+        binv[r] /= piv
+        binv_r = binv[r]
+        col[r] = 0.0  # row r is already the new one
+        nz = col.nonzero()[0]
+        if nz.size < _SPARSE_SHARE * m:
+            # hypersparse column: only the rows where it is nonzero change
+            if nz.size:
+                binv[nz] -= col[nz, None] * binv_r
         else:
-            # slack for slack: row i takes the place in R of the entering
-            # slack's row
-            ci = int(rowcore[entering - n])
-            rho /= -piv
-            rho[ci] = 1.0 / piv
-            Kv[:, ci] = 0.0
-            _rank_one(Kv, w, rho)
-            crow[ci] = i
-            rowcore[i] = ci
-            rowcore[entering - n] = -1
-            prow[r] = entering - n
-            if i == qfirst:
-                qfirst = _first_q(rowcore, i + 1)
-            qfirst = min(qfirst, entering - n)
+            binv -= col[:, None] * binv_r
 
+        leaving = basis[r]
         vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
         toward[leaving] = -s if range_e[leaving] else 0.0
         vstat[entering] = BASIC
@@ -624,21 +461,18 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         degen_run = degen_run + 1 if theta <= _RATIO_TIE else 0
         it += 1
         if (it - start) % _REFRESH_EVERY == 0:
-            if nc:
-                Kv[:] = _invert(A, rowcore, varcore, nc)
-            x, obj = _fresh_point(A, b, c, vstat, basis, lower_e, upper_e, xB,
-                                  Kv, crow, cpos, cvar, prow, qfirst)
-            d[:] = _reduced_costs(A, c_e, Kv, crow, cvar)
+            binv = np.linalg.inv(build_basis_matrix(A, basis))
+            x, xB, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e,
+                                      upper_e, xB)
+            d = _reduced_costs(binv, A, c_e, basis, d)
             fresh = True
         else:
             fresh = False
 
     # out of iterations: the basis is still dual feasible, so its objective
     # (weak duality) is a valid lower bound even though x may violate bounds
-    x, obj = _fresh_point(A, b, c, vstat, basis, lower_e, upper_e, xB, Kv,
-                          crow, cpos, cvar, prow, qfirst)
-    return LpResult("iteration_limit", x[:n], obj, it, basis, vstat,
-                    _kept(Kv, crow, cpos))
+    x, _, obj = _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e)
+    return LpResult("iteration_limit", x[:n], obj, it, basis, vstat, binv)
 
 
 # V entries of a slack: lower 0, upper and range inf, cost 0, direction
@@ -647,148 +481,27 @@ _SLACK_STATE = np.array([[0.0], [inf], [inf], [0.0], [0.0], [0.0]])
 
 
 def _adopt(warm, n, m, cast=np.array):
-    """``warm``'s basis and statuses through ``cast`` (``np.array``
-    copies), checked to cover ``m`` rows and ``n`` structural columns, and
-    its core."""
-    core = warm.core
+    """``warm``'s basis, statuses and inverse through ``cast`` (``np.array``
+    copies), checked to cover ``m`` rows and ``n`` structural columns."""
     if (warm.basis.size != m or warm.vstat.size != n + m
-            or core.kinv.shape != (core.rows.size, core.positions.size)):
+            or warm.binv.shape != (m, m)):
         raise ValueError(
             f"warm state does not match the {m} rows of A: its basis has "
             f"{warm.basis.size} entries, its statuses {warm.vstat.size} "
-            f"(want {n + m}) and its core is "
-            f"{' x '.join(map(str, core.kinv.shape))}")
+            f"(want {n + m}) and its inverse is {' x '.join(map(str, warm.binv.shape))}")
     return (cast(warm.basis, dtype=np.int64), cast(warm.vstat, dtype=np.int8),
-            core)
+            cast(warm.binv, dtype=float))
 
 
-def _core_state(core, basis, n, cap):
-    """The core buffers of a call: ``Kb`` (``K^-1`` with room to grow and
-    a zero last row and column), ``C``, ``I`` and the core column of each
-    structural, ``-1`` off the core; see :func:`solve_lp`.  ``core`` None:
-    the all-slack basis."""
-    nc = 0 if core is None else core.rows.size
-    room = 2 * nc + 8
-    Kb = np.zeros((room + 1, room + 1))
-    C = np.empty((3, room), dtype=np.int64)
-    I = np.empty((3, cap), dtype=np.int64)
-    I[:2] = -1
-    np.maximum(basis - n, 0, out=I[2, : basis.size])
-    varcore = np.empty(n, dtype=np.int64)
-    varcore.fill(-1)
-    if nc:
-        rows, positions = core.rows, core.positions
-        Kb[:nc, :nc] = core.kinv
-        C[0, :nc] = rows
-        C[1, :nc] = positions
-        basis.take(positions, out=C[2, :nc])
-        at = np.arange(nc)
-        I[0, rows] = at
-        I[1, positions] = at
-        varcore[C[2, :nc]] = at
-    return Kb, C, I, varcore
-
-
-def _breakpoints(ratios, cand, alpha, range_e, viol_r):
-    """The long step's breakpoints in (ratio, index) order, up to the first
-    that makes the leaving row feasible, or all of them: ``(order, cand[
-    order], left, stop)`` with ``left`` the row's violation after each
-    and ``stop`` where it is within ``_FEAS_TOL``.
-
-    Many candidates are sorted only as far as the ``_SORTED_FIRST``
-    smallest ratios and their ties, while those already fix the row; the
-    prefix is the full order's.
-    """
-    if ratios.size > 2 * _SORTED_FIRST:
-        kth = np.argpartition(ratios, _SORTED_FIRST - 1)[_SORTED_FIRST - 1]
-        head = (ratios <= ratios[kth]).nonzero()[0]
-        order = head[ratios[head].argsort(kind="stable")]
-        srt = cand[order]
-        left = viol_r - np.add.accumulate(np.abs(alpha[srt]) * range_e[srt])
-        stop = (left <= _FEAS_TOL).nonzero()[0]
-        if stop.size:
-            return order, srt, left, stop
-    order = ratios.argsort(kind="stable")
-    srt = cand[order]
-    left = viol_r - np.add.accumulate(np.abs(alpha[srt]) * range_e[srt])
-    return order, srt, left, (left <= _FEAS_TOL).nonzero()[0]
-
-
-def _first_q(rowcore, start):
-    """The first row from ``start`` on whose slack is basic, else the row
-    count."""
-    q = (rowcore[start:] < 0).nonzero()[0]
-    return start + int(q[0]) if q.size else rowcore.size
-
-
-def _grown(buf, size, used):
-    """``buf`` copied into a buffer of ``size`` along its last axis; the
-    first ``used`` entries are kept."""
-    out = np.empty(buf.shape[:-1] + (size,), dtype=buf.dtype)
-    out[..., :used] = buf[..., :used]
-    return out
-
-
-def _grown_core(Kb, C, nc):
-    """The core buffers with twice the room, the first ``nc`` kept."""
-    room = 2 * (Kb.shape[0] - 1)
-    out = np.zeros((room + 1, room + 1))
-    out[:nc, :nc] = Kb[:nc, :nc]
-    return out, _grown(C, room, nc)
-
-
-def _kept(Kv, crow, cpos):
-    """A compact copy of the core for a returned result."""
-    return BasisCore(Kv.copy(), crow.copy(), cpos.copy())
-
-
-def _rank_one(Kv, w, row):
-    """``Kv -= outer(w, row)``; a core of more than ``_SPARSE_FROM`` rows
-    updates only the rows where ``w`` is nonzero when they are fewer than
-    a share ``_SPARSE_SHARE`` of all.  Rows where ``w`` is 0 would only
-    subtract zeros, so the values are the same either way."""
-    if w.size > _SPARSE_FROM:
-        nz = w.nonzero()[0]
-        if nz.size < _SPARSE_SHARE * w.size:
-            if nz.size:
-                Kv[nz] -= w[nz, None] * row
-            return
-    Kv -= w[:, None] * row
-
-
-def _ftran(A, v, Kv, crow, cpos, cvar, prow, qfirst):
-    """``B^-1 v`` over the basis positions, for ``v`` over the rows, which
-    it overwrites.  Rows before ``qfirst`` are all in ``R``."""
-    w = Kv.dot(v.take(crow))
-    tail = v[qfirst:]
-    z = np.zeros(A.shape[1])
-    z[cvar] = w
-    tail -= A.matvec(z, qfirst)
-    out = v.take(prow)
-    out[cpos] = w
-    return out
-
-
-def _invert(A, rowcore, varcore, nc):
-    """``K^-1`` of the core that ``rowcore`` and ``varcore`` place."""
-    ri = rowcore[A.rows]
-    cj = varcore[A.cols]
-    keep = (ri >= 0) & (cj >= 0)
-    K = np.zeros((nc, nc))
-    K[ri[keep], cj[keep]] = A.vals[keep]
-    return np.linalg.inv(K)
-
-
-def _fresh_point(A, b, c, vstat, basis, lower_e, upper_e, xB, Kv, crow, cpos,
-                 cvar, prow, qfirst):
-    """The basic point from the core: sets ``xB`` and returns ``x`` over
-    structural and slack columns and the objective ``c @ x``."""
+def _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e, out=None):
+    """The basic point from the inverse: ``x`` over structural and slack
+    columns, its basic values ``xB`` (written into ``out`` if given) and
+    the objective ``c @ x``."""
     n = A.shape[1]
     x = _nonbasic_values(vstat, basis, lower_e, upper_e)
-    xB[:] = _ftran(A, b - A.matvec(x[:n]), Kv, crow, cpos, cvar, prow,
-                   qfirst)
+    xB = np.matmul(binv, b - A.matvec(x[:n]), out=out)
     x[basis] = xB
-    return x, float(c.dot(x[:n]))
+    return x, xB, float(c @ x[:n])
 
 
 def _nonbasic_values(vstat, basis, lower_e, upper_e):
@@ -798,8 +511,7 @@ def _nonbasic_values(vstat, basis, lower_e, upper_e):
     return x
 
 
-def _reduced_costs(A, c_e, Kv, crow, cvar):
-    """``d = c - (c_B B^-1) [A I]`` over structural and slack columns."""
-    y = np.zeros(A.shape[0])
-    y[crow] = c_e.take(cvar).dot(Kv)
-    return c_e - A.pivot_row(y)
+def _reduced_costs(binv, A, c_e, basis, out=None):
+    """``d = c - (c_B B^-1) [A I]`` over structural and slack columns,
+    written into ``out`` if given."""
+    return np.subtract(c_e, A.pivot_row(c_e[basis] @ binv), out=out)

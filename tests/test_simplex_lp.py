@@ -4,9 +4,6 @@ scipy's HiGHS backend is an independent implementation, so agreement on
 random bounded LPs is strong evidence the hand-rolled solver is right.
 """
 
-from collections import Counter
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -17,57 +14,10 @@ from sctopo.simplex_lp import (
     NB_LOWER,
     NB_UPPER,
     SparseRows,
+    build_basis_matrix,
     extend_binv_for_new_rows,
     solve_lp,
 )
-
-
-def _dense_basis(A, basis):
-    """The columns of the dense ``[A I]`` at ``basis``."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    B = np.zeros((m, m))
-    struct = basis < n
-    B[:, struct] = A[:, basis[struct]]
-    slack = np.flatnonzero(~struct)
-    B[basis[slack] - n, slack] = 1.0
-    return B
-
-
-def _dense_inverse(res, A):
-    """``B^-1`` of ``res``'s basis from its core, by the block formula
-    ``[[K^-1, 0], [-A_QS K^-1, I]]`` over basis positions and rows."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    core, basis = res.core, res.basis
-    binv = np.zeros((m, m))
-    binv[np.ix_(core.positions, core.rows)] = core.kinv
-    slack = np.flatnonzero(basis >= n)
-    binv[slack, basis[slack] - n] = 1.0
-    binv[np.ix_(slack, core.rows)] = -(
-        A[np.ix_(basis[slack] - n, basis[core.positions])] @ core.kinv)
-    return binv
-
-
-def _assert_core_inverts(res, A, atol=1e-8):
-    """The core of ``res`` is ``A_RS``'s inverse: its rows are the rows
-    whose slack is nonbasic, its positions those holding structurals, and
-    the dense inverse it gives inverts the whole basis."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    core, basis = res.core, res.basis
-    assert sorted(core.rows.tolist()) == sorted(
-        set(range(m)) - set((basis[basis >= n] - n).tolist()))
-    assert sorted(core.positions.tolist()) == np.flatnonzero(
-        basis < n).tolist()
-    np.testing.assert_allclose(_dense_inverse(res, A)
-                               @ _dense_basis(A, basis), np.eye(m),
-                               atol=atol)
-
-
-def _copy_core(core):
-    return replace(core, kinv=core.kinv.copy(), rows=core.rows.copy(),
-                   positions=core.positions.copy())
 
 
 def _random_lp(rng, n, m, nonneg_costs=True):
@@ -180,13 +130,11 @@ def test_row_extension_keeps_solving():
         b_extra = extra @ first.x - rng.random(2)  # cut off the old optimum
         A2 = np.vstack([A, extra])
         b2 = np.concatenate([b, b_extra])
-        grown = extend_binv_for_new_rows(first, m + 2)
+        grown = extend_binv_for_new_rows(first, extra, n)
         assert grown.basis.tolist() == first.basis.tolist() + [n + m, n + m + 1]
         assert grown.vstat.tolist() == first.vstat.tolist() + [BASIC, BASIC]
-        # the new slacks join Q: the core is the same object, and inverts
-        # the grown basis as the dense formula says
-        assert grown.core is first.core
-        _assert_core_inverts(grown, A2)
+        B = build_basis_matrix(A2, grown.basis)
+        np.testing.assert_allclose(grown.binv @ B, np.eye(m + 2), atol=1e-9)
         warm = solve_lp(c, A2, b2, lower, upper, warm=grown)
         ref = _scipy_solve(c, A2, b2, lower, upper)
         if ref.status == 2:
@@ -205,7 +153,7 @@ def test_warm_state_that_misses_rows_is_rejected():
     extra = rng.normal(size=(2, 6))
     A2 = np.vstack([A, extra])
     b2 = np.concatenate([b, extra @ first.x - 1.0])
-    with pytest.raises(ValueError, match=r"5 rows.* 3 entries, its statuses 9"):
+    with pytest.raises(ValueError, match=r"5 rows.* 3 entries.* 3 x 3"):
         solve_lp(c, A2, b2, lower, upper, warm=first)
 
     # at a continuation: ``separate`` grows the rows but not the result
@@ -215,19 +163,48 @@ def test_warm_state_that_misses_rows_is_rejected():
         calls.append(res)
         return A2, b2, res
 
-    with pytest.raises(ValueError, match=r"5 rows.* 3 entries, its statuses 9"):
+    with pytest.raises(ValueError, match=r"5 rows.* 3 entries.* 3 x 3"):
         solve_lp(c, A, b, lower, upper, separate=unextended)
     assert len(calls) == 1
-    # a result extended with a core other than its own is refused too
-    with pytest.raises(ValueError, match="extended to the new rows"):
-        solve_lp(c, A, b, lower, upper, separate=lambda res: (
-            A2, b2, extend_binv_for_new_rows(replace(res, core=_copy_core(
-                res.core)), 5)))
     # the same rows with the result extended go on to the optimum
     grown = solve_lp(c, A, b, lower, upper, separate=lambda res: (
         None if res.basis.size == 5
-        else (A2, b2, extend_binv_for_new_rows(res, 5))))
+        else (A2, b2, extend_binv_for_new_rows(res, extra, 6))))
     assert _assert_matches_scipy(grown, c, A2, b2, lower, upper)
+
+
+def test_rounds_that_outgrow_the_state_buffers_match_scipy():
+    # separate hands back one to three more rows per round, so the
+    # per-row and per-variable state, moved into buffers with room for
+    # twice the rows at the first round, outgrows them several times
+    # within the call; each result equals scipy's on all the rows, with
+    # its basic values recomputed from its final basis
+    rng = np.random.default_rng(29)
+    n, m, k = 8, 2, 14
+    pivoted = 0
+    for _ in range(30):
+        c, A, b, lower, upper = _random_lp(rng, n, m + k)
+        b = A @ (0.5 * np.ones(n)) + rng.random(m + k)  # the center is feasible
+        sizes, iterations = [], []
+
+        def separate(res):
+            old = res.basis.size
+            sizes.append(old)
+            iterations.append(res.iterations)
+            if old == m + k:
+                return None
+            new = min(old + int(rng.integers(1, 4)), m + k)
+            return (A[:new], b[:new],
+                    extend_binv_for_new_rows(res, A[old:new], n))
+
+        res = solve_lp(c, A[:m], b[:m], lower, upper, separate=separate)
+        assert _assert_matches_scipy(res, c, A, b, lower, upper)
+        assert sizes[-1] == m + k and len(sizes) > 5
+        assert sizes == sorted(sizes)
+        _assert_basic_values_from_basis(res, A, b)
+        # rounds after which the LP pivoted on the grown rows
+        pivoted += int(np.count_nonzero(np.diff(iterations)))
+    assert pivoted > 30
 
 
 def test_iteration_limit_bound_is_valid(monkeypatch):
@@ -389,21 +366,19 @@ def test_loosened_warm_start_is_rejected():
 
 
 def _assert_basic_values_from_basis(res, A, b):
-    # an "optimal" x holds the basic values recomputed from the final core,
-    # xS = K^-1 (b - A x_N)_R, not the ones carried (and rounded) across
-    # pivots: equal to a dense solve with the whole basis up to rounding
-    m, n = A.shape
-    x_nb = np.concatenate([res.x, np.zeros(m)])
+    # an "optimal" x holds the basic values recomputed from the final basis
+    # inverse, not the ones carried (and rounded) across pivots; A @ x is
+    # summed over each row's entries in order, as the solver sums it
+    n = A.shape[1]
+    x_nb = np.concatenate([res.x, np.zeros(A.shape[0])])
     x_nb[res.basis] = 0.0
-    rhs = b - np.asarray(A) @ x_nb[:n]
+    xB = res.binv @ (b - SparseRows.of(A).matvec(x_nb[:n]))
     struct = res.basis < n
-    core = res.core
-    np.testing.assert_allclose(res.x[res.basis[core.positions]],
-                               core.kinv @ rhs[core.rows], rtol=1e-12,
-                               atol=1e-12)
-    xB = np.linalg.solve(_dense_basis(A, res.basis), rhs)
-    np.testing.assert_allclose(res.x[res.basis[struct]], xB[struct],
-                               rtol=1e-9, atol=1e-9)
+    np.testing.assert_array_equal(res.x[res.basis[struct]], xB[struct])
+    # and, summed by numpy's dense product, the same up to rounding
+    dense = res.binv @ (b - np.asarray(A) @ x_nb[:n])
+    np.testing.assert_allclose(res.x[res.basis[struct]], dense[struct],
+                               rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("refresh_every", [1, 7])
@@ -443,7 +418,7 @@ def test_carried_values_match_scipy_at_any_refresh_interval(monkeypatch,
         A2 = np.vstack([A, extra])
         b2 = np.concatenate([b, extra @ cold.x - rng.random(2)])
         ext = solve_lp(c, A2, b2, lower, upper,
-                       warm=extend_binv_for_new_rows(cold, m + 2))
+                       warm=extend_binv_for_new_rows(cold, extra, n))
         ref = _scipy_solve(c, A2, b2, lower, upper)
         assert ext.status == ("infeasible" if ref.status == 2 else "optimal")
         if ext.status == "optimal":
@@ -484,19 +459,18 @@ def test_column_is_the_dense_column_in_row_order():
 
 
 def test_build_basis_matrix_matches_loop_reference():
-    # the dense basis the core checks below invert against
     rng = np.random.default_rng(29)
     for _ in range(40):
         n = int(rng.integers(1, 12))
         m = int(rng.integers(1, 12))
         A = rng.normal(size=(m, n))
         basis = rng.choice(n + m, size=m, replace=False)
-        np.testing.assert_array_equal(_dense_basis(A, basis),
+        np.testing.assert_array_equal(build_basis_matrix(A, basis),
                                       _basis_matrix_loop(A, basis))
     # all-slack and all-structural extremes
     A = rng.normal(size=(3, 5))
     for basis in (np.array([7, 5, 6]), np.array([4, 0, 2])):
-        np.testing.assert_array_equal(_dense_basis(A, basis),
+        np.testing.assert_array_equal(build_basis_matrix(A, basis),
                                       _basis_matrix_loop(A, basis))
 
 
@@ -632,90 +606,3 @@ def test_iteration_limit_after_a_long_step_is_a_valid_bound(monkeypatch):
             assert short.iterations == 1
             assert short.bound <= ref.fun + 1e-9
     assert n_stopped >= 10
-
-
-# --- the basis core: each update case against the dense inverse ----------
-
-
-def _iterates(c, A, b, lower, upper, warm, patch):
-    """Each iterate of one solve, as the same solve capped at 0, 1, 2, ...
-    pivots returns it."""
-    full = solve_lp(c, A, b, lower, upper, warm=warm)
-    out = []
-    for k in range(full.iterations + 1):
-        with patch.context() as p:
-            p.setattr(simplex_lp, "_MAX_ITER", k)
-            out.append(solve_lp(c, A, b, lower, upper, warm=warm))
-    return out
-
-
-def _assert_each_pivot_keeps_the_core(iterates, A, seen):
-    """Every iterate's core inverts its basis; ``seen`` counts the update
-    cases, keyed by (a structural leaves, a structural enters)."""
-    n = A.shape[1]
-    for before, after in zip(iterates, iterates[1:]):
-        _assert_core_inverts(after, A)
-        (r,) = np.flatnonzero(before.basis != after.basis)
-        seen[bool(before.basis[r] < n), bool(after.basis[r] < n)] += 1
-
-
-@pytest.mark.parametrize("refresh_every", [3, 200])
-def test_each_core_update_case_inverts_the_basis(monkeypatch, refresh_every):
-    # structural for structural (rank one), a slack leaving for a
-    # structural (bordering), a structural leaving for a slack (Schur
-    # complement) and slack for slack (a row swapped), with and without
-    # reinversions between them
-    monkeypatch.setattr(simplex_lp, "_REFRESH_EVERY", refresh_every)
-    rng = np.random.default_rng(53)
-    seen = Counter()
-    for trial in range(60):
-        if trial % 2:
-            c, A, b, lower, upper = _cardinality_lp(
-                rng, int(rng.integers(3, 10)), int(rng.integers(2, 8)))
-        else:
-            c, A, b, lower, upper = _random_lp(
-                rng, int(rng.integers(3, 10)), int(rng.integers(2, 9)),
-                nonneg_costs=bool(trial % 4))
-        iterates = _iterates(c, A, b, lower, upper, None, monkeypatch)
-        _assert_core_inverts(iterates[0], A)
-        _assert_each_pivot_keeps_the_core(iterates, A, seen)
-        cold = solve_lp(c, A, b, lower, upper)
-        if cold.status != "optimal":
-            continue
-        # fix each basic structural at its farther bound: it must leave
-        basic = cold.basis[cold.basis < A.shape[1]]
-        lower2, upper2 = lower.copy(), upper.copy()
-        lower2[basic] = upper2[basic] = cold.x[basic] < 0.5
-        iterates = _iterates(c, A, b, lower2, upper2, cold, monkeypatch)
-        _assert_each_pivot_keeps_the_core(iterates, A, seen)
-    assert min(seen[case] for case in ((True, True), (False, True),
-                                       (True, False), (False, False))) >= 10
-
-
-def test_core_of_a_warm_extended_child_inverts_the_basis(monkeypatch):
-    # a result extended to new rows keeps its core, and a warm solve under
-    # tighter bounds keeps inverting the grown basis at every pivot
-    rng = np.random.default_rng(59)
-    seen = Counter()
-    warm_pivots = 0
-    for _ in range(40):
-        n, m = int(rng.integers(4, 10)), int(rng.integers(2, 7))
-        c, A, b, lower, upper = _random_lp(rng, n, m)
-        first = solve_lp(c, A, b, lower, upper)
-        if first.status != "optimal":
-            continue
-        extra = rng.normal(size=(2, n))
-        A2 = np.vstack([A, extra])
-        b2 = np.concatenate([b, extra @ first.x - rng.random(2)])
-        grown = extend_binv_for_new_rows(first, m + 2)
-        _assert_core_inverts(grown, A2)
-        lower2, upper2 = lower.copy(), upper.copy()
-        j = int(rng.integers(n))
-        lower2[j] = upper2[j] = float(first.x[j] > 0.5)
-        iterates = _iterates(c, A2, b2, lower2, upper2, grown, monkeypatch)
-        _assert_core_inverts(iterates[0], A2)
-        _assert_each_pivot_keeps_the_core(iterates, A2, seen)
-        warm_pivots += len(iterates) - 1
-        # the warm state was copied, never modified
-        _assert_core_inverts(grown, A2)
-    assert warm_pivots > 40 and len(seen) == 4
