@@ -458,6 +458,23 @@ def test_column_is_the_dense_column_in_row_order():
     assert empty > 20
 
 
+def test_matvec_from_a_row_on_matches_the_dense_rows():
+    # the rows from first on, summed from their entries alone, equal the
+    # dense product's, also where empty rows come before or after first
+    rng = np.random.default_rng(23)
+    empty = 0
+    for _ in range(40):
+        m, n = (int(v) for v in rng.integers(1, 12, size=2))
+        D = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.4)
+        D[rng.random(m) < 0.3] = 0
+        x = rng.integers(-3, 4, size=n).astype(float)
+        A = SparseRows.of(D)
+        for first in range(m + 1):
+            np.testing.assert_array_equal(A.matvec(x, first), (D @ x)[first:])
+        empty += int(np.count_nonzero(~D.any(axis=1)))
+    assert empty > 20
+
+
 def test_build_basis_matrix_matches_loop_reference():
     rng = np.random.default_rng(29)
     for _ in range(40):
