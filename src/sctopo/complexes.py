@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, inf, isqrt
+from math import comb, inf, isfinite, isqrt
+from numbers import Real
 
 import numpy as np
 
@@ -247,6 +248,19 @@ def check_count(value, what, stop=inf):
     return int(value)
 
 
+def check_real(value, what, high=inf, positive=False):
+    """``value`` as a float; ``ValueError`` unless a finite real number (not
+    a bool) in [0, high], or in (0, high] if ``positive``."""
+    ok = isinstance(value, Real) and not isinstance(value, bool)
+    if ok:
+        x = float(value)
+        ok = isfinite(x) and (0 < x if positive else 0 <= x) and x <= high
+    if not ok:
+        span = f"{'(' if positive else '['}0, {high}{')' if high == inf else ']'}"
+        raise ValueError(f"{what} must be a finite number in {span}; got {value!r}")
+    return x
+
+
 def cheapest(count, values, exclude=None):
     """First ``count`` indices by ``(value, index)``, skipping mask ``exclude``."""
     order = np.lexsort((np.arange(values.size), values))
@@ -328,13 +342,20 @@ def similarity_laplacian(cx, s2):
 
 def _block_sum(size, faces, weights, name, block):
     """The one Laplacian builder: ``weights[s] * block`` summed on the rows
-    and columns ``faces[s]`` of each simplex ``s`` (its faces, in order)."""
+    and columns ``faces[s]`` of each simplex ``s`` (its faces, in order).
+
+    One ``np.bincount`` over the flat positions ``row * size + col`` adds
+    the blocks' entries in the order ``np.add.at`` would, simplex by
+    simplex, so the sums keep their bits; it returns int64 when no simplex
+    is selected, hence the cast.
+    """
     weights = _check_len(weights, len(faces), name)
     s = np.flatnonzero(weights)
-    L = np.zeros((size, size))
-    np.add.at(L, (faces[s, :, None], faces[s, None, :]),
-              weights[s].astype(float)[:, None, None] * block)
-    return L
+    f = faces[s]
+    flat = f[:, :, None] * size + f[:, None, :]
+    entries = weights[s].astype(float)[:, None, None] * block
+    L = np.bincount(flat.ravel(), entries.ravel(), size * size)
+    return L.astype(float, copy=False).reshape(size, size)
 
 
 def _check_len(v, n, name):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import floor, isfinite
+from math import floor, inf, isfinite
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -27,6 +27,7 @@ from .complexes import (
     Selection,
     build_candidate_complex,
     check_count,
+    check_real,
     feasible_triangles,
     laplacian_node,
     laplacian_upper_edge,
@@ -59,20 +60,19 @@ class SynthConfig:
         # plain ints: a float or bool seed would draw another seed's truth
         for key in ("n0", "f0", "f1", "seed"):
             object.__setattr__(self, key, check_count(getattr(self, key), key))
+        # plain floats: a bool or a string is not a probability
+        object.__setattr__(self, "er_p",
+                           check_real(self.er_p, "er_p", 1.0, positive=True))
+        for key, high in (("triangle_fraction", 1.0), ("noise_sigma", inf)):
+            object.__setattr__(self, key,
+                               check_real(getattr(self, key), key, high))
         if self.n0 < 3:
             raise ValueError("n0 must be at least 3")
-        if not 0.0 < self.er_p <= 1.0:
-            raise ValueError("er_p must lie in (0, 1]")
-        if not 0.0 <= self.triangle_fraction <= 1.0:
-            raise ValueError("triangle_fraction must lie in [0, 1]")
         if self.f0 < 1 or self.f1 < 1:
             raise ValueError(f"feature counts must be positive; got f0 "
                              f"{self.f0}, f1 {self.f1}")
         if self.filter_kind != "inv_one_plus_lambda":
             raise ValueError(f"unknown filter_kind {self.filter_kind!r}")
-        if not (isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and nonnegative; "
-                             f"got {self.noise_sigma}")
         if self.edge_prior not in EDGE_PRIORS:
             raise ValueError(f"edge_prior must be one of {EDGE_PRIORS}")
 
@@ -91,16 +91,14 @@ def stage_rng(seed, stage):
 
 def sample_er_selection(n0, p, rng):
     """Each candidate edge kept independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    p = check_real(p, "p", 1.0)
     n_edges = n0 * (n0 - 1) // 2
     return (rng.random(n_edges) < p).astype(np.int8)
 
 
 def sample_triangle_truth(cx, s1, fraction, rng):
     """Uniform sample of floor(fraction * |feasible|) supported triangles."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
+    fraction = check_real(fraction, "fraction", 1.0)
     feas = feasible_triangles(cx, s1)
     k = floor(fraction * feas.size)
     s2 = np.zeros(cx.n_triangles, dtype=np.int8)
@@ -115,21 +113,24 @@ def filtered_signals(L, f, noise_sigma, rng):
     For ``L = U diag(lam) U^T`` the filter is ``U diag(g(lam)) U^T``; one
     linear solve with ``I + L`` applies it without the eigendecomposition.
     ``L`` is a Laplacian, so ``I + L`` is symmetric positive definite.
-    W and E are drawn from ``rng`` in that order regardless of sigma, so
-    the same seed yields the same smooth component at any noise level.
-    A ``noise_sigma`` so large that the signals overflow raises
-    ``ValueError``.
+    W is drawn from ``rng`` first, so the same seed yields the same smooth
+    component at any noise level; E is drawn after it, and only when
+    ``noise_sigma > 0``.  So at sigma 0 ``rng`` advances by one draw of
+    W alone.  ``noise_sigma`` must be a finite real number at least 0,
+    else ``ValueError``; so large that the signals overflow, it raises
+    ``ValueError`` too.
     """
+    noise_sigma = check_real(noise_sigma, "noise_sigma")
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be square")
     if not np.array_equal(L, L.T):
         raise ValueError("L must be symmetric")
     n = L.shape[0]
-    W = rng.standard_normal((n, f))
-    E = rng.standard_normal((n, f))
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        X = np.linalg.solve(np.eye(n) + L, W) + noise_sigma * E
+    X = np.linalg.solve(np.eye(n) + L, rng.standard_normal((n, f)))
+    if noise_sigma > 0:
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            X += noise_sigma * rng.standard_normal((n, f))
     if not np.isfinite(X).all():
         raise ValueError(f"noise_sigma {noise_sigma} makes the signals "
                          f"non-finite")

@@ -23,6 +23,7 @@ from sctopo.datasets import make_coauthorship_fixture, subsample_dataset
 from sctopo.experiment import PRIOR_TO_KIND
 from sctopo.metrics import edge_signals_from_nodes
 from sctopo.smoothness import CostVectors, compute_costs
+from test_simplex_lp import build_basis_matrix
 
 
 def _random_costs(rng, cx, scale=1.0):
@@ -156,21 +157,22 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
     inst = build_joint_instance(cx, _near_uniform_costs(rng, cx), 6, 3)
     want = solve(inst)
     monkeypatch.setattr(simplex_lp, "_REFRESH_EVERY", refresh_every)
-    build_basis = simplex_lp.build_basis_matrix
+    invert = simplex_lp.invert_basis
     built = []
 
-    def counting_build(A, basis):
+    def counting_invert(A, basis):
         built.append(basis.size)
-        return build_basis(A, basis)
+        return invert(A, basis)
 
     def assert_inverts(A, warm):
-        np.testing.assert_allclose(warm.binv @ build_basis(A, warm.basis),
-                                   np.eye(A.shape[0]), atol=1e-8)
+        np.testing.assert_allclose(
+            warm.binv @ build_basis_matrix(A, warm.basis),
+            np.eye(A.shape[0]), atol=1e-8)
 
     calls = _watch_door(monkeypatch)
-    monkeypatch.setattr(simplex_lp, "build_basis_matrix", counting_build)
+    monkeypatch.setattr(simplex_lp, "invert_basis", counting_invert)
     got = solve(inst)
-    monkeypatch.setattr(simplex_lp, "build_basis_matrix", build_basis)
+    monkeypatch.setattr(simplex_lp, "invert_basis", invert)
 
     assert got.objective == pytest.approx(want.objective, rel=1e-12)
     assert got.selection.same_as(want.selection)
@@ -191,7 +193,7 @@ def test_children_start_from_the_parents_basis_inverse(monkeypatch,
         assert sum(rounds) == call.res.iterations
         np.testing.assert_array_equal(again.x, call.x)
         pivots.extend(rounds)
-    # the basis is rebuilt only at the periodic reinversions, counted from
+    # the basis is reinverted only at the periodic refreshes, counted from
     # the start of each separation round
     assert len(built) == sum(it // refresh_every for it in pivots)
     if refresh_every == 200:
@@ -1005,7 +1007,7 @@ def _assert_products_match_dense(A, D, rng):
         np.testing.assert_array_equal(rows, np.flatnonzero(D[:, q]))
         np.testing.assert_array_equal(vals, D[rows, q])
     basis = rng.choice(n + m, size=m, replace=False)
-    np.testing.assert_array_equal(simplex_lp.build_basis_matrix(A, basis),
+    np.testing.assert_array_equal(build_basis_matrix(A, basis),
                                   _basis_matrix(D, basis))
 
 

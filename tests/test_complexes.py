@@ -10,6 +10,7 @@ import pytest
 from sctopo.complexes import (
     Selection,
     TRIANGLE_FACE_SIGNS,
+    _block_sum,
     _edge_vertices,
     _triangle_vertices,
     build_candidate_complex,
@@ -248,6 +249,36 @@ def test_laplacians_equal_dense_incidence_formulas():
             assert np.array_equal(L0, dense_node)
             assert np.array_equal(Lup, dense_up)
             assert np.array_equal(similarity_laplacian(cx, s2), dense_sim)
+
+
+def _scatter_add_reference(size, faces, weights, block):
+    s = np.flatnonzero(weights)
+    L = np.zeros((size, size))
+    np.add.at(L, (faces[s, :, None], faces[s, None, :]),
+              weights[s].astype(float)[:, None, None] * block)
+    return L
+
+
+def test_block_sum_keeps_the_bits_of_a_scatter_add():
+    # real-valued weights make the sums depend on their order: one
+    # bincount adds the entries in the order np.add.at does
+    rng = np.random.default_rng(12)
+    cx = build_candidate_complex(7)
+    ends = np.column_stack(_edge_vertices(7, np.arange(cx.n_edges)))
+    cases = [(cx.n_edges, cx.triangle_edges, block) for block in (
+        np.outer(TRIANGLE_FACE_SIGNS, TRIANGLE_FACE_SIGNS),
+        3.0 * np.eye(3) - 1.0, rng.normal(size=(3, 3)))]
+    cases.append((7, ends, rng.normal(size=(2, 2))))
+    for size, faces, block in cases:
+        n = len(faces)
+        for weights in (rng.normal(size=n) * (rng.random(n) < 0.4),
+                        rng.integers(0, 2, size=n).astype(np.int8),
+                        rng.integers(-3, 4, size=n) * 0.1,
+                        np.zeros(n)):
+            got = _block_sum(size, faces, weights, "w", block)
+            want = _scatter_add_reference(size, faces, weights, block)
+            assert got.dtype == np.float64 and got.shape == (size, size)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 def test_rank_inverses_round_trip():

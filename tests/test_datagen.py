@@ -87,6 +87,19 @@ def test_filtered_signals_match_the_eigendecomposition(which):
     np.testing.assert_allclose(X, reference, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("sigma", [0.25, 1.0, 3.0])
+def test_noise_is_the_draw_after_the_smooth_part(sigma):
+    # at sigma 0 only W is drawn; with noise, E is the stage rng's next
+    # draw, added on top of the very bits of the noise-free result
+    cx = build_candidate_complex(7)
+    L = laplacian_node(cx, sample_er_selection(7, 0.6, stage_rng(5, STAGE_EDGES)))
+    rng = stage_rng(5, STAGE_NODE_SIGNALS)
+    smooth = filtered_signals(L, 4, 0.0, rng)
+    E = rng.standard_normal((7, 4))
+    noisy = filtered_signals(L, 4, sigma, stage_rng(5, STAGE_NODE_SIGNALS))
+    np.testing.assert_array_equal(noisy, smooth + sigma * E)
+
+
 def test_filter_suppresses_rough_directions():
     # Monte Carlo: smoothness energy of filtered signals stays below that
     # of unfiltered white noise on the same operator
@@ -126,9 +139,8 @@ def test_noise_adds_on_top_of_same_smooth_part():
     clean = make_bundle(SynthConfig(n0=7, seed=13, f0=5, f1=5))
     noisy = make_bundle(SynthConfig(n0=7, seed=13, f0=5, f1=5,
                                     noise_sigma=2.0))
-    # identical W and E draws: the difference is exactly sigma * E
+    # the same W, and E the next draw: the difference is exactly sigma * E
     delta = noisy.x0 - clean.x0
-    E = None
     rng = stage_rng(13, STAGE_NODE_SIGNALS)
     rng.standard_normal((7, 5))  # skip W
     E = rng.standard_normal((7, 5))

@@ -2,14 +2,16 @@
 
 import json
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sctopo.complexes import Selection, build_candidate_complex, validate_inclusion
-from sctopo.datagen import stage_rng
+from sctopo.datagen import SynthConfig, filtered_signals, stage_rng
 from sctopo.datasets import make_coauthorship_fixture, save_real_dataset, subsample_dataset
 from sctopo.experiment import (
+    EvalReport,
     ExperimentConfig,
     SCORE_METRICS,
     run_experiment,
@@ -101,6 +103,41 @@ def test_report_json_holds_config_and_records(tmp_path):
             assert "separations" not in diag and "pool_rows" not in diag
 
 
+def test_report_json_holds_one_aggregate_or_record_per_line(tmp_path):
+    rep = run_experiment(ExperimentConfig(**_SMALL))
+    report_path, _ = write_report(rep, tmp_path)
+    text = report_path.read_text()
+    # the same object the indented encoder gave, keys sorted at every level
+    payload = {"config": rep.config, "seeds": rep.seeds,
+               "records": rep.records, "aggregates": rep.aggregates}
+    assert json.loads(text) == json.loads(json.dumps(payload, indent=2,
+                                                     sort_keys=True))
+    assert list(json.loads(text)) == ["aggregates", "config", "records",
+                                      "seeds"]
+    lines = text.splitlines()
+    a, r = len(rep.aggregates), len(rep.records)
+    assert len(lines) == a + r + 6
+    assert lines[0] == '{"aggregates": ['
+    assert lines[a + 1] == "],"
+    assert lines[a + 2].startswith('"config": {')
+    assert lines[a + 3] == '"records": ['
+    assert lines[a + r + 4] == "],"
+    assert lines[a + r + 5].startswith('"seeds": [')
+    for line, entry in zip(lines[1 : a + 1] + lines[a + 4 : a + r + 4],
+                           rep.aggregates + rep.records):
+        assert line.rstrip(",") == json.dumps(entry, sort_keys=True)
+
+
+def test_report_json_of_an_empty_report_parses(tmp_path):
+    rep = EvalReport(config={"mode": "synthetic"}, seeds=[])
+    report_path, csv_path = write_report(rep, tmp_path)
+    assert json.loads(report_path.read_text()) == {
+        "aggregates": [], "config": {"mode": "synthetic"}, "records": [],
+        "seeds": []}
+    assert csv_path.read_text().splitlines() == [
+        "method,n0,prior,metric,mean,std"]
+
+
 def test_real_mode_runs_on_fixture(tmp_path):
     ds = make_coauthorship_fixture(n_authors=14, n_papers=30, keyword_dim=12,
                                    seed=4)
@@ -146,6 +183,34 @@ def test_config_checks_its_synthetic_fields_when_built(mode, key, value):
     # (and never in real mode, where they go unused)
     with pytest.raises(ValueError, match=key):
         ExperimentConfig(mode=mode, dataset_path="unused", **{key: value})
+
+
+@pytest.mark.parametrize("key", ["er_p", "triangle_fraction", "noise_sigma"])
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None,
+                                   0.5j, [0.5], float("nan")])
+def test_synthetic_reals_reject_bools_and_non_reals(key, value):
+    # one check for every synthetic real: a bool is not a probability or a
+    # noise level, and a string or a complex is no number at all
+    with pytest.raises(ValueError, match=key):
+        SynthConfig(n0=6, **{key: value})
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**{key: value})
+    if key == "noise_sigma":
+        with pytest.raises(ValueError, match=key):
+            filtered_signals(np.zeros((3, 3)), 2, value, stage_rng(0, 2))
+
+
+def test_synthetic_reals_are_stored_as_plain_floats():
+    given = {"er_p": 1, "triangle_fraction": np.float32(0.5),
+             "noise_sigma": Fraction(1, 4)}
+    for cfg in (SynthConfig(n0=6, **given), ExperimentConfig(**given)):
+        assert (cfg.er_p, cfg.triangle_fraction, cfg.noise_sigma) == (1.0, 0.5, 0.25)
+        assert all(type(getattr(cfg, key)) is float for key in given)
+    assert ExperimentConfig(gamma=2).gamma == 2.0
+    assert type(ExperimentConfig(gamma=2).gamma) is float
+    # a negative noise level is rejected where the signals are drawn too
+    with pytest.raises(ValueError, match="noise_sigma"):
+        filtered_signals(np.zeros((3, 3)), 2, -1.0, stage_rng(0, 2))
 
 
 def test_config_keeps_feature_counts_as_plain_ints():

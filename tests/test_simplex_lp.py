@@ -14,10 +14,22 @@ from sctopo.simplex_lp import (
     NB_LOWER,
     NB_UPPER,
     SparseRows,
-    build_basis_matrix,
     extend_binv_for_new_rows,
+    invert_basis,
     solve_lp,
 )
+
+
+def build_basis_matrix(A, basis):
+    """Dense basis matrix from structural columns of ``A`` and slack units."""
+    A = SparseRows.of(A)
+    m, n = A.shape
+    B = np.zeros((m, m))
+    rows, at, vals = A.basic(basis)
+    B[rows, at] = vals
+    slack = np.flatnonzero(basis >= n)
+    B[basis[slack] - n, slack] = 1.0
+    return B
 
 
 def _random_lp(rng, n, m, nonneg_costs=True):
@@ -489,6 +501,39 @@ def test_build_basis_matrix_matches_loop_reference():
     for basis in (np.array([7, 5, 6]), np.array([4, 0, 2])):
         np.testing.assert_array_equal(build_basis_matrix(A, basis),
                                       _basis_matrix_loop(A, basis))
+
+
+def test_invert_basis_matches_a_dense_inverse():
+    # the core's inverse, assembled into the whole basis's: on random dense
+    # rows, at both extremes (k = 0, every basic column a slack; k = m,
+    # none) and on the final bases of joint-style LPs, some with a floor
+    # row's slack basic, so that a dense row of A_QS meets the core
+    rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(40):
+        n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        cases.append((rng.normal(size=(m, n)),
+                      rng.choice(n + m, size=m, replace=False)))
+    A = rng.normal(size=(4, 6))
+    cases += [(A, np.array([9, 6, 8, 7])), (A, np.array([4, 0, 2, 5]))]
+    floor_slacks = 0
+    for _ in range(60):
+        c, A, b, lower, upper = _cardinality_lp(
+            rng, int(rng.integers(2, 12)), int(rng.integers(1, 10)))
+        basis = solve_lp(c, A, b, lower, upper).basis
+        if basis is not None:
+            cases.append((A, basis))
+            floor_slacks += bool(np.isin(A.shape[1] + np.arange(2), basis).any())
+    assert floor_slacks >= 10
+    ks = set()
+    for A, basis in cases:
+        B = build_basis_matrix(A, basis)
+        got = invert_basis(SparseRows.of(A), basis)
+        np.testing.assert_allclose(got @ B, np.eye(B.shape[0]), atol=1e-9)
+        np.testing.assert_allclose(got, np.linalg.inv(B), rtol=1e-9, atol=1e-9)
+        k = int(np.count_nonzero(basis < A.shape[1]))
+        ks.add("none" if k == 0 else "all" if k == A.shape[0] else "some")
+    assert ks == {"none", "some", "all"}
 
 
 # --- bound-flipping (long-step) ratio test -------------------------------
