@@ -101,14 +101,15 @@ class BlpSolution:
 
 
 def _check_floors(c1, c2):
-    if c1 < 0 or c2 < 0:
-        raise ValueError(f"cardinality floors must be nonnegative; "
-                         f"got c1 {c1}, c2 {c2}")
+    """The floors as ints; ``ValueError`` unless each is a nonnegative
+    integer, not a bool.  A floor above its candidate count is left to the
+    solve, which reports it ``"infeasible"``."""
+    return (check_count(c1, "cardinality floor c1"),
+            check_count(c2, "cardinality floor c2"))
 
 
 def build_joint_instance(cx, costs, c1, c2):
-    c1, c2 = int(c1), int(c2)
-    _check_floors(c1, c2)
+    c1, c2 = _check_floors(c1, c2)
     if costs.h1.size != cx.n_edges or costs.h2.size != cx.n_triangles:
         raise ValueError("cost vectors do not match the candidate complex")
     if not (np.isfinite(costs.h1).all() and np.isfinite(costs.h2).all()):
@@ -411,7 +412,7 @@ def oracle_enumerate(cx, costs, c1, c2, budget=1_000_000):
     subset.  Refuses instances with more than ``budget`` subsets.
     """
     t0 = time.perf_counter()
-    c1, c2 = int(c1), int(c2)
+    c1, c2 = _check_floors(c1, c2)
     n1, n2 = cx.n_edges, cx.n_triangles
     if c1 > n1 or c2 > n2:
         return BlpSolution(None, inf, inf, "infeasible", 0,

@@ -244,7 +244,9 @@ def check_count(value, what, stop=inf):
     """``value`` as an int; ``ValueError`` unless an integer (not a bool) in [0, stop)."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or not 0 <= value < stop):
-        raise ValueError(f"{what} must be an integer in [0, {stop}); got {value!r}")
+        below = "" if stop == inf else f" below {stop}"
+        raise ValueError(f"{what} must be a nonnegative integer{below}; "
+                         f"got {value!r}")
     return int(value)
 
 

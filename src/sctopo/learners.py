@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blp
-from .complexes import Selection, cheapest, feasible_triangles, validate_inclusion
+from .complexes import (Selection, check_real, cheapest, feasible_triangles,
+                        validate_inclusion)
 
 GREEDY_INITS = ("ones", "hierarchical")  # starting s1 choices of learn_greedy
 
@@ -39,6 +40,15 @@ def _objective(costs, s1, s2):
     return float(costs.h1 @ s1 + costs.h2 @ s2)
 
 
+def _floors_in_range(cx, c1, c2):
+    """The floors as ints: ``ValueError`` unless each is an integer (not a
+    bool) from 0 to its candidate count."""
+    c1, c2 = blp._check_floors(c1, c2)
+    if c1 > cx.n_edges or c2 > cx.n_triangles:
+        raise ValueError("cardinality floors outside the candidate ranges")
+    return c1, c2
+
+
 def learn_hierarchical(cx, costs, c1, c2):
     """Edges first, triangles second, never revisiting the edge choice.
 
@@ -49,9 +59,7 @@ def learn_hierarchical(cx, costs, c1, c2):
     the relaxed-cardinality flag raised in the diagnostics.
     """
     t0 = time.perf_counter()
-    c1, c2 = int(c1), int(c2)
-    if not 0 <= c1 <= cx.n_edges or not 0 <= c2 <= cx.n_triangles:
-        raise ValueError("cardinality floors outside the candidate ranges")
+    c1, c2 = _floors_in_range(cx, c1, c2)
     s1 = np.zeros(cx.n_edges, dtype=np.int8)
     s1[cheapest(c1, costs.h1)] = 1
 
@@ -85,8 +93,8 @@ def learn_joint(cx, costs, c1, c2, node_limit=blp.DEFAULT_NODE_LIMIT):
     incumbent is returned and flagged through ``diagnostics["status"]``.
     """
     instance = blp.build_joint_instance(cx, costs, c1, c2)
-    warm = learn_hierarchical(cx, costs, min(c1, cx.n_edges),
-                              min(c2, cx.n_triangles)).selection
+    warm = learn_hierarchical(cx, costs, min(instance.c1, cx.n_edges),
+                              min(instance.c2, cx.n_triangles)).selection
     sol = blp.solve(instance, node_limit=node_limit, warm_start=warm)
     if sol.selection is None:
         raise ValueError(f"no selection satisfies the floors (status {sol.status})")
@@ -122,16 +130,11 @@ def learn_greedy(cx, costs, c1, c2, gamma=None, max_iter=20, init="ones"):
     ``1 + h1[e] - gamma * cov``.  Stops when the selection pair repeats.
     """
     t0 = time.perf_counter()
-    c1, c2 = int(c1), int(c2)
-    if not 0 <= c1 <= cx.n_edges or not 0 <= c2 <= cx.n_triangles:
-        raise ValueError("cardinality floors outside the candidate ranges")
+    c1, c2 = _floors_in_range(cx, c1, c2)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if gamma is None:
-        gamma = default_gamma(costs)
-    gamma = float(gamma)
-    if not 0 <= gamma < np.inf:  # also false for nan
-        raise ValueError(f"gamma must be finite and nonnegative; got {gamma}")
+    gamma = check_real(default_gamma(costs) if gamma is None else gamma,
+                       "gamma")
 
     h1, h2 = costs.h1, costs.h2
     n1, n2 = cx.n_edges, cx.n_triangles

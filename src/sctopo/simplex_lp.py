@@ -72,6 +72,21 @@ and reaches the cutoff.  An inverse passed in is used as given, so an
 inverse carried from call to call is refreshed only by a round that runs
 ``_REFRESH_EVERY`` pivots.
 
+Every dense product of the solve goes through ``np.dot``, one BLAS call:
+the rank-one update, the entering column, the long step's move of ``xB``
+and its gain, the fresh point and objective, the reduced costs and the
+extension's new block.  At the ``m <= 62`` rows of the ``n0 = 6`` trees a
+pivot is mostly numpy call overhead, and the rank-one update is its
+largest single operation.  Its outer product ``col[:, None] * binv_r``
+takes about 8 µs through numpy's broadcasting loop at ``m = 62`` and about
+4 µs as ``np.dot(col[:, None], binv_r[None])``, a gemm with inner dimension
+1; with the subtraction, 10.7 against 6.3 µs (one BLAS thread).  With
+inner dimension 1 each entry is one rounded product, so the inverse holds
+the same values; only the sign of a zero entry can differ, since BLAS
+sums from +0.0.  The other products reach the same BLAS kernels through
+``@``; ``np.dot`` skips the ufunc dispatch of ``np.matmul``, 0.2-0.4 µs a
+call.
+
 Refresh: the basis is block triangular, since each row whose slack is
 basic adds only a unit column.  With ``S`` the basic structurals and
 ``R`` the rows whose slacks are nonbasic (``|R| = |S| = k``), it is
@@ -91,9 +106,10 @@ pivot row, which is scaled in place.  So when fewer than a share
 are updated (Hall and McKinnon, *Hyper-sparsity in the revised simplex
 method and how to exploit it*, 2005); rows where the column is 0 would
 only subtract zeros, so the inverse holds the same values either way.
-The density is read from each column, whatever the size of the inverse:
-the columns of the ``n0 = 6`` trees are mostly dense (44 of 62 rows) and
-keep the whole update.
+Both forms take their outer product through ``np.dot``, the row-subset
+one over the nonzero rows alone.  The density is read from each column,
+whatever the size of the inverse: the columns of the ``n0 = 6`` trees are
+mostly dense (44 of 62 rows) and keep the whole update.
 
 The tolerances and limits are module constants (``_FEAS_TOL``,
 ``_MAX_ITER``, ``_BLAND_AFTER``, ``_REFRESH_EVERY``, ``_SPARSE_SHARE``),
@@ -278,7 +294,7 @@ def extend_binv_for_new_rows(res, A_new_rows, n):
     C[rows, np.arange(rows.size)] = -vals
     out = np.zeros((size, size))
     out[:m, :m] = binv
-    out[m:, :m] = C @ binv[at]
+    out[m:, :m] = np.dot(C, binv[at])
     out.ravel()[m * size + m :: size + 1] = 1.0  # the new slacks' unit block
     vstat = np.empty(res.vstat.size + k, np.int8)
     vstat[: res.vstat.size] = res.vstat
@@ -447,19 +463,19 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
             # piecewise linear: each passed breakpoint lowers the slope
             # of the dual objective from viol_r to left[i]
             gain = float(viol_r * steps[0]
-                         + left[:k] @ (steps[1:] - steps[:-1]))
+                         + np.dot(left[:k], steps[1:] - steps[:-1]))
             if k:
                 flips = srt[:k]  # structural: a slack's range is infinite
                 moved = np.zeros(n)
                 moved[flips] = toward[flips] * range_e[flips]
-                xB -= binv @ A.matvec(moved)
+                xB -= np.dot(binv, A.matvec(moved))
                 vstat[flips] ^= 1  # NB_LOWER <-> NB_UPPER
                 toward[flips] = -toward[flips]
         obj += gain
 
         if entering < n:
             at, vals = A.column(entering)
-            col = binv.take(at, 1) @ vals  # take: cheaper than binv[:, at]
+            col = np.dot(binv.take(at, 1), vals)
         else:
             col = binv[:, entering - n].copy()
         piv = col[r]
@@ -480,9 +496,9 @@ def solve_lp(c, A, b, lower, upper, warm=None, cutoff=inf, separate=None):
         if nz.size < _SPARSE_SHARE * m:
             # hypersparse column: only the rows where it is nonzero change
             if nz.size:
-                binv[nz] -= col[nz, None] * binv_r
+                binv[nz] -= np.dot(col[nz, None], binv_r[None])
         else:
-            binv -= col[:, None] * binv_r
+            binv -= np.dot(col[:, None], binv_r[None])
 
         leaving = basis[r]
         vstat[leaving] = NB_UPPER if s > 0 else NB_LOWER
@@ -534,9 +550,9 @@ def _fresh_point(binv, A, b, c, vstat, basis, lower_e, upper_e, out=None):
     the objective ``c @ x``."""
     n = A.shape[1]
     x = _nonbasic_values(vstat, basis, lower_e, upper_e)
-    xB = np.matmul(binv, b - A.matvec(x[:n]), out=out)
+    xB = np.dot(binv, b - A.matvec(x[:n]), out=out)
     x[basis] = xB
-    return x, xB, float(c @ x[:n])
+    return x, xB, float(np.dot(c, x[:n]))
 
 
 def _nonbasic_values(vstat, basis, lower_e, upper_e):
@@ -549,4 +565,4 @@ def _nonbasic_values(vstat, basis, lower_e, upper_e):
 def _reduced_costs(binv, A, c_e, basis, out=None):
     """``d = c - (c_B B^-1) [A I]`` over structural and slack columns,
     written into ``out`` if given."""
-    return np.subtract(c_e, A.pivot_row(c_e[basis] @ binv), out=out)
+    return np.subtract(c_e, A.pivot_row(np.dot(c_e[basis], binv)), out=out)

@@ -838,6 +838,24 @@ def test_build_instance_validation():
     assert inst.triangle_edges is cx.triangle_edges
 
 
+@pytest.mark.parametrize("c1, c2", [(6.9, 4), (True, 4), ("6", 4),
+                                    (6, 4.0), (6, np.True_), (6, None)])
+def test_build_instance_rejects_floors_that_are_not_counts(c1, c2):
+    # 6.9 and True were read as 6 and 1; floors above the candidate counts
+    # are a solver outcome (test_infeasible_floors), not checked here.  The
+    # oracle checks its floors the same way
+    cx = build_candidate_complex(5)
+    costs = CostVectors(h1=np.ones(cx.n_edges), h2=np.ones(cx.n_triangles),
+                        h2_kind="curl")
+    for build in (build_joint_instance, oracle_enumerate):
+        with pytest.raises(ValueError, match="cardinality floor"):
+            build(cx, costs, c1, c2)
+    with pytest.raises(ValueError, match="cardinality floor c1"):
+        oracle_enumerate(cx, costs, -3, 4)
+    inst = build_joint_instance(cx, costs, np.int64(6), np.uint8(4))
+    assert (type(inst.c1), type(inst.c2)) == (int, int)
+
+
 def test_oracle_budget_refusal():
     cx = build_candidate_complex(12)
     costs = CostVectors(h1=np.ones(cx.n_edges), h2=np.ones(cx.n_triangles),
@@ -1057,12 +1075,23 @@ def test_pooled_rows_match_their_dense_form():
     assert grown > 20
 
 
+def _branch_kind_instance(seed):
+    """A near-uniform n0 = 6 tree, as the branch benchmark solves."""
+    cx = build_candidate_complex(6)
+    return build_joint_instance(
+        cx, _near_uniform_costs(np.random.default_rng(seed), cx), 6, 4)
+
+
 @pytest.mark.parametrize("share", [0.0, 1.0])
-def test_hypersparse_update_changes_no_result(monkeypatch, share):
+@pytest.mark.parametrize("make", [_coauthorship_instance, _branch_kind_instance],
+                         ids=["coauthorship", "near_uniform"])
+def test_hypersparse_update_changes_no_result(monkeypatch, make, share):
     # updating only the nonzero rows of the pivot column (on no column with
     # share 0, on every column with a zero row with share 1) pivots
-    # exactly as the default
-    inst = _coauthorship_instance(seed=3)
+    # exactly as the default.  The co-authorship columns are hypersparse;
+    # those of the n0 = 6 tree are mostly dense, so there the default takes
+    # the full update that share 1 replaces
+    inst = make(seed=3)
     c = np.concatenate([inst.h1, inst.h2])
     c /= c.max()
     free = np.full(inst.n_triangles, -1, dtype=np.int8)

@@ -277,6 +277,53 @@ def test_greedy_rejects_bad_arguments():
         learn_greedy(cx, costs, 2, 1, init="random")
 
 
+@pytest.mark.parametrize("gamma", [True, np.True_, "0.5"])
+def test_greedy_rejects_a_gamma_that_is_not_a_real_number(gamma):
+    # each ran before, read as 1.0, 1.0 and 0.5
+    cx = build_candidate_complex(6)
+    costs = _random_costs(np.random.default_rng(0), cx)
+    with pytest.raises(ValueError, match="gamma"):
+        learn_greedy(cx, costs, 6, 4, gamma=gamma)
+    assert learn_greedy(cx, costs, 6, 4, gamma=np.float64(0.5)).diagnostics[
+        "gamma"] == 0.5
+
+
+_LEARNERS = {"joint": learn_joint, "hierarchical": learn_hierarchical,
+             "greedy": learn_greedy}
+
+
+@pytest.mark.parametrize("method", sorted(_LEARNERS))
+@pytest.mark.parametrize("c1, c2, match", [
+    (6.9, 4, "cardinality floor c1"),  # was read as 6
+    (6.0, 4, "cardinality floor c1"),
+    (True, 4, "cardinality floor c1"),  # was read as 1
+    ("6", 4, "cardinality floor c1"),  # learn_joint raised TypeError
+    (-1, 4, "cardinality floor c1"),
+    (6, 4.0, "cardinality floor c2"),
+    (6, np.False_, "cardinality floor c2"),
+    (6, "4", "cardinality floor c2"),
+    (6, None, "cardinality floor c2"),
+    (6, -2, "cardinality floor c2"),
+])
+def test_learners_reject_floors_that_are_not_counts(method, c1, c2, match):
+    cx = build_candidate_complex(6)
+    costs = _random_costs(np.random.default_rng(0), cx)
+    with pytest.raises(ValueError, match=match):
+        _LEARNERS[method](cx, costs, c1, c2)
+    # numpy integers are counts
+    out = _LEARNERS[method](cx, costs, np.int64(6), np.int8(4))
+    assert out.selection.n_selected_edges >= 6
+
+
+@pytest.mark.parametrize("method", ["hierarchical", "greedy"])
+def test_floors_above_the_candidates_keep_the_range_message(method):
+    cx = build_candidate_complex(4)
+    costs = _random_costs(np.random.default_rng(0), cx)
+    for c1, c2 in ((cx.n_edges + 1, 0), (0, cx.n_triangles + 1)):
+        with pytest.raises(ValueError, match="outside the candidate ranges"):
+            _LEARNERS[method](cx, costs, c1, c2)
+
+
 def test_hierarchical_and_greedy_report_wall_time():
     rng = np.random.default_rng(6)
     cx = build_candidate_complex(7)
