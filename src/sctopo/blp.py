@@ -10,8 +10,9 @@ The paper writes inclusion as one aggregated constraint,
 is stored per face, ``s2[t] <= s1[e]``, which has the same binary
 feasible set for every such ``alpha`` but is a tighter relaxation, so the
 LP bounds used for branch and bound are stronger.  No ``alpha`` is
-therefore stored: an instance is its costs, its floors and the faces of
-its candidate complex, and those faces follow from ``n0``.
+therefore stored: an instance is its costs and floors.  The cost sizes
+determine ``n0`` (``candidate_n0``), and ``n0`` the faces of the
+candidate complex, so the faces are derived, never stored.
 
 ``solve`` runs best-first branch and bound on LP relaxations produced by
 :mod:`sctopo.simplex_lp`, generating violated inclusion rows lazily into
@@ -59,8 +60,8 @@ from math import comb, inf
 
 import numpy as np
 
-from .complexes import (Selection, build_candidate_complex, candidate_n0,
-                        check_count, cheapest)
+from .complexes import (Selection, candidate_n0, check_count, cheapest,
+                        triangle_faces)
 from .simplex_lp import SparseRows, extend_binv_for_new_rows, solve_lp
 
 DEFAULT_NODE_LIMIT = 10_000_000  # branch-and-bound nodes before "node_limit"
@@ -71,13 +72,20 @@ _ROW_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BlpInstance:
-    """Costs, cardinality floors and triangle/edge incidence of one problem."""
+    """Costs and cardinality floors of one problem on a candidate complex.
+
+    The cost sizes must be a candidate complex's, ``C(n0, 2)`` and
+    ``C(n0, 3)``, else ``ValueError``; that complex's faces are
+    ``triangle_edges``.
+    """
 
     h1: np.ndarray
     h2: np.ndarray
     c1: int
     c2: int
-    triangle_edges: np.ndarray  # (n_triangles, 3) edge ids of each face
+
+    def __post_init__(self):
+        candidate_n0(self.n_edges, self.n_triangles)
 
     @property
     def n_edges(self):
@@ -86,6 +94,11 @@ class BlpInstance:
     @property
     def n_triangles(self):
         return self.h2.size
+
+    @property
+    def triangle_edges(self):
+        """(n_triangles, 3) edge ids of each triangle's faces."""
+        return triangle_faces(candidate_n0(self.n_edges, self.n_triangles))
 
 
 @dataclass
@@ -108,17 +121,21 @@ def _check_floors(c1, c2):
             check_count(c2, "cardinality floor c2"))
 
 
-def build_joint_instance(cx, costs, c1, c2):
-    c1, c2 = _check_floors(c1, c2)
+def _check_costs(cx, costs):
+    """The costs as float arrays; ``ValueError`` unless they are sized for
+    ``cx``, finite and nonnegative.  The one cost check of every learner."""
     if costs.h1.size != cx.n_edges or costs.h2.size != cx.n_triangles:
         raise ValueError("cost vectors do not match the candidate complex")
     if not (np.isfinite(costs.h1).all() and np.isfinite(costs.h2).all()):
         raise ValueError("cost vectors have non-finite entries")
     if (costs.h1 < 0).any() or (costs.h2 < 0).any():
         raise ValueError("costs must be nonnegative")
-    return BlpInstance(h1=np.asarray(costs.h1, dtype=float),
-                       h2=np.asarray(costs.h2, dtype=float), c1=c1, c2=c2,
-                       triangle_edges=cx.triangle_edges)
+    return np.asarray(costs.h1, dtype=float), np.asarray(costs.h2, dtype=float)
+
+
+def build_joint_instance(cx, costs, c1, c2):
+    c1, c2 = _check_floors(c1, c2)
+    return BlpInstance(*_check_costs(cx, costs), c1, c2)
 
 
 class _RowPool:
@@ -461,8 +478,8 @@ _SCALARS = ("n_edges", "n_triangles", "c1", "c2")
 def write_instance(instance, path):
     """Plain-text dump: one line per integer scalar, then per cost entry.
 
-    The triangle faces are not written: ``read_instance`` rebuilds them
-    from the candidate complex that ``n_edges`` determines.
+    The triangle faces are not written: an instance derives them from
+    its cost sizes.
     """
     lines = [_MAGIC] + [f"{key} {getattr(instance, key)}" for key in _SCALARS]
     lines += [f"h1 {e} {float(v)!r}" for e, v in enumerate(instance.h1)]
@@ -500,7 +517,7 @@ def read_instance(path):
         n1, n2, c1, c2 = [scalars[key] for key in _SCALARS]
     except KeyError as missing:
         raise ValueError(f"instance file lacks {missing}") from None
-    n0 = candidate_n0(n1, n2)
+    candidate_n0(n1, n2)
     _check_floors(c1, c2)
     if len(lines) - idx < n1 + n2:  # checked before anything is allocated
         raise ValueError(f"instance file is missing entries: {n1 + n2} costs "
@@ -527,5 +544,4 @@ def read_instance(path):
     if any(None in target for target in costs.values()):
         raise ValueError("instance file is missing entries")
     h1, h2 = (np.array(costs[tag], dtype=float) for tag in ("h1", "h2"))
-    return BlpInstance(h1=h1, h2=h2, c1=c1, c2=c2,
-                       triangle_edges=build_candidate_complex(n0).triangle_edges)
+    return BlpInstance(h1=h1, h2=h2, c1=c1, c2=c2)

@@ -3,13 +3,15 @@
 The one module that derives complex structure.  The candidate complex on
 ``n0`` nodes holds every possible edge and triangle in lexicographic
 order.  The closed-form ranks below and their inverses are the one map
-between vertices and indices.  A complex stores only the edge indices of
-each triangle's faces, all that the solver, learners and costs read.  The
-vertex tuples, and the dense views that no module here reads (oriented
-incidence ``b1``, nodes x edges, ``b2``, edges x triangles, and
-``b2_plus = |b2|``), are derived on first access.  Binary selection
-vectors pick out the active structure; the routines here build its
-Laplacians, list the triangles an edge set supports and check inclusion.
+between vertices and indices.  A complex stores only ``n0``.  The edge
+indices of each triangle's faces, all that the solver, learners and costs
+read, come from one read-only array per ``n0``, shared by every complex
+and instance of that size.  The vertex tuples, and the dense views that
+no module here reads (oriented incidence ``b1``, nodes x edges, ``b2``,
+edges x triangles, and ``b2_plus = |b2|``), are derived on first access.
+Binary selection vectors pick out the active structure; the routines here
+build its Laplacians, list the triangles an edge set supports and check
+inclusion.
 
 Index conventions (used by every module in this package):
 
@@ -108,22 +110,12 @@ def candidate_n0(n_edges, n_triangles):
 class CandidateComplex:
     """The complete candidate complex on ``n0`` nodes.
 
-    Only ``triangle_edges`` is stored; the vertex tuples and the dense
-    incidence matrices are derived from the ranks when first read.  No
-    module in the package reads ``b1``, ``b2`` or ``b2_plus``.
-
-    Attributes
-    ----------
-    n0 : int
-        Number of nodes.
-    triangle_edges : ndarray, shape (n_triangles, 3)
-        Edge indices of each triangle's faces, in lexicographic face order.
-        This is the sparse column-list view of ``b2`` that the solver and
-        the learners consume.
+    Only ``n0`` is stored; the faces, the vertex tuples and the dense
+    incidence matrices are derived from the ranks.  No module in the
+    package reads ``b1``, ``b2`` or ``b2_plus``.
     """
 
     n0: int
-    triangle_edges: np.ndarray
 
     @property
     def n_edges(self):
@@ -131,7 +123,14 @@ class CandidateComplex:
 
     @property
     def n_triangles(self):
-        return len(self.triangle_edges)
+        return comb(self.n0, 3)
+
+    @property
+    def triangle_edges(self):
+        """Edge indices of each triangle's faces, in lexicographic face
+        order, shape ``(n_triangles, 3)``: the sparse column-list view of
+        ``b2`` that the solver and the learners consume."""
+        return triangle_faces(self.n0)
 
     @cached_property
     def edges(self):
@@ -184,22 +183,23 @@ class CandidateComplex:
 # keeps its dense incidence once read (970 MB at 60 nodes).  One entry is
 # 3 * C(n0, 3) indices, 0.8 MB at 60 nodes.
 @lru_cache(maxsize=8)
-def _triangle_edges(n0):
+def triangle_faces(n0):
+    """``triangle_edges`` of the candidate complex on ``n0`` nodes, read-only."""
     i, j, k = _triangle_vertices(n0, np.arange(comb(n0, 3)))
     return _read_only(np.column_stack(
         (_edge_rank(n0, i, j), _edge_rank(n0, i, k), _edge_rank(n0, j, k))))
 
 
 def build_candidate_complex(n0):
-    """Build the full candidate complex on ``n0 >= 3`` nodes.
+    """The full candidate complex on ``n0 >= 3`` nodes.
 
-    Only ``triangle_edges`` is computed here, from the closed-form ranks,
-    and it is shared by every complex of the same ``n0``; everything else
-    is derived on first access, per complex.
+    Its faces come from ``triangle_faces``, shared by every complex of the
+    same ``n0``; the vertex tuples and dense views are derived on first
+    access, per complex.
     """
-    if n0 < 3:
+    if check_count(n0, "n0") < 3:
         raise ValueError(f"need n0 >= 3, got {n0}")
-    return CandidateComplex(n0=n0, triangle_edges=_triangle_edges(n0))
+    return CandidateComplex(n0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,7 +51,6 @@ class SynthConfig:
     triangle_fraction: float = 0.5
     f0: int = 100
     f1: int = 100
-    filter_kind: str = "inv_one_plus_lambda"
     noise_sigma: float = 0.0
     seed: int = 0
     edge_prior: str = "low_curl"
@@ -71,8 +70,6 @@ class SynthConfig:
         if self.f0 < 1 or self.f1 < 1:
             raise ValueError(f"feature counts must be positive; got f0 "
                              f"{self.f0}, f1 {self.f1}")
-        if self.filter_kind != "inv_one_plus_lambda":
-            raise ValueError(f"unknown filter_kind {self.filter_kind!r}")
         if self.edge_prior not in EDGE_PRIORS:
             raise ValueError(f"edge_prior must be one of {EDGE_PRIORS}")
 

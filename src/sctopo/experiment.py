@@ -38,6 +38,8 @@ SCORE_METRICS = ("f1_edges", "f1_triangles", "precision_edges", "recall_edges",
                  "precision_triangles", "recall_triangles", "objective")
 # rng stream tag for real-mode sub-network draws; 0..3 belong to datagen
 _STAGE_SUBNET = 4
+# the SynthConfig fields that every synthetic cell of a config shares
+_SYNTH_FIELDS = ("er_p", "triangle_fraction", "f0", "f1", "noise_sigma")
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,8 @@ class ExperimentConfig:
         # the synthetic fields, checked by SynthConfig itself in either
         # mode, so that no run fails at its first realization, and kept
         # as the plain ints and floats it makes them
-        synth = SynthConfig(n0=min(self.n0_values), er_p=self.er_p,
-                            triangle_fraction=self.triangle_fraction,
-                            f0=self.f0, f1=self.f1,
-                            noise_sigma=self.noise_sigma)
-        for key in ("er_p", "triangle_fraction", "f0", "f1", "noise_sigma"):
+        synth = self._synth_config(min(self.n0_values))
+        for key in _SYNTH_FIELDS:
             object.__setattr__(self, key, getattr(synth, key))
         if self.gamma is not None:
             object.__setattr__(self, "gamma", check_real(self.gamma, "gamma"))
@@ -100,6 +99,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path):
         return cls(**fields_from_json(cls, json.loads(Path(path).read_text())))
+
+    def _synth_config(self, n0, seed=0, edge_prior="low_curl"):
+        """The ``SynthConfig`` of the synthetic cell ``(n0, seed, edge_prior)``."""
+        return SynthConfig(n0=n0, seed=seed, edge_prior=edge_prior,
+                           **{key: getattr(self, key) for key in _SYNTH_FIELDS})
 
 
 @dataclass
@@ -135,12 +139,7 @@ def run_experiment(config):
             kind = PRIOR_TO_KIND[prior]
             for seed in config.seeds:
                 if config.mode == "synthetic":
-                    bundle = make_bundle(SynthConfig(
-                        n0=n0, er_p=config.er_p,
-                        triangle_fraction=config.triangle_fraction,
-                        f0=config.f0, f1=config.f1,
-                        noise_sigma=config.noise_sigma, seed=seed,
-                        edge_prior=prior))
+                    bundle = make_bundle(config._synth_config(n0, seed, prior))
                     x0, x1bar, truth = bundle.x0, bundle.x1bar, bundle.truth
                 else:
                     sub = subsample_dataset(dataset, n0,

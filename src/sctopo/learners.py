@@ -11,7 +11,8 @@
 ``learn_hierarchical`` and ``learn_greedy`` break ties by ascending
 simplex index.  ``learn_joint`` returns an optimum whose edges break ties
 the same way, but among tied triangle sets not necessarily the one with
-the lowest indices.
+the lowest indices.  All three reject, with ``ValueError``, costs that are
+not sized for the complex, not finite or negative (``blp._check_costs``).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blp
-from .complexes import (Selection, check_real, cheapest, feasible_triangles,
-                        validate_inclusion)
+from .complexes import (Selection, check_count, check_real, cheapest,
+                        feasible_triangles, validate_inclusion)
 
 GREEDY_INITS = ("ones", "hierarchical")  # starting s1 choices of learn_greedy
 
@@ -40,10 +41,12 @@ def _objective(costs, s1, s2):
     return float(costs.h1 @ s1 + costs.h2 @ s2)
 
 
-def _floors_in_range(cx, c1, c2):
-    """The floors as ints: ``ValueError`` unless each is an integer (not a
-    bool) from 0 to its candidate count."""
+def _checked_inputs(cx, costs, c1, c2):
+    """The floors as ints, after the checks the baselines share:
+    ``ValueError`` unless the costs pass ``blp._check_costs`` and each
+    floor is an integer (not a bool) from 0 to its candidate count."""
     c1, c2 = blp._check_floors(c1, c2)
+    blp._check_costs(cx, costs)
     if c1 > cx.n_edges or c2 > cx.n_triangles:
         raise ValueError("cardinality floors outside the candidate ranges")
     return c1, c2
@@ -58,8 +61,13 @@ def learn_hierarchical(cx, costs, c1, c2):
     triangle floor is relaxed and every feasible triangle is taken, with
     the relaxed-cardinality flag raised in the diagnostics.
     """
+    return _hierarchical(cx, costs, *_checked_inputs(cx, costs, c1, c2))
+
+
+def _hierarchical(cx, costs, c1, c2):
+    """``learn_hierarchical`` on inputs already checked, for the warm start
+    of ``learn_joint`` and the start of ``learn_greedy``."""
     t0 = time.perf_counter()
-    c1, c2 = _floors_in_range(cx, c1, c2)
     s1 = np.zeros(cx.n_edges, dtype=np.int8)
     s1[cheapest(c1, costs.h1)] = 1
 
@@ -93,8 +101,8 @@ def learn_joint(cx, costs, c1, c2, node_limit=blp.DEFAULT_NODE_LIMIT):
     incumbent is returned and flagged through ``diagnostics["status"]``.
     """
     instance = blp.build_joint_instance(cx, costs, c1, c2)
-    warm = learn_hierarchical(cx, costs, min(instance.c1, cx.n_edges),
-                              min(instance.c2, cx.n_triangles)).selection
+    warm = _hierarchical(cx, costs, min(instance.c1, cx.n_edges),
+                         min(instance.c2, cx.n_triangles)).selection
     sol = blp.solve(instance, node_limit=node_limit, warm_start=warm)
     if sol.selection is None:
         raise ValueError(f"no selection satisfies the floors (status {sol.status})")
@@ -127,11 +135,12 @@ def learn_greedy(cx, costs, c1, c2, gamma=None, max_iter=20, init="ones"):
     ``h2[t] + gamma * (faces of t missing from s1)``; the s1-step takes
     every edge whose coverage savings ``gamma * cov`` beat its activation
     cost ``1 + h1[e]`` and fills up to c1 by smallest
-    ``1 + h1[e] - gamma * cov``.  Stops when the selection pair repeats.
+    ``1 + h1[e] - gamma * cov``.  Stops when the selection pair repeats
+    or after ``max_iter`` rounds, an integer (not a bool) at least 1.
     """
     t0 = time.perf_counter()
-    c1, c2 = _floors_in_range(cx, c1, c2)
-    if max_iter < 1:
+    c1, c2 = _checked_inputs(cx, costs, c1, c2)
+    if check_count(max_iter, "max_iter") < 1:
         raise ValueError("max_iter must be at least 1")
     gamma = check_real(default_gamma(costs) if gamma is None else gamma,
                        "gamma")
@@ -143,7 +152,7 @@ def learn_greedy(cx, costs, c1, c2, gamma=None, max_iter=20, init="ones"):
     if init == "ones":
         s1 = np.ones(n1, dtype=np.int8)
     elif init == "hierarchical":
-        s1 = learn_hierarchical(cx, costs, c1, c2).selection.s1.copy()
+        s1 = _hierarchical(cx, costs, c1, c2).selection.s1.copy()
     else:
         raise ValueError(f"unknown init {init!r}")
 

@@ -1,5 +1,6 @@
 """Branch-and-bound solver vs. the enumeration oracle, plus instance I/O."""
 
+import dataclasses
 import itertools
 from dataclasses import replace
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 
 from sctopo import blp, simplex_lp
 from sctopo.blp import (
+    BlpInstance,
     _RowPool,
     build_joint_instance,
     lp_bound,
@@ -838,6 +840,22 @@ def test_build_instance_validation():
     assert inst.triangle_edges is cx.triangle_edges
 
 
+def test_an_instance_is_its_costs_and_floors():
+    names = [f.name for f in dataclasses.fields(BlpInstance)]
+    assert names == ["h1", "h2", "c1", "c2"]
+
+
+@pytest.mark.parametrize("n_edges, n_triangles", [(10, 11), (9, 10), (3, 0),
+                                                  (0, 0), (21, 20)])
+def test_an_instance_needs_the_cost_sizes_of_a_candidate_complex(
+        n_edges, n_triangles):
+    # faces of another size used to end in an IndexError inside solve
+    with pytest.raises(ValueError, match="n_edges|n_triangles"):
+        BlpInstance(np.ones(n_edges), np.ones(n_triangles), 1, 1)
+    assert BlpInstance(np.ones(10), np.ones(10), 1, 1).triangle_edges is (
+        build_candidate_complex(5).triangle_edges)
+
+
 @pytest.mark.parametrize("c1, c2", [(6.9, 4), (True, 4), ("6", 4),
                                     (6, 4.0), (6, np.True_), (6, None)])
 def test_build_instance_rejects_floors_that_are_not_counts(c1, c2):
@@ -890,7 +908,8 @@ def test_instance_io_round_trip(tmp_path):
     assert back.c1 == inst.c1 and back.c2 == inst.c2
     assert np.array_equal(back.h1, inst.h1)  # repr round-trips floats exactly
     assert np.array_equal(back.h2, inst.h2)
-    assert np.array_equal(back.triangle_edges, inst.triangle_edges)
+    # both derive the one face array of their size; none is written
+    assert back.triangle_edges is inst.triangle_edges is cx.triangle_edges
     a, b = solve(inst), solve(back)
     assert a.objective == b.objective
     assert a.selection.same_as(b.selection)

@@ -1,5 +1,6 @@
 """Structure tests for candidate complexes and incidence matrices."""
 
+import dataclasses
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from sctopo.complexes import (
+    CandidateComplex,
     Selection,
     TRIANGLE_FACE_SIGNS,
     _block_sum,
@@ -110,6 +112,13 @@ def test_complexes_of_one_size_share_their_face_array_only():
     assert not a.triangle_edges.flags.writeable
     assert a.b1.shape == (7, 21)
     assert "b1" in vars(a) and "b1" not in vars(b)
+
+
+def test_a_complex_stores_only_its_node_count():
+    assert [f.name for f in dataclasses.fields(CandidateComplex)] == ["n0"]
+    cx = CandidateComplex(7)
+    assert cx.triangle_edges is build_candidate_complex(7).triangle_edges
+    assert cx.triangle_edges.shape == (cx.n_triangles, 3) == (35, 3)
 
 
 def test_arrays_are_frozen():
@@ -309,8 +318,11 @@ def test_similarity_laplacian_single_triangle_block():
 
 
 def test_build_rejects_small_n0():
-    with pytest.raises(ValueError):
-        build_candidate_complex(2)
+    # a complex stores only n0, so one that is not a count would otherwise
+    # fail only when its faces are first read; 7.0 and "5" raised TypeError
+    for n0 in (2, -1, True, 7.0, "5"):
+        with pytest.raises(ValueError, match="n0"):
+            build_candidate_complex(n0)
 
 
 def test_build_allocates_no_dense_incidence():

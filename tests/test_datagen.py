@@ -1,5 +1,6 @@
 """Generator determinism, stream isolation, and planted-structure alignment."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -195,9 +196,11 @@ def test_load_rejects_inconsistent_dirs(tmp_path):
     lambda meta: meta.update(config=[6, 0.6]),  # not an object
     lambda meta: meta["config"].update(n0=6.0),
     lambda meta: meta["config"].update(seed="1"),
+    # the key of bundles written before the filter option was removed
+    lambda meta: meta["config"].update(filter_kind="inv_one_plus_lambda"),
     None,  # a nan signal cell instead
 ], ids=["unknown_key", "no_truth_edges", "config_list", "n0_float",
-        "seed_string", "nan_cell"])
+        "seed_string", "filter_kind", "nan_cell"])
 def test_load_rejects_bad_files_naming_the_bundle(tmp_path, corrupt):
     cfg = SynthConfig(n0=6, seed=1, f0=3, f1=3)
     root = save_bundle(make_bundle(cfg), tmp_path / "bundle")
@@ -212,9 +215,15 @@ def test_load_rejects_bad_files_naming_the_bundle(tmp_path, corrupt):
         load_bundle(root)
 
 
+def test_config_fields():
+    assert [f.name for f in dataclasses.fields(SynthConfig)] == [
+        "n0", "er_p", "triangle_fraction", "f0", "f1", "noise_sigma", "seed",
+        "edge_prior"]
+
+
 def test_config_validation():
     for key, bad in (("n0", 2), ("er_p", 0.0), ("triangle_fraction", 1.5),
-                     ("filter_kind", "bandpass"), ("noise_sigma", -0.1),
+                     ("noise_sigma", -0.1),
                      ("edge_prior", "flat"), ("seed", -1), ("seed", 1.5),
                      ("seed", True), ("f0", 2.5), ("f1", np.float64(3.0)),
                      ("n0", 8.0)):

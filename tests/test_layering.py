@@ -56,3 +56,25 @@ def test_numpy_is_the_only_runtime_dependency():
     for path in sorted(PACKAGE.rglob("*.py")):
         foreign = sorted(_absolute_imports(path) - allowed)
         assert not foreign, f"{path.name} imports {foreign}"
+
+
+def _unused_imports(path):
+    """Names that ``path`` imports but never reads; ``__future__`` aside."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_import_is_used():
+    # an import left behind when a derivation moves, or one kept only so
+    # that code outside the package can patch the name, fails here
+    for name in LAYERS:
+        unused = sorted(_unused_imports(PACKAGE / f"{name}.py"))
+        assert not unused, f"{name} imports {unused} without using them"

@@ -271,8 +271,10 @@ def test_greedy_rejects_bad_arguments():
     for gamma in (-1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="gamma"):
             learn_greedy(cx, costs, 2, 1, gamma=gamma)
-    with pytest.raises(ValueError):
-        learn_greedy(cx, costs, 2, 1, max_iter=0)
+    # True ran one iteration; 2.5, "3" and np.float64(2.0) raised TypeError
+    for max_iter in (0, True, 2.5, "3", np.float64(2.0)):
+        with pytest.raises(ValueError, match="max_iter"):
+            learn_greedy(cx, costs, 2, 1, max_iter=max_iter)
     with pytest.raises(ValueError):
         learn_greedy(cx, costs, 2, 1, init="random")
 
@@ -313,6 +315,33 @@ def test_learners_reject_floors_that_are_not_counts(method, c1, c2, match):
     # numpy integers are counts
     out = _LEARNERS[method](cx, costs, np.int64(6), np.int8(4))
     assert out.selection.n_selected_edges >= 6
+
+
+def _costs_of_another_size(cx):
+    return _random_costs(np.random.default_rng(0),
+                         build_candidate_complex(cx.n0 + 1))
+
+
+def _with_entry(h, index, value):
+    def bad(cx):
+        costs = _random_costs(np.random.default_rng(0), cx)
+        getattr(costs, h)[index] = value
+        return costs
+    return bad
+
+
+@pytest.mark.parametrize("method", sorted(_LEARNERS))
+@pytest.mark.parametrize("make_costs, match", [
+    # the baselines raised IndexError (hierarchical) or a broadcast
+    # ValueError (greedy), and ran to an objective on nan or negative costs
+    (_costs_of_another_size, "do not match the candidate complex"),
+    (_with_entry("h2", 3, np.nan), "non-finite"),
+    (_with_entry("h1", 2, -1.0), "costs must be nonnegative"),
+], ids=["wrong_size", "nan", "negative"])
+def test_learners_reject_bad_costs(method, make_costs, match):
+    cx = build_candidate_complex(6)
+    with pytest.raises(ValueError, match=match):
+        _LEARNERS[method](cx, make_costs(cx), 6, 4)
 
 
 @pytest.mark.parametrize("method", ["hierarchical", "greedy"])
